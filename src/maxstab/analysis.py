@@ -22,10 +22,10 @@ from scipy import integrate
 from .conditional import independence_test
 from .continuous import ShapeFunction, path_value, sample_grid, \
     simulate_moving_max, simulate_moving_max_reversed
-from .distributions import RngState, frechet_cdf
-from .maxar import Direction, DiscretePath, MaxARParams, bivariate_cdf, \
-    kernel_cdf, kernel_sample_many, reverse_path, simulate_forward, \
-    simulate_reversed
+from .distributions import RngState, frechet_cdf, frechet_sample
+from .maxar import Direction, DiscretePath, MaxARParams, \
+    _stationary_windows, bivariate_cdf, kernel_cdf, kernel_sample_many, \
+    reverse_path, simulate_forward, simulate_reversed
 from .report import EmpiricalReport
 
 __all__ = [
@@ -270,19 +270,6 @@ class BatterySizes:
         )
 
 
-def _stationary_windows(a: float, width: int, count: int,
-                        rng: RngState) -> np.ndarray:
-    """count independent stationary forward windows of the given width,
-    as a (count, width) array (vectorized over replicates)."""
-    u = rng.uniform(size=count * width).reshape(width, count)
-    x = np.empty((width, count))
-    x[0] = -1.0 / np.log(u[0])
-    for t in range(1, width):
-        innovation = -(1.0 - a) / np.log(u[t]) if a < 1.0 else 0.0
-        x[t] = np.maximum(a * x[t - 1], innovation)
-    return x.T
-
-
 def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                       rng: RngState, report: EmpiricalReport) -> None:
     a = params.a
@@ -316,9 +303,7 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
     if 0.0 < a < 1.0:
         n = sizes.transitions
         sub = rng.substream(3)
-        u = sub.uniform(size=2 * n)
-        starts = -1.0 / np.log(u[:n])
-        nexts = np.maximum(a * starts, -(1.0 - a) / np.log(u[n:]))
+        starts, nexts = _stationary_windows(a, 2, n, sub).T
         atom_freq = float(np.mean(nexts == a * starts))
         sigma = math.sqrt(a * (1.0 - a) / n)
         report.add("transition_atom_mass", abs(atom_freq - a), 4.0 * sigma,
@@ -368,7 +353,7 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                    "closed-form joint CDF of a stationary transition pair")
 
         rev = MaxARParams(a, Direction.REVERSED)
-        rev_starts = -1.0 / np.log(sub.uniform(size=n))
+        rev_starts = frechet_sample(sub, size=n)
         rev_nexts = kernel_sample_many(rev, rev_starts, sub)
         worst = 0.0
         for xg in grid:

@@ -142,33 +142,32 @@ def _simulate_envelope(a: float, length: float, rng: RngState):
     anchor = frechet_sample(rng)
     rate = -math.log(a)
     marks = DecreasingMarkStream(total_intensity=length)
-    # visible records (time, peak); the anchor acts as a record at time 0
-    records: list[tuple[float, float]] = [(0.0, anchor)]
+    # visible records as parallel lists of times and peaks, sorted by time;
+    # the anchor acts as a record at time 0
+    times = [0.0]
+    peaks = [anchor]
 
     def window_min() -> float:
-        worst = math.inf
-        for j, (tj, vj) in enumerate(records):
-            t_next = records[j + 1][0] if j + 1 < len(records) else length
-            worst = min(worst, vj * a ** (t_next - tj))
-        return worst
+        ends = times[1:] + [length]
+        return min([vj * a ** (t_next - tj)
+                    for tj, vj, t_next in zip(times, peaks, ends)])
 
     floor = window_min()
     while True:
         peak = rate * marks.next_mark(rng)
         if peak <= floor:
-            return anchor, records[1:]
+            return anchor, list(zip(times[1:], peaks[1:]))
         t_new = length * rng.uniform()
-        idx = bisect_right([t for t, _ in records], t_new)
-        prev_t, prev_v = records[idx - 1]
-        if peak <= prev_v * a ** (t_new - prev_t):
+        idx = bisect_right(times, t_new)
+        if peak <= peaks[idx - 1] * a ** (t_new - times[idx - 1]):
             continue  # arrival below the envelope: no effect on the max
-        while idx < len(records):
-            t_next, v_next = records[idx]
-            if v_next <= peak * a ** (t_next - t_new):
-                records.pop(idx)
-            else:
-                break
-        records.insert(idx, (t_new, peak))
+        # the new record hides every later one it dominates, a contiguous run
+        end = idx
+        while end < len(times) and \
+                peaks[end] <= peak * a ** (times[end] - t_new):
+            end += 1
+        times[idx:end] = [t_new]
+        peaks[idx:end] = [peak]
         floor = window_min()
 
 

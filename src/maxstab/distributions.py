@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "RngState",
-    "FrechetScale",
     "DecreasingMarkStream",
     "frechet_cdf",
     "frechet_quantile",
@@ -87,17 +86,6 @@ class RngState:
         if size is None:
             return float(-np.log(u))
         return -np.log(u)
-
-
-@dataclass(frozen=True)
-class FrechetScale:
-    """Scale parameter of a unit-shape Frechet law, CDF exp(-scale/y)."""
-
-    scale: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("scale must be finite and positive")
 
 
 def _check_scale(c: float) -> float:

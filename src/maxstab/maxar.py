@@ -145,17 +145,28 @@ class DiscretePath:
         return self.values[1:] / self.values[:-1]
 
 
-def _forward_values(a: float, n: int, rng: RngState) -> np.ndarray:
-    u = rng.uniform(size=n)
-    values = np.empty(n, dtype=np.float64)
-    values[0] = -1.0 / math.log(u[0])
-    one_minus_a = 1.0 - a
-    for t in range(1, n):
-        innovation = -one_minus_a / math.log(u[t])
-        decayed = a * values[t - 1]
-        # keep the literal product so the atom is an exact float event
-        values[t] = decayed if decayed >= innovation else innovation
-    return values
+def _stationary_windows(a: float, width: int, count: int,
+                        rng: RngState) -> np.ndarray:
+    """count independent stationary forward windows of the given width,
+    as a (count, width) array; consumes exactly width * count uniforms.
+
+    Unrolled, the recursion is X(t) = max_k a^(t-k) c_k with c_0 unit
+    Frechet and c_k = (1-a) F(k), so it is evaluated as a max-times prefix
+    scan: after the pass with step s every value holds the max over its
+    last 2s terms, and ceil(log2 width) passes cover the window.  a ** step
+    is taken directly, since repeated squaring would compound its error.
+    Width-2 windows equal max(a * X(0), (1-a) F(1)) bitwise.
+    """
+    # row t holds the uniforms of time t across the replicates
+    x = rng.uniform(size=width * count).reshape(width, count)
+    np.log(x, out=x)
+    np.divide(-1.0, x[0], out=x[0])
+    np.divide(-(1.0 - a), x[1:], out=x[1:])
+    step = 1
+    while step < width:
+        np.maximum(x[step:], a ** step * x[:-step], out=x[step:])
+        step *= 2
+    return x.T
 
 
 def simulate_forward(params: MaxARParams, n: int, rng: RngState,
@@ -163,12 +174,15 @@ def simulate_forward(params: MaxARParams, n: int, rng: RngState,
     """Exact stationary draw of n consecutive values of the forward chain.
 
     The first value is drawn from the stationary law directly (no burn-in)
-    and the recursion consumes exactly n uniforms in total.
+    and the path consumes exactly n uniforms in total.  It is evaluated by
+    the prefix scan of :func:`_stationary_windows` rather than step by
+    step, so an atom equals a * X(t-1) to within a few ulp rather than as
+    the literal product.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     forward = MaxARParams(params.a, Direction.FORWARD)
-    values = _forward_values(forward.a, int(n), rng)
+    values = _stationary_windows(forward.a, int(n), 1, rng)[0]
     return DiscretePath(start_index, values, forward, (rng.seed, rng.stream))
 
 
@@ -274,15 +288,6 @@ def bivariate_cdf(params: MaxARParams, x: float, y: float) -> float:
     return math.exp(-max(1.0 / x, a / y) - (1.0 - a) / y)
 
 
-def _stationary_pairs(a: float, n: int, rng: RngState):
-    """n independent stationary one-step transitions (X, X')."""
-    u = rng.uniform(size=2 * n)
-    x = -1.0 / np.log(u[:n])
-    innovation = -(1.0 - a) / np.log(u[n:]) if a < 1.0 else np.zeros(n)
-    x_next = np.maximum(a * x, innovation)
-    return x, x_next
-
-
 def equilibrium_check(a: float, n: int, rng: RngState,
                       grid=(0.5, 1.0, 2.0), tolerance: float = 0.01) -> EmpiricalReport:
     """Compare empirical joint CDFs of consecutive pairs, in both time
@@ -301,11 +306,11 @@ def equilibrium_check(a: float, n: int, rng: RngState,
                                      "tolerance": tolerance})
     report.seeds.append((rng.seed, rng.stream))
 
-    fwd_x, fwd_y = _stationary_pairs(a, n, rng)
+    fwd_x, fwd_y = _stationary_windows(a, 2, n, rng).T
     # independent draw through the dual kernel: start from the stationary
     # law and step backwards; detailed balance says the pair must have the
     # forward joint law with the coordinates swapped
-    rev_start = -1.0 / np.log(rng.uniform(size=n))
+    rev_start = frechet_sample(rng, size=n)
     rev_next = kernel_sample_many(reversed_params, rev_start, rng)
     for u in grid:
         for v in grid:

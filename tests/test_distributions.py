@@ -9,7 +9,6 @@ from hypothesis import assume, given, strategies as st
 
 from maxstab import (
     DecreasingMarkStream,
-    FrechetScale,
     RngState,
     frechet_cdf,
     frechet_quantile,
@@ -86,15 +85,6 @@ class TestFrechetQuantile:
         assume(scale / y < 700.0)
         p = frechet_cdf(y, scale)
         assert frechet_quantile(p, scale) == pytest.approx(y, rel=1e-12)
-
-
-class TestFrechetScale:
-    def test_holds_value(self):
-        assert FrechetScale(2.5).scale == 2.5
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            FrechetScale(0.0)
 
 
 class TestRngState:

@@ -30,6 +30,7 @@ from maxstab import (
     simulate_forward,
     simulate_reversed,
 )
+from maxstab.maxar import _stationary_windows
 
 FWD = MaxARParams(0.5, Direction.FORWARD)
 REV = MaxARParams(0.5, Direction.REVERSED)
@@ -83,6 +84,18 @@ def stationary_pairs(a: float, n: int, rng: RngState):
     first = STATIONARY.sample(rng, size=n)
     second = kernel_sample_many(params, first, rng)
     return first, second
+
+
+def forward_loop(a: float, u: np.ndarray) -> np.ndarray:
+    """Reference recursion X(t) = max(a X(t-1), (1-a) F(t)), one step at a
+    time, on one replicate's uniforms."""
+    values = np.empty(u.size)
+    values[0] = -1.0 / np.log(u[0])
+    for t in range(1, u.size):
+        innovation = -(1.0 - a) / np.log(u[t])
+        decayed = a * values[t - 1]
+        values[t] = decayed if decayed >= innovation else innovation
+    return values
 
 
 def transition_cdf(params: MaxARParams, current: float, level: float) -> float:
@@ -203,6 +216,55 @@ class TestSimulateForward:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             simulate_forward(FWD, 0, RngState(1))
+
+
+class TestStationaryWindows:
+    """The prefix-scan kernel behind every stationary discrete draw."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 17, 1024, 1025, 4097])
+    @pytest.mark.parametrize("a", [0.0, 0.05, 0.5, 0.95, 0.999, 1.0])
+    def test_matches_step_by_step_loop(self, a, width):
+        count = 3
+        u = RngState(31).uniform(size=width * count).reshape(width, count)
+        windows = _stationary_windows(a, width, count, RngState(31))
+        assert windows.shape == (count, width)
+        # simulate_forward is the one-replicate case: it reads the first
+        # width uniforms of the stream in time order
+        path = simulate_forward(MaxARParams(a), width, RngState(31)).values
+        cases = [(windows[j], u[:, j]) for j in range(count)]
+        cases.append((path, u.reshape(-1)[:width]))
+        for got, uniforms in cases:
+            expected = forward_loop(a, uniforms)
+            rel = np.abs(got - expected) / expected
+            assert rel.max() <= 64 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("a", [0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
+    def test_width_two_is_one_literal_step(self, a):
+        """The battery's atom check compares nexts == a * starts exactly."""
+        n = 5000
+        windows = _stationary_windows(a, 2, n, RngState(32))
+        u = RngState(32).uniform(size=2 * n)
+        starts = -1.0 / np.log(u[:n])
+        nexts = np.maximum(a * starts, -(1.0 - a) / np.log(u[n:]))
+        assert np.array_equal(windows[:, 0], starts)
+        assert np.array_equal(windows[:, 1], nexts)
+        if 0.0 < a < 1.0:
+            assert 0.0 < np.mean(windows[:, 1] == a * windows[:, 0]) < 1.0
+
+    @pytest.mark.parametrize("width,count", [(1, 1), (2, 7), (5, 3), (600, 1)])
+    def test_consumes_width_times_count_uniforms(self, width, count):
+        rng = RngState(33)
+        _stationary_windows(0.4, width, count, rng)
+        fresh = RngState(33)
+        fresh.uniform(size=width * count)
+        assert rng.uniform() == fresh.uniform()
+
+    def test_simulate_forward_single_value(self):
+        rng = RngState(34)
+        path = simulate_forward(MaxARParams(0.6), 1, rng)
+        fresh = RngState(34)
+        assert path.values.tolist() == [-1.0 / np.log(fresh.uniform(size=1))[0]]
+        assert rng.uniform() == fresh.uniform()
 
 
 class TestSimulateReversed:
