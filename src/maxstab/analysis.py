@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -144,9 +144,11 @@ class RatioSupportEstimate:
 def ratio_support(path, rel_tol: float = 1e-9) -> RatioSupportEstimate:
     """Estimate the ratio support and its atom from a path.
 
-    The atom is the largest cluster of ratios that agree to rel_tol
-    (repeated ratios are exact float reproductions for simulated paths);
-    clusters need at least three members to count as an atom.
+    The atom is the largest cluster of ratios that agree to rel_tol.  On
+    simulated paths the ratios at the atom equal a only to within a few
+    ulp, so the rel_tol clustering, not exact float equality, is what
+    finds it; clusters need at least three members (_ATOM_MIN_COUNT) to
+    count as an atom.
     """
     values = _as_values(path)
     if values.size < 2:
@@ -154,7 +156,7 @@ def ratio_support(path, rel_tol: float = 1e-9) -> RatioSupportEstimate:
     ratios = values[1:] / values[:-1]
     clusters = _ratio_clusters(ratios, rel_tol)
     location, count = clusters[0]
-    if count < 3:
+    if count < _ATOM_MIN_COUNT:
         return RatioSupportEstimate(float(ratios.min()), float(ratios.max()),
                                     None, 0.0, ratios.size)
     return RatioSupportEstimate(float(ratios.min()), float(ratios.max()),
@@ -256,6 +258,13 @@ class BatterySizes:
     path_length: int = 4000
     continuous_replicates: int = 3000
     skeleton_points: int = 400
+
+    def __post_init__(self):
+        for field in fields(self):
+            size = getattr(self, field.name)
+            if size < 1:
+                raise ValueError(f"battery size {field.name} must be "
+                                 f"positive, got {size}")
 
     def scaled(self, n: int) -> "BatterySizes":
         """Derive all sizes from one base count n."""

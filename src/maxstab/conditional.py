@@ -9,10 +9,15 @@ two spectral expectations:
 
 For the decay-shape mixture with onset weights the 1/mass importance
 factors cancel shift by shift, so both expectations reduce to sums over
-integer onsets of deterministic shape functionals.  The middle part of each
-sum is finite and the far-past part is a geometric series with a closed
-form, so the evaluator is exact up to float rounding and meets any
-requested truncation budget.
+integer onsets of deterministic shape functionals.  Both functionals are
+homogeneous of degree one in the shape, and between two consecutive
+distinct query times every onset gives the same row of decay values up to
+one scalar factor.  So each sum is a weighted sum over one row per distinct
+time: weight 1 at the first time, which stands for every earlier onset,
+and 1 - a^gap at each later one.  The evaluator is exact up to float
+rounding, its cost does not grow with the distance between the times, and
+a = 0 and a = 1 need no branch of their own.  The Monte Carlo estimator
+evaluates the same two terms on random onsets weighted by 1/mass.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .distributions import RngState
 from .report import EmpiricalReport
-from .spectral import FiniteMixing, GeometricMixing
+from .spectral import GeometricMixing, _decay_profile, _onset_rows
 
 __all__ = [
     "ConditionalQuery",
@@ -84,57 +89,34 @@ def _check_a(a: float) -> float:
     return a
 
 
+def _query_arrays(query: ConditionalQuery) -> tuple[np.ndarray, np.ndarray]:
+    """Times and levels with the conditioning pair first."""
+    pairs = (query.conditioning,) + query.targets
+    return (np.array([t for t, _ in pairs], dtype=np.int64),
+            np.array([z for _, z in pairs], dtype=np.float64))
+
+
+def _factor_terms(rows: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indicator term 1{max_i Y(t_i)/z_i <= Y(t)/z} Y(t) and excess term
+    (max_i Y(t_i)/z_i - Y(t)/z)^+ of each spectral row; column 0 and zs[0]
+    belong to the conditioning pair."""
+    ref = rows[:, 0] / zs[0]
+    peak = (rows[:, 1:] / zs[1:]).max(axis=1)
+    return np.where(peak <= ref, rows[:, 0], 0.0), np.maximum(peak - ref, 0.0)
+
+
 def conditional_factors(query: ConditionalQuery, a: float) -> ConditionalFactors:
     """Exact evaluation of the two conditional factors for decay rate a.
 
-    a = 0 uses the spike spectral process (independent coordinates), a = 1
-    the constant one; strictly in between, the onset sums telescope: the
-    shared-onset region where every involved shape is positive contributes
-    a single closed-form geometric tail because the indicator and the
-    positive part no longer depend on the onset there.
+    Both terms are homogeneous of degree one in the spectral row, so the
+    sums over all integer onsets are the weighted sums of the terms of the
+    decay rows at the distinct query times, a = 0 and a = 1 included.
     """
     a = _check_a(a)
-    t, z = query.conditioning
-    targets = query.targets
-    if a == 1.0:
-        z_min = min(zi for _, zi in targets)
-        indicator = 1.0 if z <= z_min else 0.0
-        excess = max(0.0, 1.0 / z_min - 1.0 / z)
-        return ConditionalFactors(indicator, excess)
-    if a == 0.0:
-        at_t = [zi for ti, zi in targets if ti == t]
-        indicator = 1.0 if all(z <= zi for zi in at_t) else 0.0
-        excess = 0.0
-        for ti, zi in targets:
-            if ti == t:
-                excess += max(0.0, 1.0 / zi - 1.0 / z)
-            else:
-                excess += 1.0 / zi
-        return ConditionalFactors(indicator, excess)
-
-    ts = np.array([ti for ti, _ in targets], dtype=np.int64)
-    zs = np.array([zi for _, zi in targets], dtype=np.float64)
-    first = int(min(t, ts.min()))
-    last = int(max(t, ts.max()))
-
-    # onsets n <= first: every shape is positive and the comparison is
-    # onset-independent, so the weights sum to the geometric closed form
-    lhs0 = float((a ** (ts - first).astype(np.float64) / zs).max())
-    rhs0 = a ** (t - first) / z
-    indicator = a ** (t - first) if lhs0 <= rhs0 else 0.0
-    excess = max(0.0, lhs0 - rhs0)
-
-    one_minus_a = 1.0 - a
-    for n in range(first + 1, last + 1):
-        weight = one_minus_a * a ** (t - n) if t >= n else 0.0
-        k = ts - n
-        active = k >= 0
-        peak = float((one_minus_a * a ** k[active].astype(np.float64)
-                      / zs[active]).max()) if active.any() else 0.0
-        if peak <= weight / z:
-            indicator += weight
-        excess += max(0.0, peak - weight / z)
-    return ConditionalFactors(indicator, excess)
+    ts, zs = _query_arrays(query)
+    weights, rows = _onset_rows(a, ts)
+    indicator, excess = _factor_terms(rows, zs)
+    return ConditionalFactors(float(weights @ indicator), float(weights @ excess))
 
 
 def conditional_cdf(query: ConditionalQuery, a: float,
@@ -143,8 +125,8 @@ def conditional_cdf(query: ConditionalQuery, a: float,
     process with decay rate a.
 
     ``tol`` is the acceptable truncation budget for the onset sums; the
-    closed-form tail evaluation commits no truncation error, so any value
-    in the allowed range (0, 1e-4] is met.
+    distinct-time rows commit no truncation error, so any value in the
+    allowed range (0, 1e-4] is met.
     """
     if not (0.0 < float(tol) <= _MAX_TOL):
         raise ValueError("tol must lie in (0, 1e-4]")
@@ -179,11 +161,7 @@ def _spectral_matrix(a: float, times: np.ndarray, n: int, rng: RngState,
     else:
         table = dict(mixing.weights)
         masses = np.array([table[int(m)] for m in onsets])
-    k = times[None, :] - onsets[:, None]
-    if a == 0.0:
-        return (k == 0) / masses[:, None]
-    return np.where(k >= 0, (1.0 - a) * a ** k.astype(np.float64), 0.0) \
-        / masses[:, None]
+    return (1.0 - a) * _decay_profile(a, times, onsets) / masses[:, None]
 
 
 def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
@@ -197,15 +175,9 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
     n = int(n)
     if n < 1000:
         raise ValueError("n must be at least 1000")
-    t, z = query.conditioning
-    ts = np.array([t] + [ti for ti, _ in query.targets], dtype=np.int64)
-    zs = np.array([z] + [zi for _, zi in query.targets], dtype=np.float64)
-    y = _spectral_matrix(a, ts, n, rng, mixing)
-    ref = y[:, 0] / zs[0]
-    others = y[:, 1:] / zs[None, 1:]
-    peak = others.max(axis=1)
-    ind_sample = np.where(peak <= ref, y[:, 0], 0.0)
-    exc_sample = np.maximum(peak - ref, 0.0)
+    ts, zs = _query_arrays(query)
+    ind_sample, exc_sample = _factor_terms(
+        _spectral_matrix(a, ts, n, rng, mixing), zs)
 
     ind_mean = float(ind_sample.mean())
     exc_mean = float(exc_sample.mean())

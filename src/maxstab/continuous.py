@@ -124,8 +124,7 @@ def path_value(path: CadlagPath, t: float) -> float:
     t0, t1 = path.window
     if not (t0 <= t <= t1):
         raise ValueError(f"t={t} outside window [{t0}, {t1}]")
-    times = [tt for tt, _ in path.events]
-    k = bisect_right(times, t)
+    k = bisect_right(path.events, (t, math.inf))
     if k == 0:
         base_t, base_v = t0, path.anchor_value
     else:

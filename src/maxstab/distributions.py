@@ -115,7 +115,7 @@ def frechet_quantile(p, scale: float = 1.0):
     """Inverse CDF: -scale/log(p) for p strictly inside (0, 1)."""
     c = _check_scale(scale)
     arr = np.asarray(p, dtype=np.float64)
-    if np.any(arr <= 0) or np.any(arr >= 1):
+    if not np.all((arr > 0) & (arr < 1)):
         raise ValueError("p must lie strictly inside (0, 1)")
     out = -c / np.log(arr)
     if np.isscalar(p) or arr.ndim == 0:

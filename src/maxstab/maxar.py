@@ -18,7 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import RngState, frechet_quantile, frechet_sample
+from .distributions import RngState, frechet_cdf, frechet_quantile, \
+    frechet_sample
 from .report import EmpiricalReport
 
 __all__ = [
@@ -76,9 +77,7 @@ class StationaryLaw:
     """Stationary marginal of every chain in the family: unit Frechet."""
 
     def cdf(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        out = np.exp(-1.0 / arr)
-        return float(out) if arr.ndim == 0 else out
+        return frechet_cdf(x, 1.0)
 
     def pdf(self, x):
         arr = np.asarray(x, dtype=np.float64)

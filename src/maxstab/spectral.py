@@ -387,12 +387,11 @@ class ExponentFunctional:
 
     ``shifts`` restricts the onset sum to a finite index set, matching a
     finite mixing mass; None means all integers, in which case the infinite
-    onset sum is evaluated exactly (finite middle part plus a geometric
-    tail in closed form, so any requested truncation_error is met).
+    onset sum is evaluated exactly from one weighted row per distinct
+    query time (see :func:`_onset_rows`).
     """
 
     a: float
-    truncation_error: float = 1e-12
     shifts: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -400,8 +399,6 @@ class ExponentFunctional:
         if not (math.isfinite(a) and 0.0 <= a <= 1.0):
             raise ValueError("a must lie in [0, 1]")
         object.__setattr__(self, "a", a)
-        if not (0.0 < self.truncation_error < 1.0):
-            raise ValueError("truncation_error must lie in (0, 1)")
         if self.shifts is not None:
             shifts = tuple(sorted(int(n) for n in self.shifts))
             if not shifts:
@@ -422,16 +419,29 @@ def _check_points(points) -> tuple[np.ndarray, np.ndarray]:
     return t, z
 
 
-def _onset_term(a: float, t: np.ndarray, z: np.ndarray, n: int) -> float:
-    """max_i of shape(t_i - n) / z_i for the decay shape at rate a."""
-    k = t - n
-    if a == 0.0:
-        hit = k == 0
-        return float((1.0 / z[hit]).max()) if hit.any() else 0.0
-    active = k >= 0
-    if not active.any():
-        return 0.0
-    return float(((1.0 - a) * a ** k[active].astype(np.float64) / z[active]).max())
+def _decay_profile(a: float, times: np.ndarray, onsets) -> np.ndarray:
+    """The decay shape a^(t-n) on t >= n and 0 before, one row per onset n
+    and one column per time t."""
+    k = times[None, :] - np.asarray(onsets, dtype=np.int64)[:, None]
+    return np.where(k >= 0, a ** np.maximum(k, 0).astype(np.float64), 0.0)
+
+
+def _onset_rows(a: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and decay rows at the distinct times that stand for every
+    integer onset.
+
+    An onset n in (s', s] between consecutive distinct times s' < s gives
+    the row at s scaled by (1-a) a^(s-n); those scales sum to 1 - a^(s-s'),
+    and over all onsets n <= min(times) to 1.  Any onset sum of a
+    functional that is homogeneous of degree one in the row is therefore
+    the weighted sum over these rows, with a = 0 and a = 1 included.
+    """
+    distinct = np.unique(times)
+    weights = np.ones(distinct.size)
+    with np.errstate(divide="ignore"):  # a = 0: log is -inf, weight 1
+        # expm1 keeps 1 - a^gap accurate to a few ulp as a nears 1
+        weights[1:] = -np.expm1(np.diff(distinct) * np.log(a))
+    return weights, _decay_profile(a, times, distinct)
 
 
 def exponent_rectangle(functional: ExponentFunctional, points) -> float:
@@ -442,21 +452,11 @@ def exponent_rectangle(functional: ExponentFunctional, points) -> float:
     """
     t, z = _check_points(points)
     a = functional.a
-    if a == 1.0:
-        return float((1.0 / z).max())
     if functional.shifts is not None:
-        return float(sum(_onset_term(a, t, z, n) for n in functional.shifts))
-    if a == 0.0:
-        best: dict[int, float] = {}
-        for ti, zi in zip(t.tolist(), z.tolist()):
-            best[ti] = max(best.get(ti, 0.0), 1.0 / zi)
-        return float(sum(best.values()))
-    first = int(t.min())
-    last = int(t.max())
-    total = float((a ** (t - first).astype(np.float64) / z).max())  # closed-form onset tail n <= min t
-    for n in range(first + 1, last + 1):
-        total += _onset_term(a, t, z, n)
-    return total
+        shapes = (1.0 - a) * _decay_profile(a, t, functional.shifts)
+        return float((shapes / z).max(axis=1).sum())
+    weights, rows = _onset_rows(a, t)
+    return float(weights @ (rows / z).max(axis=1))
 
 
 def dehaan_max_stable(sampler: SpectralSampler, bound: float,

@@ -296,6 +296,12 @@ class TestBatterySizes:
         assert sizes.marginal == 1000
         assert sizes.aggregation == 500
 
+    def test_rejects_nonpositive_sizes(self):
+        with pytest.raises(ValueError):
+            BatterySizes().scaled(0)
+        with pytest.raises(ValueError):
+            BatterySizes(copies=0)
+
 
 class TestRunBattery:
     def test_discrete_forward(self):

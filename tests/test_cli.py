@@ -399,6 +399,12 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--a", "-0.1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_count_exits_2(self, runner, n):
+        result = runner.invoke(main, ["verify", "--a", "0.4", "--n", n])
+        assert result.exit_code == 2
+        assert "transitions must be positive" in result.stderr
+
     def test_report_is_deterministic(self, runner, tmp_path):
         args = ["verify", "--a", "0.3", "--n", "1000", "--seed", "9",
                 "--out", str(tmp_path / "r.json")]

@@ -77,6 +77,37 @@ def path_pair_quadrature(a: float, x: float, c1: float, c2: float) -> float:
     return total
 
 
+def brute_factors(a: float, query: ConditionalQuery) -> tuple[float, float]:
+    """Raw onset sums of the two conditional factors, no closed forms.
+
+    Each onset n contributes its decay shape Y(s) = (1-a) a^(s-n) on s >= n;
+    a = 1 is the constant process Y = 1.  Onsets start far enough below
+    the query times that the omitted tail is below float resolution.
+    """
+    (t, z), targets = query.conditioning, query.targets
+    times = [t] + [ti for ti, _ in targets]
+
+    def shape(s: int, n: int) -> float:
+        k = s - n
+        if a == 1.0:
+            return 1.0
+        if k < 0:
+            return 0.0
+        if a == 0.0:
+            return 1.0 if k == 0 else 0.0
+        return (1.0 - a) * a**k
+
+    onsets = [0] if a == 1.0 else range(min(times) - 2000, max(times) + 1)
+    indicator = excess = 0.0
+    for n in onsets:
+        ref = shape(t, n) / z
+        peak = max(shape(ti, n) / zi for ti, zi in targets)
+        if peak <= ref:
+            indicator += shape(t, n)
+        excess += max(0.0, peak - ref)
+    return indicator, excess
+
+
 class TestConditionalQuery:
     def test_normalizes_types(self):
         q = ConditionalQuery((0.0, 1), (((1.0), 2),))
@@ -199,6 +230,26 @@ class TestConditionalCdf:
         with pytest.raises(ValueError):
             conditional_cdf(q, 1.5)
 
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("conditioning,targets", [
+        ((40, 1.1), ((-30, 0.9), (75, 1.7), (5, 0.6))),
+        ((0, 0.8), ((0, 1.4), (-60, 0.5), (55, 2.3), (12, 1.0))),
+    ])
+    def test_matches_raw_onset_sums(self, a, conditioning, targets):
+        q = ConditionalQuery(conditioning, targets)
+        f = conditional_factors(q, a)
+        indicator, excess = brute_factors(a, q)
+        assert f.indicator_moment == pytest.approx(indicator, rel=1e-12,
+                                                   abs=1e-300)
+        assert f.excess_moment == pytest.approx(excess, rel=1e-12)
+
+    def test_distant_targets_factorize(self):
+        """Targets 1e5 steps away have decayed to nothing in float, so the
+        value is the product of the two stationary marginals."""
+        q = ConditionalQuery((0, 1.0), ((-50_000, 0.7), (50_000, 1.3)))
+        want = math.exp(-1.0 / 0.7 - 1.0 / 1.3)
+        assert conditional_cdf(q, 0.5) == pytest.approx(want, rel=1e-15)
+
     def test_factors_combine(self):
         q = ConditionalQuery((0, 1.0), ((1, 0.8), (4, 1.2)))
         f = conditional_factors(q, 0.6)
@@ -228,6 +279,13 @@ class TestConditionalMc:
         series = conditional_cdf(q, 0.4)
         est = conditional_cdf_mc(q, 0.4, 40000, RngState(52),
                                  mixing=GeometricMixing(ratio))
+        assert abs(est.value - series) < 4.0 * est.stderr
+
+    def test_iid_agreement(self):
+        q = ConditionalQuery((0, 1.0), ((0, 1.5), (2, 0.8), (-3, 1.2)))
+        series = conditional_cdf(q, 0.0)
+        est = conditional_cdf_mc(q, 0.0, 40000, RngState(59))
+        assert est.stderr > 0.0
         assert abs(est.value - series) < 4.0 * est.stderr
 
     def test_constant_chain_exact(self):

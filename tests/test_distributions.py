@@ -71,6 +71,12 @@ class TestFrechetQuantile:
             with pytest.raises(ValueError):
                 frechet_quantile(p)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            frechet_quantile(math.nan)
+        with pytest.raises(ValueError):
+            frechet_quantile(np.array([0.5, math.nan]))
+
     @given(st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
            st.floats(min_value=1e-2, max_value=1e2))
     def test_roundtrip(self, p, scale):

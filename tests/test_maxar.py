@@ -109,6 +109,18 @@ def transition_cdf(params: MaxARParams, current: float, level: float) -> float:
     return kernel_cdf(params, level, current)
 
 
+class TestStationaryLaw:
+    def test_cdf_is_unit_frechet(self):
+        assert STATIONARY.cdf(2.0) == frechet_cdf(2.0)
+        y = np.array([0.5, 1.0, 4.0])
+        assert np.array_equal(STATIONARY.cdf(y), frechet_cdf(y))
+
+    def test_cdf_rejects_nonpositive_argument(self):
+        for bad in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                STATIONARY.cdf(bad)
+
+
 class TestMaxARParams:
     def test_range(self):
         for bad in (-0.1, 1.5, math.nan, math.inf):

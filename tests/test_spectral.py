@@ -405,8 +405,6 @@ class TestExponentRectangle:
         with pytest.raises(ValueError):
             ExponentFunctional(1.0, shifts=(0, 1))
         with pytest.raises(ValueError):
-            ExponentFunctional(0.5, truncation_error=0.0)
-        with pytest.raises(ValueError):
             ExponentFunctional(1.5)
 
 
