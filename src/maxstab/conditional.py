@@ -154,7 +154,9 @@ def _spectral_matrix(a: float, times: np.ndarray, n: int, rng: RngState,
     if a == 1.0:
         return np.ones((n, times.size))
     if mixing is None:
-        mixing = GeometricMixing()
+        # a ratio of at least a keeps every 1/mass-weighted row bounded in
+        # the far past, so the terms have finite variance
+        mixing = GeometricMixing(max(0.5, a))
     onsets = mixing.sample(rng, size=n)
     if isinstance(mixing, GeometricMixing):
         masses = mixing.center_mass * mixing.ratio ** np.abs(onsets)
@@ -170,6 +172,10 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
 
     Estimates both factors from the same draws and propagates their
     standard errors (including the covariance) through the product.
+    Onsets are drawn from ``mixing``, by default ``GeometricMixing(max(0.5,
+    a))``: under a ratio at or below a**2 the 1/mass weights grow fast
+    enough in the far past to make the variance infinite and the stderr
+    meaningless.
     """
     a = _check_a(a)
     n = int(n)

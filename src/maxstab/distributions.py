@@ -66,15 +66,26 @@ class RngState:
     def uniform(self, size: int | None = None):
         """Uniform draw(s) in the open interval (0, 1)."""
         n = 1 if size is None else int(size)
-        if n < 0:
-            raise ValueError("size must be nonnegative")
-        if self._buf.size - self._pos < n:
-            self._refill(n - (self._buf.size - self._pos))
-        out = self._buf[self._pos:self._pos + n]
+        out = self._peek(n)
         self._pos += n
         if size is None:
             return float(out[0])
         return out.copy()
+
+    def _peek(self, size: int) -> np.ndarray:
+        """View of the next ``size`` uniforms, which stay unconsumed.
+
+        A block sampler reads ahead with this, then consumes with
+        :meth:`uniform` exactly the uniforms a one-at-a-time loop would
+        have read, so the stream position never depends on the block size.
+        The view must not be written to.
+        """
+        n = int(size)
+        if n < 0:
+            raise ValueError("size must be nonnegative")
+        if self._buf.size - self._pos < n:
+            self._refill(n - (self._buf.size - self._pos))
+        return self._buf[self._pos:self._pos + n]
 
     def exponential(self, size: int | None = None):
         """Unit-rate exponential draw(s) via -log(U).

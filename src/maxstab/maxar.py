@@ -81,7 +81,7 @@ class StationaryLaw:
 
     def pdf(self, x):
         arr = np.asarray(x, dtype=np.float64)
-        out = np.exp(-1.0 / arr) / arr**2
+        out = frechet_cdf(arr, 1.0) / arr**2
         return float(out) if arr.ndim == 0 else out
 
     def quantile(self, p):

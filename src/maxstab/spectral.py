@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DecreasingMarkStream, RngState
+from .distributions import RngState
 
 __all__ = [
     "IndexedPath",
@@ -109,7 +109,11 @@ class GeometricMixing:
         The uniform is split into (zero / sign / magnitude) pieces whose
         lengths reproduce p(n) exactly.
         """
-        u = np.atleast_1d(np.asarray(rng.uniform(size), dtype=np.float64))
+        out = self._quantile(np.atleast_1d(rng.uniform(size)))
+        return int(out[0]) if size is None else out
+
+    def _quantile(self, u: np.ndarray) -> np.ndarray:
+        """The integer each uniform in the 1-d array ``u`` maps to."""
         c = self.center_mass
         out = np.zeros(u.size, dtype=np.int64)
         active = u > c
@@ -121,8 +125,6 @@ class GeometricMixing:
                 k = np.ceil(np.log1p(-w_mag) / math.log(self.ratio))
             k = np.maximum(k, 1.0).astype(np.int64)
             out[active] = sign * k
-        if size is None:
-            return int(out[0])
         return out
 
 
@@ -161,15 +163,16 @@ class FiniteMixing:
 
     def sample(self, rng: RngState, size: int | None = None):
         """Walk the cumulative masses in index order; one uniform per draw."""
-        u = np.atleast_1d(np.asarray(rng.uniform(size), dtype=np.float64))
+        out = self._quantile(np.atleast_1d(rng.uniform(size)))
+        return int(out[0]) if size is None else out
+
+    def _quantile(self, u: np.ndarray) -> np.ndarray:
+        """The integer each uniform in the 1-d array ``u`` maps to."""
         edges = np.cumsum([w for _, w in self.weights])
         edges[-1] = 1.0
         idx = np.searchsorted(edges, u, side="left")
         support = np.array([n for n, _ in self.weights], dtype=np.int64)
-        out = support[idx]
-        if size is None:
-            return int(out[0])
-        return out
+        return support[idx]
 
 
 class SamplerKind(str, Enum):
@@ -233,24 +236,29 @@ def sample_spectral(sampler: SpectralSampler, rng: RngState) -> IndexedPath:
     onset, so the one-step relation Y(t+1) = a * Y(t) holds as an exact
     floating-point identity wherever Y(t) > 0.
     """
-    lo, hi = sampler.window
-    size = sampler.length
+    lo = sampler.window[0]
     if sampler.kind is SamplerKind.CONSTANT:
-        return IndexedPath(lo, np.ones(size))
-    onset = sampler.mixing.sample(rng)
-    values = np.zeros(size)
+        return IndexedPath(lo, np.ones(sampler.length))
+    return IndexedPath(lo, _spectral_row(sampler, sampler.mixing.sample(rng)))
+
+
+def _spectral_row(sampler: SpectralSampler, onset: int) -> np.ndarray:
+    """Window values of the dirac or decay spectral process drawn at the
+    given spike or onset index, 1/mass weight included."""
+    lo, hi = sampler.window
+    values = np.zeros(sampler.length)
     if sampler.kind is SamplerKind.DIRAC:
         if lo <= onset <= hi:
             values[onset - lo] = 1.0 / sampler.mixing.pmf(onset)
-        return IndexedPath(lo, values)
+        return values
     a = sampler.a
     first = max(lo, onset)
     if first <= hi:
         level = (1.0 - a) * a ** (first - onset) / sampler.mixing.pmf(onset)
-        for k in range(first - lo, size):
+        for k in range(first - lo, sampler.length):
             values[k] = level
             level = a * level
-    return IndexedPath(lo, values)
+    return values
 
 
 def spectral_mean(sampler: SpectralSampler, t: int) -> float:
@@ -459,6 +467,13 @@ def exponent_rectangle(functional: ExponentFunctional, points) -> float:
     return float(weights @ (rows / z).max(axis=1))
 
 
+# Points per block of the de Haan sampler: the first block is small, since
+# narrow windows stop after a handful of points, and each later block is
+# twice the last, up to a cap of _BLOCK_ELEMENTS window values.
+_FIRST_BLOCK = 8
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def dehaan_max_stable(sampler: SpectralSampler, bound: float,
                       rng: RngState, max_points: int = 100000) -> IndexedPath:
     """Exact finite-window draw of the max-stable process built from the
@@ -470,6 +485,14 @@ def dehaan_max_stable(sampler: SpectralSampler, bound: float,
     returned window is an exact draw.  Joint CDFs satisfy
     P[eta(t_i) <= z_i for all i] = exp(-exponent_rectangle(...)) with the
     matching onset restriction.
+
+    Points are drawn in blocks of growing size, each handled by one set of
+    array operations.  A block reads its uniforms ahead and consumes only
+    those that one point at a time would have read: each point takes its
+    mark's uniform and then, unless the sampler is constant, its onset's,
+    and the mark that stops the draw is read too.  The window and the
+    stream position afterwards are bitwise those of the point-by-point
+    construction, whatever the block sizes.
     """
     if not (math.isfinite(bound) and bound > 0):
         raise ValueError("bound must be finite and positive")
@@ -479,19 +502,49 @@ def dehaan_max_stable(sampler: SpectralSampler, bound: float,
             raise ValueError(
                 f"window coordinate {t} is never charged by the sampler; "
                 "the stopped construction would not terminate")
-    marks = DecreasingMarkStream(total_intensity=1.0)
+    constant = sampler.kind is SamplerKind.CONSTANT
+    per_point = 1 if constant else 2
     running = np.zeros(sampler.length)
     floor = 0.0
-    for _ in range(max_points):
-        u = marks.next_mark(rng)
-        if floor > 0.0 and u * bound < floor:
-            return IndexedPath(lo, running)
-        y = sample_spectral(sampler, rng)
-        top = float(y.values.max())
-        if top > bound * (1.0 + 1e-12):
+    gamma = 0.0  # running sum of the unit exponentials behind the marks
+    drawn = 0
+    block = _FIRST_BLOCK
+    cap = max(1, _BLOCK_ELEMENTS // sampler.length)
+    while drawn < max_points:
+        size = min(block, cap, max_points - drawn)
+        # row 0: the marks' uniforms; row 1: the onsets'
+        u = rng._peek(per_point * size).reshape(size, per_point).T.copy()
+        # cumsum adds in sequence, so each arrival is the loop's running sum
+        gammas = np.cumsum(np.concatenate(([gamma], -np.log(u[0]))))[1:]
+        marks = 1.0 / gammas
+        if constant:
+            table, index = np.ones((1, sampler.length)), np.zeros(size, int)
+        else:
+            onsets, index = np.unique(sampler.mixing._quantile(u[1]),
+                                      return_inverse=True)
+            table = np.array([_spectral_row(sampler, int(n)) for n in onsets])
+        values = marks[:, None] * table[index]
+        np.maximum.accumulate(values, axis=0, out=values)
+        np.maximum(values, running, out=values)
+        floors = values.min(axis=1)
+        # the floor each point's mark is tested against
+        before = np.concatenate(([floor], floors[:-1]))
+        stops = np.flatnonzero((before > 0.0) & (marks * bound < before))
+        stop = int(stops[0]) if stops.size else size
+        tops = table.max(axis=1)[index[:stop]]
+        over = np.flatnonzero(tops > bound * (1.0 + 1e-12))
+        if over.size:
+            rng.uniform(per_point * (int(over[0]) + 1))
             raise SpectralBoundError(
-                f"spectral draw reached {top!r}, above the certified bound "
-                f"{bound!r}")
-        np.maximum(running, u * y.values, out=running)
-        floor = float(running.min())
-    raise RuntimeError("stopping rule did not trigger within max_points")
+                f"spectral draw reached {float(tops[over[0]])!r}, above the "
+                f"certified bound {bound!r}")
+        if stop < size:
+            rng.uniform(per_point * stop + 1)
+            return IndexedPath(lo, values[stop - 1] if stop else running)
+        rng.uniform(per_point * size)
+        running, floor, gamma = values[-1], float(floors[-1]), gammas[-1]
+        drawn += size
+        block *= 2
+    raise RuntimeError(
+        f"stopping rule did not trigger within max_points={max_points}: "
+        f"{drawn} points drawn, last floor {floor!r}, bound {bound!r}")

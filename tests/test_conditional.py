@@ -288,6 +288,14 @@ class TestConditionalMc:
         assert est.stderr > 0.0
         assert abs(est.value - series) < 4.0 * est.stderr
 
+    def test_default_mixing_has_finite_variance(self):
+        """For a**2 above the mixing ratio the 1/mass weights give infinite
+        variance; the default ratio max(0.5, a) keeps the stderr honest."""
+        q = ConditionalQuery((5, 0.3), ((-40, 1.1), (60, 2.0), (7, 0.4)))
+        series = conditional_cdf(q, 0.93)
+        est = conditional_cdf_mc(q, 0.93, 100000, RngState(17))
+        assert abs(est.value - series) < 5.0 * est.stderr
+
     def test_constant_chain_exact(self):
         q = ConditionalQuery((0, 1.0), ((4, 2.0),))
         est = conditional_cdf_mc(q, 1.0, 1000, RngState(53))

@@ -128,6 +128,20 @@ class TestRngState:
         singles = np.array([rng.exponential() for _ in range(5000)])
         assert np.array_equal(singles, RngState(3).exponential(size=5000))
 
+    def test_peek_does_not_consume(self):
+        """A read-ahead, across a buffer refill too, returns the uniforms
+        the next draw consumes, and consumes none of them."""
+        rng = RngState(12)
+        rng.uniform(size=500)
+        ahead = rng._peek(1000).copy()
+        assert np.array_equal(rng._peek(3), ahead[:3])
+        assert np.array_equal(rng.uniform(size=1000), ahead)
+        fresh = RngState(12)
+        fresh.uniform(size=500)
+        assert np.array_equal(fresh.uniform(size=1000), ahead)
+        with pytest.raises(ValueError):
+            rng._peek(-1)
+
     def test_exponential_positive(self):
         e = RngState(3).exponential(size=10000)
         assert e.min() > 0.0

@@ -120,6 +120,17 @@ class TestStationaryLaw:
             with pytest.raises(ValueError):
                 STATIONARY.cdf(bad)
 
+    def test_pdf_is_unit_frechet_density(self):
+        y = np.array([0.5, 1.0, 4.0])
+        assert np.array_equal(STATIONARY.pdf(y), np.exp(-1.0 / y) / y**2)
+        assert STATIONARY.pdf(2.0) == pytest.approx(math.exp(-0.5) / 4.0,
+                                                    rel=1e-15)
+
+    def test_pdf_rejects_nonpositive_argument(self):
+        for bad in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                STATIONARY.pdf(bad)
+
 
 class TestMaxARParams:
     def test_range(self):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from maxstab import (
     ConeKind,
     ConeSpec,
+    DecreasingMarkStream,
     ExponentFunctional,
     FiniteMixing,
     GeometricMixing,
@@ -30,6 +31,7 @@ from maxstab import (
     spectral_bound,
     spectral_mean,
 )
+from maxstab.spectral import _FIRST_BLOCK
 
 UNIFORM5 = FiniteMixing({n: 1.0 for n in range(-2, 3)})
 
@@ -52,6 +54,49 @@ def brute_exponent(a: float, points, onsets) -> float:
             best = max(best, w / z)
         total += best
     return total
+
+
+def loop_dehaan(sampler, bound, rng, max_points=100000):
+    """The point-by-point de Haan construction, kept as the reference for
+    the block sampler: the window and the number of marks drawn."""
+    marks = DecreasingMarkStream(total_intensity=1.0)
+    running = np.zeros(sampler.length)
+    floor = 0.0
+    for k in range(max_points):
+        u = marks.next_mark(rng)
+        if floor > 0.0 and u * bound < floor:
+            return running, k + 1
+        y = sample_spectral(sampler, rng)
+        if float(y.values.max()) > bound * (1.0 + 1e-12):
+            raise SpectralBoundError("spectral draw above the bound")
+        np.maximum(running, u * y.values, out=running)
+        floor = float(running.min())
+    raise RuntimeError("stopping rule did not trigger within max_points")
+
+
+def dehaan_outcome(draw, sampler, bound, stream, max_points=100000):
+    """Window bytes (or the exception type) and the next uniform after it."""
+    rng = RngState(60, stream)
+    try:
+        out = draw(sampler, bound, rng, max_points)
+        result = (out[0] if draw is loop_dehaan else out.values).tobytes()
+    except (SpectralBoundError, RuntimeError) as err:
+        result = type(err)
+    return result, rng.uniform()
+
+
+SPREAD = FiniteMixing({n: 1.0 + 0.1 * n for n in range(-3, 12)})
+BLOCK_SAMPLERS = [
+    sampler
+    for window in ((0, 0), (0, 3), (-2, 6), (0, 10))
+    for sampler in (
+        SpectralSampler.constant(window),
+        SpectralSampler.dirac(window, GeometricMixing(0.8)),
+        SpectralSampler.dirac(window, SPREAD),
+        SpectralSampler.decay(0.3, window, GeometricMixing(0.8)),
+        SpectralSampler.decay(0.7, window, SPREAD),
+    )
+]
 
 
 class TestGeometricMixing:
@@ -466,11 +511,74 @@ class TestDehaanMaxStable:
 
     def test_max_points_exhaustion(self):
         sampler = SpectralSampler.constant((0, 1))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as info:
             dehaan_max_stable(sampler, 1.0, RngState(1), max_points=1)
+        floor = 1.0 / RngState(1).exponential()
+        message = str(info.value)
+        assert "1 points drawn" in message
+        assert f"last floor {floor!r}" in message
+        assert "bound 1.0" in message
 
     def test_bound_validation(self):
         sampler = SpectralSampler.constant((0, 1))
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
                 dehaan_max_stable(sampler, bad, RngState(1))
+
+
+class TestDehaanBlocks:
+    """The block sampler against the point-by-point loop: bitwise the same
+    windows, errors and stream positions."""
+
+    @pytest.mark.parametrize("sampler", BLOCK_SAMPLERS,
+                             ids=lambda s: f"{s.kind.value}{s.window}")
+    def test_matches_point_loop(self, sampler):
+        bound = spectral_bound(sampler)
+        for stream in range(8):
+            assert dehaan_outcome(dehaan_max_stable, sampler, bound, stream) \
+                == dehaan_outcome(loop_dehaan, sampler, bound, stream)
+
+    def test_many_blocks(self):
+        """Wide windows under geometric mixing take thousands of points."""
+        sampler = SpectralSampler.decay(0.3, (0, 10), GeometricMixing())
+        bound = spectral_bound(sampler)
+        _, marks = loop_dehaan(sampler, bound, RngState(60, 0))
+        assert marks > 7 * _FIRST_BLOCK  # into the fourth block
+        assert dehaan_outcome(dehaan_max_stable, sampler, bound, 0) \
+            == dehaan_outcome(loop_dehaan, sampler, bound, 0)
+
+    @pytest.mark.parametrize("sampler", [
+        SpectralSampler.constant((0, 3)),
+        SpectralSampler.decay(0.7, (-2, 6), SPREAD),
+        SpectralSampler.dirac((0, 10), GeometricMixing(0.8)),
+    ], ids=lambda s: s.kind.value)
+    def test_exhaustion_on_same_draws(self, sampler):
+        """A draw that reads K marks returns under max_points = K and
+        raises under K - 1, in both forms."""
+        bound = spectral_bound(sampler)
+        for stream in range(4):
+            _, marks = loop_dehaan(sampler, bound, RngState(60, stream))
+            for max_points in (marks, marks - 1):
+                assert dehaan_outcome(dehaan_max_stable, sampler, bound,
+                                      stream, max_points) \
+                    == dehaan_outcome(loop_dehaan, sampler, bound, stream,
+                                      max_points)
+            assert dehaan_outcome(dehaan_max_stable, sampler, bound, stream,
+                                  marks - 1)[0] is RuntimeError
+
+    @pytest.mark.parametrize("sampler", [
+        SpectralSampler.constant((0, 2)),
+        SpectralSampler.decay(0.3, (0, 0), GeometricMixing(0.8)),
+        SpectralSampler.decay(0.5, (0, 3), UNIFORM5),
+        SpectralSampler.dirac((-2, 6), SPREAD),
+    ], ids=lambda s: f"{s.kind.value}{s.window}")
+    def test_bound_error_on_same_streams(self, sampler):
+        """Under a halved bound a stream raises at the same point in both
+        forms, or stops before any point exceeds the bound in both."""
+        bound = spectral_bound(sampler) / 2.0
+        outcomes = [dehaan_outcome(loop_dehaan, sampler, bound, stream)
+                    for stream in range(12)]
+        assert any(result is SpectralBoundError for result, _ in outcomes)
+        for stream, expected in enumerate(outcomes):
+            assert dehaan_outcome(dehaan_max_stable, sampler, bound,
+                                  stream) == expected
