@@ -197,7 +197,8 @@ def _parse_query(text: str):
 @main.command("conditional")
 @click.option("--query", "query_path", required=True,
               help="JSON query file: {\"conditioning\": [t, z], "
-                   "\"targets\": [[t1, z1], ...], \"a\": a, \"tol\": tol}.")
+                   "\"targets\": [[t1, z1], ...], \"a\": a, \"tol\": tol}; "
+                   "tol is optional, checked and has no effect.")
 @click.option("--mc", type=int, default=None,
               help="Also print a Monte Carlo estimate from this many draws.")
 @_seed_option

@@ -124,9 +124,9 @@ def conditional_cdf(query: ConditionalQuery, a: float,
     """P[eta(t_i) <= z_i for all targets | eta(t) = z] for the stationary
     process with decay rate a.
 
-    ``tol`` is the acceptable truncation budget for the onset sums; the
-    distinct-time rows commit no truncation error, so any value in the
-    allowed range (0, 1e-4] is met.
+    ``tol`` has no effect: the distinct-time rows commit no truncation
+    error, so there is no budget to spend.  It is still accepted, and
+    checked to lie in (0, 1e-4], because query files carry it.
     """
     if not (0.0 < float(tol) <= _MAX_TOL):
         raise ValueError("tol must lie in (0, 1e-4]")

@@ -2,12 +2,12 @@
 
 The process is the pointwise maximum of Poisson points (intensity
 u^-2 du dt) lifted by the shape (-log a) * a^t on t >= 0, normalized to
-unit integral so every marginal is unit Frechet.  Between arrivals the path
-decays deterministically at rate a per unit time; each arrival that beats
-the running envelope creates an upward jump.  Sampling a finite window is
-exact: arrivals before the window collapse into a single Frechet envelope,
-and arrivals inside it are enumerated in decreasing mark order until no
-further point can matter.
+unit integral so every marginal is unit Frechet.  Between events the path
+decays deterministically at rate a per unit time; an event is an upward
+jump.  Rescaled as a^-t Z(t) = M(a^-t), the path is the standard Frechet
+extremal process M, with M(1) = Z(0).  Sampling a finite window is
+therefore an exact Markov jump chain with no stopping rule: the anchor is
+unit Frechet, and the events form a Poisson process of rate -log a.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DecreasingMarkStream, RngState, frechet_sample
+from .distributions import RngState, frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams
 
 __all__ = [
@@ -135,50 +135,33 @@ def path_value(path: CadlagPath, t: float) -> float:
 
 
 def _simulate_envelope(a: float, length: float, rng: RngState):
-    """Anchor value and max-achieving events of the forward process on
-    [0, length].  Returns (anchor, [(time, value)]) with the stream of
-    decreasing marks stopped once no later point can alter the window."""
-    anchor = frechet_sample(rng)
+    """Anchor value and jump events of the forward process on [0, length].
+
+    On the clock s = a^-t the extremal process M(s) = a^-t Z(t) sits at
+    z s, waits an exponential time of that mean for its next jump and then
+    rises by the factor 1/U; mapped back to t, that is the event time and
+    level below, so every step is an exact transition.
+    """
     rate = -math.log(a)
-    marks = DecreasingMarkStream(total_intensity=length)
-    # visible records as parallel lists of times and peaks, sorted by time;
-    # the anchor acts as a record at time 0
-    times = [0.0]
-    peaks = [anchor]
-
-    def window_min() -> float:
-        ends = times[1:] + [length]
-        return min([vj * a ** (t_next - tj)
-                    for tj, vj, t_next in zip(times, peaks, ends)])
-
-    floor = window_min()
+    anchor = z = frechet_sample(rng)
+    t, events = 0.0, []
     while True:
-        peak = rate * marks.next_mark(rng)
-        if peak <= floor:
-            return anchor, list(zip(times[1:], peaks[1:]))
-        t_new = length * rng.uniform()
-        idx = bisect_right(times, t_new)
-        if peak <= peaks[idx - 1] * a ** (t_new - times[idx - 1]):
-            continue  # arrival below the envelope: no effect on the max
-        # the new record hides every later one it dominates, a contiguous run
-        end = idx
-        while end < len(times) and \
-                peaks[end] <= peak * a ** (times[end] - t_new):
-            end += 1
-        times[idx:end] = [t_new]
-        peaks[idx:end] = [peak]
-        floor = window_min()
+        step = z * rng.exponential()
+        t += math.log1p(step) / rate
+        if t >= length:
+            return anchor, events
+        z = z / ((1.0 + step) * rng.uniform())
+        events.append((t, z))
 
 
 def simulate_moving_max(a: float, length: float, rng: RngState) -> CadlagPath:
     """Exact draw of the moving-maximum process on the window [0, length].
 
-    Arrivals before time 0 contribute a single collapsed envelope whose
-    height at 0 is unit Frechet, which is drawn directly; arrivals inside
-    the window are enumerated in decreasing mark order with a certified
-    stopping rule.  a = 1 is the constant member of the family; a = 0 has
-    no continuous-time counterpart (independent values at every real time
-    admit no measurable cadlag version) and is rejected.
+    The value at 0 is unit Frechet and is drawn directly; the path then
+    runs as a Markov jump chain, with no stopping rule, whose events form a
+    Poisson process of rate -log a.  a = 1 is the constant member of the
+    family; a = 0 has no continuous-time counterpart (independent values at
+    every real time admit no measurable cadlag version) and is rejected.
     """
     a = float(a)
     length = float(length)

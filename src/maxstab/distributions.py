@@ -9,13 +9,11 @@ deterministic function of its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "RngState",
-    "DecreasingMarkStream",
     "frechet_cdf",
     "frechet_quantile",
     "frechet_sample",
@@ -145,27 +143,3 @@ def frechet_sample(rng: RngState, scale: float = 1.0, size: int | None = None):
     if size is None:
         return float(-c / np.log(u))
     return -c / np.log(u)
-
-
-@dataclass
-class DecreasingMarkStream:
-    """Points of a Poisson process on (0, inf) with intensity m/u^2 du,
-    emitted in strictly decreasing order.
-
-    The k-th mark is total_intensity / Gamma_k where Gamma_k is the k-th
-    arrival of a unit-rate Poisson process, so the number of marks above any
-    x > 0 is Poisson(total_intensity / x).
-    """
-
-    total_intensity: float
-    cumulative_gamma: float = field(default=0.0)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.total_intensity) and self.total_intensity > 0):
-            raise ValueError("total_intensity must be finite and positive")
-        if self.cumulative_gamma < 0:
-            raise ValueError("cumulative_gamma must be nonnegative")
-
-    def next_mark(self, rng: RngState) -> float:
-        self.cumulative_gamma += rng.exponential()
-        return self.total_intensity / self.cumulative_gamma

@@ -18,6 +18,7 @@ max-stable process by a stopped decreasing-mark construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -474,6 +475,17 @@ _FIRST_BLOCK = 8
 _BLOCK_ELEMENTS = 1 << 16
 
 
+@functools.lru_cache(maxsize=128)
+def _check_charged(sampler: SpectralSampler) -> None:
+    """Raise if the sampler never charges some window coordinate."""
+    lo, hi = sampler.window
+    for t in range(lo, hi + 1):
+        if spectral_mean(sampler, t) <= 0.0:
+            raise ValueError(
+                f"window coordinate {t} is never charged by the sampler; "
+                "the stopped construction would not terminate")
+
+
 def dehaan_max_stable(sampler: SpectralSampler, bound: float,
                       rng: RngState, max_points: int = 100000) -> IndexedPath:
     """Exact finite-window draw of the max-stable process built from the
@@ -496,12 +508,8 @@ def dehaan_max_stable(sampler: SpectralSampler, bound: float,
     """
     if not (math.isfinite(bound) and bound > 0):
         raise ValueError("bound must be finite and positive")
-    lo, hi = sampler.window
-    for t in range(lo, hi + 1):
-        if spectral_mean(sampler, t) <= 0.0:
-            raise ValueError(
-                f"window coordinate {t} is never charged by the sampler; "
-                "the stopped construction would not terminate")
+    _check_charged(sampler)
+    lo = sampler.window[0]
     constant = sampler.kind is SamplerKind.CONSTANT
     per_point = 1 if constant else 2
     running = np.zeros(sampler.length)

@@ -227,6 +227,47 @@ class TestSimulateMovingMax:
         assert skeleton.ratios().min() >= 0.5**0.25 * (1.0 - 1e-9)
 
 
+class TestJumpChain:
+    """Closed forms of the window draw: events form a Poisson process of
+    rate -log a, and the window sup has exponent 1 + L (-log a)."""
+
+    @pytest.mark.parametrize("a,length", [(0.5, 2.0), (0.1, 5.0)])
+    def test_event_count_is_poisson(self, a, length):
+        reps = 5000
+        rng = RngState(78)
+        counts = np.array([len(simulate_moving_max(a, length, rng).events)
+                           for _ in range(reps)])
+        mean = -length * math.log(a)
+        assert abs(counts.mean() - mean) < 4.0 * math.sqrt(mean / reps)
+        # the sample variance of Poisson counts has variance
+        # (mean + 2 mean^2) / reps to leading order
+        assert abs(counts.var() - mean) < 4.0 * math.sqrt(
+            (mean + 2.0 * mean**2) / reps)
+
+    @pytest.mark.parametrize("a,length", [(0.5, 2.0), (0.1, 5.0),
+                                          (0.9, 20.0)])
+    def test_window_sup_law(self, a, length):
+        rng = RngState(79)
+        sups = np.empty(4000)
+        for r in range(sups.size):
+            path = simulate_moving_max(a, length, rng)
+            sups[r] = max([path.anchor_value]
+                          + [v for _, v in path.events])
+        scale = 1.0 - length * math.log(a)
+        res = ks_one_sample(sups, lambda z: frechet_cdf(z, scale),
+                            level=0.01)
+        assert res.passed, res
+
+    @pytest.mark.parametrize("a,length", [(1e-6, 10.0), (1.0 - 1e-9, 5.0),
+                                          (0.5, 1e4)])
+    def test_domain_edges(self, a, length):
+        path = simulate_moving_max(a, length, RngState(80))
+        assert isinstance(path, CadlagPath)
+        assert path.window == (0.0, length)
+        mean = -length * math.log(a)
+        assert abs(len(path.events) - mean) <= 5.0 * math.sqrt(mean)
+
+
 class TestSimulateMovingMaxReversed:
     def test_direction_and_growth(self):
         path = simulate_moving_max_reversed(0.5, 3.0, RngState(66))

@@ -1,5 +1,4 @@
-"""Tests for the heavy-tailed marginal law, the seeded generator, and the
-decreasing mark stream."""
+"""Tests for the heavy-tailed marginal law and the seeded generator."""
 
 import math
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from maxstab import (
-    DecreasingMarkStream,
     RngState,
     frechet_cdf,
     frechet_quantile,
@@ -190,50 +188,3 @@ class TestFrechetSample:
         a = frechet_sample(RngState(9), size=50)
         b = frechet_sample(RngState(9), size=50)
         assert np.array_equal(a, b)
-
-
-class TestDecreasingMarkStream:
-    def test_marks_strictly_decrease(self):
-        stream = DecreasingMarkStream(total_intensity=1.0)
-        rng = RngState(4)
-        marks = [stream.next_mark(rng) for _ in range(500)]
-        assert all(m > 0 for m in marks)
-        assert all(b < a for a, b in zip(marks, marks[1:]))
-
-    def test_marks_vanish(self):
-        stream = DecreasingMarkStream(total_intensity=1.0)
-        rng = RngState(5)
-        marks = [stream.next_mark(rng) for _ in range(400)]
-        assert marks[-1] < marks[0] * 1e-2
-
-    def test_count_above_level_is_poisson_mean(self):
-        """Number of marks above x has mean total_intensity / x."""
-        reps = 3000
-        level = 0.5
-        counts = np.empty(reps)
-        for r in range(reps):
-            stream = DecreasingMarkStream(total_intensity=1.0)
-            rng = RngState(600, r)
-            c = 0
-            while stream.next_mark(rng) > level:
-                c += 1
-            counts[r] = c
-        target = 1.0 / level
-        tol = 3.0 * math.sqrt(target / reps)
-        assert abs(counts.mean() - target) < tol
-        # Poisson counts: variance should match the mean as well.
-        assert abs(counts.var() - target) < 6.0 * math.sqrt(target / reps) * target
-
-    def test_rejects_nonpositive_intensity(self):
-        with pytest.raises(ValueError):
-            DecreasingMarkStream(total_intensity=0.0)
-
-    def test_resume_from_cumulative(self):
-        """Starting from a recorded arrival total continues the same stream."""
-        s1 = DecreasingMarkStream(total_intensity=2.0)
-        rng = RngState(8)
-        first = [s1.next_mark(rng) for _ in range(5)]
-        resumed = DecreasingMarkStream(total_intensity=2.0,
-                                       cumulative_gamma=s1.cumulative_gamma)
-        nxt = resumed.next_mark(rng)
-        assert nxt < first[-1]

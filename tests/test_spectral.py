@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from maxstab import (
     ConeKind,
     ConeSpec,
-    DecreasingMarkStream,
     ExponentFunctional,
     FiniteMixing,
     GeometricMixing,
@@ -59,11 +58,13 @@ def brute_exponent(a: float, points, onsets) -> float:
 def loop_dehaan(sampler, bound, rng, max_points=100000):
     """The point-by-point de Haan construction, kept as the reference for
     the block sampler: the window and the number of marks drawn."""
-    marks = DecreasingMarkStream(total_intensity=1.0)
+    # marks 1/Gamma_k, Gamma_k the arrivals of a unit-rate Poisson process
+    gamma = 0.0
     running = np.zeros(sampler.length)
     floor = 0.0
     for k in range(max_points):
-        u = marks.next_mark(rng)
+        gamma += rng.exponential()
+        u = 1.0 / gamma
         if floor > 0.0 and u * bound < floor:
             return running, k + 1
         y = sample_spectral(sampler, rng)
@@ -508,6 +509,20 @@ class TestDehaanMaxStable:
                                         mixing=FiniteMixing({5: 1.0}))
         with pytest.raises(ValueError):
             dehaan_max_stable(sampler, 10.0, RngState(1))
+
+    def test_charge_check_repeats_per_call(self):
+        """The per-sampler check is cached, yet every call on an uncharged
+        sampler still raises, and a charged sampler still draws."""
+        sampler = SpectralSampler.decay(0.5, (0, 3),
+                                        mixing=FiniteMixing({2: 1.0}))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="coordinate 0 is never"):
+                dehaan_max_stable(sampler, 10.0, RngState(1))
+        charged = SpectralSampler.decay(0.5, (0, 3),
+                                        mixing=FiniteMixing({-1: 1.0}))
+        for _ in range(2):
+            assert dehaan_max_stable(charged, 10.0, RngState(1)).values.min() \
+                > 0.0
 
     def test_max_points_exhaustion(self):
         sampler = SpectralSampler.constant((0, 1))
