@@ -187,9 +187,9 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
 
     ind_mean = float(ind_sample.mean())
     exc_mean = float(exc_sample.mean())
-    ind_var = float(ind_sample.var(ddof=1)) if n > 1 else 0.0
-    exc_var = float(exc_sample.var(ddof=1)) if n > 1 else 0.0
-    cov = float(np.cov(ind_sample, exc_sample, ddof=1)[0, 1]) if n > 1 else 0.0
+    ind_var = float(ind_sample.var(ddof=1))
+    exc_var = float(exc_sample.var(ddof=1))
+    cov = float(np.cov(ind_sample, exc_sample, ddof=1)[0, 1])
     value = ind_mean * math.exp(-exc_mean)
     grad_sq = (ind_var + ind_mean**2 * exc_var - 2.0 * ind_mean * cov)
     stderr = math.exp(-exc_mean) * math.sqrt(max(grad_sq, 0.0) / n)

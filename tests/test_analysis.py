@@ -324,6 +324,33 @@ class TestRunBattery:
             report = run_battery(MaxARParams(a), RngState(107))
             assert report.all_passed, report.failures
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [0.0, 5e-324, 1e-16, 1e-13, 1e-6, 0.5,
+                                   1.0 - 1e-15, 1.0])
+    def test_chapman_kolmogorov_holds_across_domain(self, a):
+        """The stationarity integral is exact to rounding for every a,
+        including where the kernel's kink y/a lies far in the tail."""
+        report = run_battery(MaxARParams(a), RngState(112),
+                             sizes=BatterySizes().scaled(1000))
+        check = next(c for c in report.checks
+                     if c.name == "chapman_kolmogorov_quadrature")
+        assert check.passed is True
+        assert check.value < 1e-8
+
+    def test_chapman_kolmogorov_detects_wrong_kernel(self, monkeypatch):
+        """Dropping the (1 - a) factor above the atom breaks stationarity;
+        the check must see it through kernel_cdf alone."""
+        def wrong(params, x, y):
+            return 0.0 if y < params.a * x else math.exp(-1.0 / y)
+
+        monkeypatch.setattr(maxstab.analysis, "kernel_cdf", wrong)
+        report = run_battery(MaxARParams(0.4), RngState(113),
+                             sizes=BatterySizes().scaled(1000))
+        check = next(c for c in report.checks
+                     if c.name == "chapman_kolmogorov_quadrature")
+        assert check.passed is False
+        assert check.value > 0.01
+
     def test_continuous_forward(self):
         report = run_battery(ShapeFunction(0.5), RngState(108))
         assert report.all_passed, report.failures

@@ -7,11 +7,16 @@ exits 4.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import maxstab
 from maxstab import (
     ConditionalQuery,
     Direction,
@@ -30,6 +35,15 @@ from maxstab.cli import main
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def run_fresh(code, *args):
+    """Run python code in a fresh interpreter that imports this maxstab."""
+    src = str(Path(maxstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def write_query(tmp_path, doc, name="query.json"):
@@ -405,6 +419,15 @@ class TestVerify:
         assert result.exit_code == 2
         assert "transitions must be positive" in result.stderr
 
+    def test_tiny_ratio_passes_quietly(self):
+        """Near a = 0 the Chapman-Kolmogorov check must neither fail nor
+        warn: in x the kernel's kink sits at y/a, far out in the tail."""
+        result = run_fresh("from maxstab.cli import main; main()", "verify",
+                           "--a", "1e-6", "--n", "2000", "--seed", "23")
+        assert result.returncode == 0, result.stdout
+        assert result.stderr == ""
+        assert "PASS chapman_kolmogorov_quadrature" in result.stdout
+
     def test_report_is_deterministic(self, runner, tmp_path):
         args = ["verify", "--a", "0.3", "--n", "1000", "--seed", "9",
                 "--out", str(tmp_path / "r.json")]
@@ -414,3 +437,11 @@ class TestVerify:
         assert first.exit_code == 0 and second.exit_code == 0
         assert (tmp_path / "r.json").read_bytes() == blob1
         assert first.output == second.output
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only dependency: the CLI must start without it."""
+    result = run_fresh("import sys, maxstab.cli; print(sorted(m for m in "
+                       "sys.modules if m.split('.')[0] == 'scipy'))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
