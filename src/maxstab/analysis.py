@@ -115,19 +115,30 @@ def _as_values(path) -> np.ndarray:
     return values
 
 
+_ATOM_MIN_COUNT = 3
+_ATOM_MIN_MASS = 0.01
+
+
 def _ratio_clusters(ratios: np.ndarray, rel_tol: float):
     """Maximal runs of sorted ratios whose consecutive gaps are below
-    rel_tol in relative terms; returns [(median, count)] sorted by count
-    descending."""
+    rel_tol in relative terms.  Returns [(median, count)] of the runs with
+    at least _ATOM_MIN_COUNT members, the only ones that can be atoms,
+    sorted by count descending, then by median."""
     order = np.sort(ratios)
     gaps = order[1:] / order[:-1] - 1.0
     breaks = np.nonzero(gaps > rel_tol)[0]
     starts = np.concatenate([[0], breaks + 1])
     ends = np.concatenate([breaks + 1, [order.size]])
-    clusters = [(float(np.median(order[s:e])), int(e - s))
-                for s, e in zip(starts, ends)]
-    clusters.sort(key=lambda c: (-c[1], c[0]))
-    return clusters
+    counts = ends - starts
+    keep = counts >= _ATOM_MIN_COUNT
+    starts, counts = starts[keep], counts[keep]
+    # the median of a sorted run, as np.median evaluates it: the middle
+    # value, or the mean of the two middle values
+    lower = order[starts + (counts - 1) // 2]
+    upper = order[starts + counts // 2]
+    medians = np.where(counts % 2 == 1, lower, (lower + upper) / 2.0)
+    rank = np.lexsort((medians, -counts))
+    return list(zip(medians[rank].tolist(), counts[rank].tolist()))
 
 
 @dataclass(frozen=True)
@@ -155,10 +166,10 @@ def ratio_support(path, rel_tol: float = 1e-9) -> RatioSupportEstimate:
         raise ValueError("need at least two values")
     ratios = values[1:] / values[:-1]
     clusters = _ratio_clusters(ratios, rel_tol)
-    location, count = clusters[0]
-    if count < _ATOM_MIN_COUNT:
+    if not clusters:
         return RatioSupportEstimate(float(ratios.min()), float(ratios.max()),
                                     None, 0.0, ratios.size)
+    location, count = clusters[0]
     return RatioSupportEstimate(float(ratios.min()), float(ratios.max()),
                                 location, count / ratios.size, ratios.size)
 
@@ -170,10 +181,6 @@ class IdentificationResult:
     atom_mass: float
     n_used: int
     notes: str
-
-
-_ATOM_MIN_COUNT = 3
-_ATOM_MIN_MASS = 0.01
 
 
 def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> IdentificationResult:
@@ -199,7 +206,7 @@ def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> Identification
     ratios = values[1:] / values[:-1]
     clusters = _ratio_clusters(ratios, rel_tol)
     atoms = [(loc, cnt) for loc, cnt in clusters
-             if cnt >= _ATOM_MIN_COUNT and cnt / ratios.size >= _ATOM_MIN_MASS]
+             if cnt / ratios.size >= _ATOM_MIN_MASS]
     below = [c for c in atoms if c[0] < 1.0 - rel_tol]
     above = [c for c in atoms if c[0] > 1.0 + rel_tol]
 
@@ -317,7 +324,10 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         sub = rng.substream(3)
         starts, nexts = _stationary_windows(a, 2, n, sub).T
         atom_freq = float(np.mean(nexts == a * starts))
-        sigma = math.sqrt(a * (1.0 - a) / n)
+        # a * (1 - a) / n underflows to 0 at subnormal a; only there is it
+        # split, so every other threshold keeps its bits
+        sigma = math.sqrt(a * (1.0 - a) / n) \
+            or math.sqrt(a) * math.sqrt((1.0 - a) / n)
         report.add("transition_atom_mass", abs(atom_freq - a), 4.0 * sigma,
                    abs(atom_freq - a) <= 4.0 * sigma,
                    "holding frequency of the decayed value equals a")

@@ -200,43 +200,92 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
         excess_stderr=math.sqrt(exc_var / n), n=n)
 
 
+def _grid_labels(x: np.ndarray, grid: int) -> np.ndarray:
+    """Bin label of each value on the quantile grid: label <= k exactly
+    when x <= q_k, ties included."""
+    qs = np.arange(1, grid + 1) / (grid + 1.0)
+    return np.searchsorted(np.quantile(x, qs), x, side="left")
+
+
 def _joint_grid_statistic(u: np.ndarray, v: np.ndarray, grid: int) -> float:
     """Sup over a quantile grid of |joint empirical CDF - product of
-    empirical marginals|.  A pure rank statistic for continuous data."""
-    qs = np.arange(1, grid + 1) / (grid + 1.0)
-    iu = (u[:, None] <= np.quantile(u, qs)[None, :]).astype(np.float64)
-    iv = (v[:, None] <= np.quantile(v, qs)[None, :]).astype(np.float64)
-    joint = iu.T @ iv / u.size
-    product = np.outer(iu.mean(axis=0), iv.mean(axis=0))
-    return float(np.abs(joint - product).max())
+    empirical marginals|.  A pure rank statistic for continuous data.
+
+    The joint and marginal CDF counts are the cumulative sums of the
+    (grid+1)^2 table of bin-label pairs."""
+    size = grid + 1
+    cells = _grid_labels(u, grid) * size + _grid_labels(v, grid)
+    table = np.bincount(cells, minlength=size * size).reshape(size, size)
+    cdf = table.cumsum(axis=0).cumsum(axis=1)
+    n = u.size
+    product = np.outer(cdf[:grid, grid] / n, cdf[grid, :grid] / n)
+    return float(np.abs(cdf[:grid, :grid] / n - product).max())
+
+
+_NULL_BLOCK = 2000
+
+
+def _null_statistics(n: int, grid: int, n_null: int) -> np.ndarray:
+    """n_null draws of the grid statistic for n i.i.d. independent pairs.
+
+    The statistic is a function of the table of bin-label pairs.  Under
+    independence with continuous marginals both label vectors have the
+    bin counts of n distinct values, and their pairing is a uniform
+    permutation, so the table is uniform among the tables with those
+    margins.  A null table is drawn row by row, each row a multivariate
+    hypergeometric draw from the column counts still unassigned, taken one
+    cell at a time.  Only the grid x grid corner enters the statistic, so
+    the last row and column are never drawn.  The draws use a fixed
+    internal generator, so they depend on (n, grid, n_null) alone.
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(0x9E3779B97F4A7C15)))
+    margin = np.bincount(_grid_labels(np.arange(n, dtype=np.float64), grid),
+                         minlength=grid + 1)
+    marginal = margin[:grid].cumsum() / n
+    product = np.outer(marginal, marginal)
+    stats = np.empty(n_null)
+    for first in range(0, n_null, _NULL_BLOCK):
+        block = min(_NULL_BLOCK, n_null - first)
+        # one column per draw: col_left[j] is column j's unassigned count
+        col_left = np.repeat(margin[:, None], block, axis=1)
+        col_used = np.zeros((grid, block), dtype=np.int64)
+        worst = np.zeros(block)
+        for r in range(grid):
+            row_left = np.full(block, margin[r])
+            # columns right of j are untouched while column j is drawn
+            rest = col_left[::-1].cumsum(axis=0)[::-1]
+            for j in range(grid):
+                cell = gen.hypergeometric(col_left[j], rest[j + 1], row_left)
+                col_left[j] -= cell
+                col_used[j] += cell
+                row_left -= cell
+            col_left[grid] -= row_left
+            joint = col_used.cumsum(axis=0) / n
+            np.maximum(worst, np.abs(joint - product[r][:, None]).max(axis=0),
+                       out=worst)
+        stats[first:first + block] = worst
+    return stats
 
 
 @lru_cache(maxsize=32)
 def _null_quantile(n: int, grid: int, n_null: int, level: float) -> float:
-    """Null quantile of the grid statistic for n i.i.d. independent pairs.
-
-    Under independence with continuous marginals the statistic depends on
-    the ranks only, so the null law is universal for a given (n, grid) and
-    can be simulated once with a fixed internal generator and reused.
-    """
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(0x9E3779B97F4A7C15)))
-    stats = np.empty(n_null)
-    for b in range(n_null):
-        u = gen.random(n)
-        v = gen.random(n)
-        stats[b] = _joint_grid_statistic(u, v, grid)
-    return float(np.quantile(stats, 1.0 - level))
+    """Null quantile of the grid statistic, computed once per process for
+    each (n, grid, n_null, level)."""
+    return float(np.quantile(_null_statistics(n, grid, n_null), 1.0 - level))
 
 
 def independence_test(pairs, level: float = 0.01, grid: int = 20,
-                      n_null: int = 200) -> EmpiricalReport:
+                      n_null: int = 2000) -> EmpiricalReport:
     """Test whether the two coordinates of i.i.d. pairs are independent.
 
     Compares the joint empirical CDF with the product of the marginal
     empirical CDFs on a quantile grid and calibrates the sup distance
-    against its simulated null law (exact for continuous data because the
-    statistic is rank-based).  Constant coordinates make the test
-    inapplicable and are flagged rather than decided.
+    against its null law.  The statistic depends only on the table of
+    bin-label pairs, and for continuous data the null law of that table is
+    exact: uniform among the tables with the margins of n distinct values.
+    The threshold is the (1 - level) quantile of ``n_null`` (default 2000)
+    such tables.  Constant coordinates make the test inapplicable and are
+    flagged rather than decided.
     """
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:

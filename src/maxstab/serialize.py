@@ -52,21 +52,12 @@ def discrete_csv_text(path: DiscretePath) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_discrete_csv(text: str):
-    """Parse the discrete CSV format into (start_index, values).
-
-    The header must match exactly and the indices must be consecutive
-    integers; malformed input raises ValueError naming the offending line.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != DISCRETE_CSV_HEADER:
-        raise ValueError(
-            f"line 1: expected header {DISCRETE_CSV_HEADER!r}")
-    if len(lines) < 2:
-        raise ValueError("no data rows")
+def _scan_discrete_rows(rows: list[str]):
+    """Parse data rows one at a time; raises ValueError naming the first
+    malformed line (the header is line 1)."""
     indices = []
     values = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in enumerate(rows, start=2):
         parts = ln.split(",")
         if len(parts) != 2:
             raise ValueError(f"line {i}: expected two comma-separated fields")
@@ -75,6 +66,31 @@ def parse_discrete_csv(text: str):
             values.append(float(parts[1]))
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from exc
+    return indices, values
+
+
+def parse_discrete_csv(text: str):
+    """Parse the discrete CSV format into (start_index, values).
+
+    The header must match exactly and the indices must be consecutive
+    integers; malformed input raises ValueError naming the offending line.
+    Each column is converted by numpy at once, with the same int and float
+    rules; only when that fails are the rows scanned one at a time.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != DISCRETE_CSV_HEADER:
+        raise ValueError(
+            f"line 1: expected header {DISCRETE_CSV_HEADER!r}")
+    if len(lines) < 2:
+        raise ValueError("no data rows")
+    # a row without its one comma leaves a tail no float accepts
+    heads, _, tails = zip(*(ln.partition(",") for ln in lines[1:]))
+    try:
+        indices = np.array(heads, dtype=np.int64).tolist()
+        values = np.array(tails, dtype=np.float64)
+    except (ValueError, OverflowError):
+        # the scan raises at the bad line; indices beyond int64 pass it
+        indices, values = _scan_discrete_rows(lines[1:])
     start = indices[0]
     if indices != list(range(start, start + len(indices))):
         raise ValueError("indices must be consecutive integers")

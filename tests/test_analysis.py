@@ -184,6 +184,36 @@ class TestRatioSupport:
             ratio_support(np.array([1.0]))
 
 
+def median_clusters(ratios: np.ndarray, rel_tol: float):
+    """Every run of sorted ratios with np.median of each, sorted by count
+    descending, then by median: the reference form of _ratio_clusters
+    before runs too small to be atoms were dropped."""
+    order = np.sort(ratios)
+    breaks = np.nonzero(order[1:] / order[:-1] - 1.0 > rel_tol)[0]
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.concatenate([breaks + 1, [order.size]])
+    clusters = [(float(np.median(order[s:e])), int(e - s))
+                for s, e in zip(starts, ends)]
+    return sorted(clusters, key=lambda c: (-c[1], c[0]))
+
+
+class TestRatioClusters:
+    @pytest.mark.parametrize("decimals", [0, 2])
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-3])
+    def test_matches_median_reference(self, decimals, rel_tol):
+        """Rounded values give many tied ratios, with runs of odd and even
+        length; the candidate atoms equal the reference's bit for bit."""
+        values = np.round(
+            simulate_forward(MaxARParams(0.6), 5000, RngState(114)).values * 20,
+            decimals) + 1.0
+        ratios = values[1:] / values[:-1]
+        expected = [c for c in median_clusters(ratios, rel_tol)
+                    if c[1] >= maxstab.analysis._ATOM_MIN_COUNT]
+        assert len(expected) > 10
+        assert {c[1] % 2 for c in expected} == {0, 1}
+        assert maxstab.analysis._ratio_clusters(ratios, rel_tol) == expected
+
+
 class TestIdentify:
     def test_forward_round_trip(self):
         path = simulate_forward(MaxARParams(0.3), 10000, RngState(97))
@@ -336,6 +366,17 @@ class TestRunBattery:
                      if c.name == "chapman_kolmogorov_quadrature")
         assert check.passed is True
         assert check.value < 1e-8
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_transition_atom_mass_at_subnormal_a(self, direction):
+        """At subnormal a the binomial variance a(1-a)/n underflows; the
+        threshold must stay positive, so the never-held atom passes."""
+        report = run_battery(MaxARParams(5e-324, direction), RngState(3),
+                             sizes=BatterySizes().scaled(1000))
+        check = next(c for c in report.checks
+                     if c.name == "transition_atom_mass")
+        assert check.threshold > 0.0
+        assert report.all_passed, report.failures
 
     def test_chapman_kolmogorov_detects_wrong_kernel(self, monkeypatch):
         """Dropping the (1 - a) factor above the atom breaks stationarity;

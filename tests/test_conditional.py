@@ -24,8 +24,21 @@ from maxstab import (
     conditional_factors,
     independence_test,
     kernel_cdf,
+    ks_two_sample,
     simulate_forward,
 )
+from maxstab.conditional import _joint_grid_statistic, _null_statistics
+
+
+def indicator_grid_statistic(u: np.ndarray, v: np.ndarray, grid: int) -> float:
+    """The grid statistic from two n x grid indicator matrices and their
+    matmul: the reference form of the bin-label table statistic."""
+    qs = np.arange(1, grid + 1) / (grid + 1.0)
+    iu = (u[:, None] <= np.quantile(u, qs)[None, :]).astype(np.float64)
+    iv = (v[:, None] <= np.quantile(v, qs)[None, :]).astype(np.float64)
+    joint = iu.T @ iv / u.size
+    product = np.outer(iu.mean(axis=0), iv.mean(axis=0))
+    return float(np.abs(joint - product).max())
 
 
 def forward_kernel(a: float, x: float, y: float) -> float:
@@ -352,3 +365,42 @@ class TestIndependenceTest:
             if report.all_passed is False:
                 rejections += 1
         assert rejections <= 9  # 80 trials at 5%: mean 4, generous ceiling
+
+    def test_realized_size_at_identify_pair_count(self):
+        """At 5000 pairs, identify's pair count for 1e4 values, the 1% test
+        rejects 2000 i.i.d. sets at its level within 3.5 binomial standard
+        deviations (5 to 35).  Measured: 25 of 2000 with the fixed-margin
+        table null of 2000 draws; 38 of 2000, outside the band, with the
+        former null of 200 simulated data sets."""
+        rejections = 0
+        for r in range(2000):
+            pairs = RngState(61, r).uniform(size=10_000).reshape(-1, 2)
+            if independence_test(pairs).checks[0].passed is False:
+                rejections += 1
+        assert 5 <= rejections <= 35
+
+
+class TestGridStatistic:
+    @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+    @pytest.mark.parametrize("decimals", [None, 2])
+    def test_equals_indicator_form(self, n, decimals):
+        """The bin-label table gives the indicator-matmul statistic bit for
+        bit, on continuous data and on data with ties."""
+        pairs = simulate_forward(MaxARParams(0.3), 2 * n,
+                                 RngState(59, n)).values.reshape(-1, 2)
+        if decimals is not None:
+            pairs = np.round(pairs, decimals)
+        u, v = pairs[:, 0], pairs[:, 1]
+        assert _joint_grid_statistic(u, v, 20) == \
+            indicator_grid_statistic(u, v, 20)
+
+    def test_table_null_matches_simulated_pairs(self):
+        """Fixed-margin null tables give the statistic the law it has on
+        i.i.d. uniform pairs (two-sample KS, 2000 draws each, 2000 pairs)."""
+        n = 2000
+        tables = _null_statistics(n, 20, 2000)
+        rng = RngState(60)
+        direct = [_joint_grid_statistic(*rng.uniform(size=2 * n).reshape(2, n), 20)
+                  for _ in range(2000)]
+        ks = ks_two_sample(tables, direct)
+        assert ks.passed, ks

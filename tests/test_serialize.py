@@ -76,6 +76,12 @@ class TestDiscreteCsv:
         with pytest.raises(ValueError):
             parse_discrete_csv("t,value\n")
 
+    def test_indices_beyond_int64(self):
+        start, values = parse_discrete_csv(
+            "t,value\n9223372036854775807,1.0\n9223372036854775808,2.5\n")
+        assert start == 2**63 - 1
+        assert values.tolist() == [1.0, 2.5]
+
 
 class TestDiscreteJson:
     def test_round_trip(self, discrete_path):
