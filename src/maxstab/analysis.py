@@ -186,11 +186,11 @@ class IdentificationResult:
 def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> IdentificationResult:
     """Recover (a, direction) of a stationary path from this family.
 
-    Decision order: constant path means a = 1; otherwise pairs that pass
-    the independence test with no ratio atom mean a = 0; otherwise the
-    dominant ratio atom gives a (below one: forward at the atom, above
-    one: reversed at its reciprocal).  Atom evidence overrides a passing
-    independence test, since an atom is incompatible with independence.
+    Decision order: constant path means a = 1; otherwise the dominant
+    ratio atom gives a (below one: forward at the atom, above one:
+    reversed at its reciprocal); with no atom, disjoint consecutive pairs
+    that pass the independence test mean a = 0.  Only a path with no atom
+    runs the test, since an atom is incompatible with independence.
     Raises UnclassifiableDataError or AmbiguousRatioError when the
     evidence supports no member or two members.
     """
@@ -210,13 +210,16 @@ def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> Identification
     below = [c for c in atoms if c[0] < 1.0 - rel_tol]
     above = [c for c in atoms if c[0] > 1.0 + rel_tol]
 
-    pairs = np.column_stack([values[0:2 * (n // 2):2], values[1:2 * (n // 2):2]])
-    indep = None
-    if pairs.shape[0] >= 1000:
-        indep = independence_test(pairs, level=level)
-    indep_passed = indep is not None and indep.checks[0].passed is True
-
-    if indep_passed and not atoms:
+    if not atoms:
+        if n < 2000:
+            raise UnclassifiableDataError(
+                "no ratio atom found and too few values to assess "
+                "independence (need at least 2000)")
+        pairs = values[:2 * (n // 2)].reshape(-1, 2)  # disjoint consecutive
+        if independence_test(pairs, level=level).checks[0].passed is not True:
+            raise UnclassifiableDataError(
+                "no ratio atom and the independence test rejected; the path "
+                "does not match any member of the family")
         return IdentificationResult(
             MaxARParams(0.0, Direction.FORWARD), None, 0.0, n,
             "disjoint consecutive pairs consistent with independence and "
@@ -244,13 +247,9 @@ def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> Identification
         return IdentificationResult(
             MaxARParams(1.0 / loc, Direction.REVERSED), loc,
             cnt / ratios.size, n, "ratio atom at the upper support edge")
-    if indep is None:
-        raise UnclassifiableDataError(
-            "no ratio atom found and too few values to assess independence "
-            "(need at least 2000)")
     raise UnclassifiableDataError(
-        "no ratio atom and the independence test rejected; the path does "
-        "not match any member of the family")
+        "the only ratio atom sits at one; the path does not match any "
+        "member of the family")
 
 
 @dataclass(frozen=True)
@@ -510,6 +509,8 @@ def run_battery(spec, rng: RngState, sizes: BatterySizes | None = None,
         _discrete_battery(spec, sizes, rng, report)
         return report
     if isinstance(spec, ShapeFunction):
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
         report = EmpiricalReport(params={
             "kind": "continuous", "a": spec.a,
             "direction": spec.direction.value, "epsilon": epsilon,

@@ -158,12 +158,8 @@ def _spectral_matrix(a: float, times: np.ndarray, n: int, rng: RngState,
         # the far past, so the terms have finite variance
         mixing = GeometricMixing(max(0.5, a))
     onsets = mixing.sample(rng, size=n)
-    if isinstance(mixing, GeometricMixing):
-        masses = mixing.center_mass * mixing.ratio ** np.abs(onsets)
-    else:
-        table = dict(mixing.weights)
-        masses = np.array([table[int(m)] for m in onsets])
-    return (1.0 - a) * _decay_profile(a, times, onsets) / masses[:, None]
+    return ((1.0 - a) * _decay_profile(a, times, onsets)
+            / mixing.pmf(onsets)[:, None])
 
 
 def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
@@ -223,6 +219,7 @@ def _joint_grid_statistic(u: np.ndarray, v: np.ndarray, grid: int) -> float:
 
 
 _NULL_BLOCK = 2000
+_GRID, _N_NULL = 20, 2000  # the independence test's grid size and null tables
 
 
 def _null_statistics(n: int, grid: int, n_null: int) -> np.ndarray:
@@ -274,8 +271,7 @@ def _null_quantile(n: int, grid: int, n_null: int, level: float) -> float:
     return float(np.quantile(_null_statistics(n, grid, n_null), 1.0 - level))
 
 
-def independence_test(pairs, level: float = 0.01, grid: int = 20,
-                      n_null: int = 2000) -> EmpiricalReport:
+def independence_test(pairs, level: float = 0.01) -> EmpiricalReport:
     """Test whether the two coordinates of i.i.d. pairs are independent.
 
     Compares the joint empirical CDF with the product of the marginal
@@ -283,9 +279,9 @@ def independence_test(pairs, level: float = 0.01, grid: int = 20,
     against its null law.  The statistic depends only on the table of
     bin-label pairs, and for continuous data the null law of that table is
     exact: uniform among the tables with the margins of n distinct values.
-    The threshold is the (1 - level) quantile of ``n_null`` (default 2000)
-    such tables.  Constant coordinates make the test inapplicable and are
-    flagged rather than decided.
+    The threshold is the (1 - level) quantile of 2000 such tables, on a
+    grid of 20 quantiles.  Constant coordinates make the test inapplicable
+    and are flagged rather than decided.
     """
     arr = np.asarray(pairs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -298,13 +294,13 @@ def independence_test(pairs, level: float = 0.01, grid: int = 20,
         raise ValueError("level must lie in (0, 0.5)")
     u, v = arr[:, 0], arr[:, 1]
     report = EmpiricalReport(params={"n": int(arr.shape[0]), "level": level,
-                                     "grid": grid, "n_null": n_null})
+                                     "grid": _GRID, "n_null": _N_NULL})
     if u.min() == u.max() or v.min() == v.max():
         report.add("independence_sup_distance", math.nan, math.nan, None,
                    "not applicable: a coordinate is constant")
         return report
-    stat = _joint_grid_statistic(u, v, grid)
-    threshold = _null_quantile(arr.shape[0], grid, n_null, level)
+    stat = _joint_grid_statistic(u, v, _GRID)
+    threshold = _null_quantile(arr.shape[0], _GRID, _N_NULL, level)
     report.add("independence_sup_distance", stat, threshold, stat <= threshold,
                "joint empirical CDF vs product of marginals on a rank grid")
     return report

@@ -33,7 +33,6 @@ __all__ = [
     "FiniteMixing",
     "SamplerKind",
     "SpectralSampler",
-    "ConeKind",
     "ConeSpec",
     "SpectralBoundError",
     "sample_spectral",
@@ -86,8 +85,23 @@ def shift(path: IndexedPath, s: int) -> IndexedPath:
     return IndexedPath(path.start - int(s), path.values)
 
 
+class _Mixing:
+    """pmf and sampler of a mixing law, read off its array maps."""
+
+    def pmf(self, n):
+        """Mass at the integer n (a float) or at each integer of an array,
+        both by the same array path, so they agree bit for bit."""
+        masses = self._masses(np.atleast_1d(np.asarray(n, dtype=np.int64)))
+        return float(masses[0]) if np.ndim(n) == 0 else masses
+
+    def sample(self, rng: RngState, size: int | None = None):
+        """Inverse transform using exactly one uniform per draw."""
+        out = self._quantile(np.atleast_1d(rng.uniform(size)))
+        return int(out[0]) if size is None else out
+
+
 @dataclass(frozen=True)
-class GeometricMixing:
+class GeometricMixing(_Mixing):
     """Two-sided geometric mass on all integers, p(n) proportional to
     ratio**|n|.  Strictly positive everywhere with closed-form tails."""
 
@@ -101,20 +115,12 @@ class GeometricMixing:
     def center_mass(self) -> float:
         return (1.0 - self.ratio) / (1.0 + self.ratio)
 
-    def pmf(self, n: int) -> float:
-        return self.center_mass * self.ratio ** abs(int(n))
-
-    def sample(self, rng: RngState, size: int | None = None):
-        """Inverse transform using exactly one uniform per draw.
-
-        The uniform is split into (zero / sign / magnitude) pieces whose
-        lengths reproduce p(n) exactly.
-        """
-        out = self._quantile(np.atleast_1d(rng.uniform(size)))
-        return int(out[0]) if size is None else out
+    def _masses(self, n: np.ndarray) -> np.ndarray:
+        return self.center_mass * self.ratio ** np.abs(n)
 
     def _quantile(self, u: np.ndarray) -> np.ndarray:
-        """The integer each uniform in the 1-d array ``u`` maps to."""
+        """The integer each uniform in the 1-d array ``u`` maps to; the
+        (zero / sign / magnitude) pieces have the lengths p(n) exactly."""
         c = self.center_mass
         out = np.zeros(u.size, dtype=np.int64)
         active = u > c
@@ -130,7 +136,7 @@ class GeometricMixing:
 
 
 @dataclass(frozen=True)
-class FiniteMixing:
+class FiniteMixing(_Mixing):
     """Strictly positive mass on a finite set of integers (normalized)."""
 
     weights: tuple[tuple[int, float], ...]
@@ -150,30 +156,24 @@ class FiniteMixing:
             raise ValueError("weights must be positive with a positive finite sum")
         object.__setattr__(
             self, "weights", tuple((n, w / total) for n, w in items))
+        # the arrays behind pmf and sampling, built once
+        masses = np.array([w for _, w in self.weights])
+        object.__setattr__(self, "_support", np.array(indices, dtype=np.int64))
+        object.__setattr__(self, "_mass_array", masses)
+        object.__setattr__(self, "_edges", np.append(np.cumsum(masses)[:-1], 1.0))
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.weights)
 
-    def pmf(self, n: int) -> float:
-        n = int(n)
-        for m, w in self.weights:
-            if m == n:
-                return w
-        return 0.0
-
-    def sample(self, rng: RngState, size: int | None = None):
-        """Walk the cumulative masses in index order; one uniform per draw."""
-        out = self._quantile(np.atleast_1d(rng.uniform(size)))
-        return int(out[0]) if size is None else out
+    def _masses(self, n: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(self._support, n)
+        return np.where(self._support.take(idx, mode="clip") == n,
+                        self._mass_array.take(idx, mode="clip"), 0.0)
 
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         """The integer each uniform in the 1-d array ``u`` maps to."""
-        edges = np.cumsum([w for _, w in self.weights])
-        edges[-1] = 1.0
-        idx = np.searchsorted(edges, u, side="left")
-        support = np.array([n for n, _ in self.weights], dtype=np.int64)
-        return support[idx]
+        return self._support[np.searchsorted(self._edges, u, side="left")]
 
 
 class SamplerKind(str, Enum):
@@ -240,26 +240,43 @@ def sample_spectral(sampler: SpectralSampler, rng: RngState) -> IndexedPath:
     lo = sampler.window[0]
     if sampler.kind is SamplerKind.CONSTANT:
         return IndexedPath(lo, np.ones(sampler.length))
-    return IndexedPath(lo, _spectral_row(sampler, sampler.mixing.sample(rng)))
+    return IndexedPath(lo, _spectral_rows(sampler, [sampler.mixing.sample(rng)])[0])
 
 
-def _spectral_row(sampler: SpectralSampler, onset: int) -> np.ndarray:
-    """Window values of the dirac or decay spectral process drawn at the
-    given spike or onset index, 1/mass weight included."""
-    lo, hi = sampler.window
-    values = np.zeros(sampler.length)
-    if sampler.kind is SamplerKind.DIRAC:
-        if lo <= onset <= hi:
-            values[onset - lo] = 1.0 / sampler.mixing.pmf(onset)
-        return values
-    a = sampler.a
-    first = max(lo, onset)
-    if first <= hi:
-        level = (1.0 - a) * a ** (first - onset) / sampler.mixing.pmf(onset)
-        for k in range(first - lo, sampler.length):
-            values[k] = level
-            level = a * level
-    return values
+def _spectral_rows(sampler: SpectralSampler, onsets) -> np.ndarray:
+    """Window values of the dirac or decay spectral process, 1/mass weight
+    included, one row per spike or onset index n.
+
+    A decay row starts at (1-a) a^(max(lo,n)-n) / pmf(n) and is cascaded
+    by ``np.multiply.accumulate``, which multiplies in sequence, so
+    Y(t+1) == a * Y(t) holds exactly.  A mass of 0 gives infinite values.
+    """
+    lo = sampler.window[0]
+    onsets = np.asarray(onsets, dtype=np.int64)
+    cols = np.arange(sampler.length)
+    masses = sampler.mixing.pmf(onsets)
+    with np.errstate(divide="ignore", over="ignore"):
+        if sampler.kind is SamplerKind.DIRAC:
+            return np.where(cols == (onsets - lo)[:, None],
+                            (1.0 / masses)[:, None], 0.0)
+        a = sampler.a
+        levels = (1.0 - a) * a ** np.maximum(lo - onsets, 0) / masses
+    first = np.maximum(onsets - lo, 0)[:, None]
+    before = cols < first
+    factors = np.where(cols == first, levels[:, None], a)
+    factors[before] = 1.0
+    rows = np.multiply.accumulate(factors, axis=1)
+    rows[before] = 0.0
+    return rows
+
+
+def _window_means(sampler: SpectralSampler) -> np.ndarray:
+    """E[Y(t)] at each window coordinate: 1 when the mixing charges all
+    integers (the shapes (1-a) a^(t-n) over onsets n <= t sum to 1)."""
+    mixing = sampler.mixing
+    if sampler.kind is SamplerKind.CONSTANT or isinstance(mixing, GeometricMixing):
+        return np.ones(sampler.length)
+    return mixing.pmf(mixing._support) @ _spectral_rows(sampler, mixing._support)
 
 
 def spectral_mean(sampler: SpectralSampler, t: int) -> float:
@@ -269,69 +286,31 @@ def spectral_mean(sampler: SpectralSampler, t: int) -> float:
     mixing it is the exact partial sum, which the stopped max-stable
     construction uses as the marginal Frechet scale at t.
     """
-    t = int(t)
     lo, hi = sampler.window
-    if not lo <= t <= hi:
+    if not lo <= int(t) <= hi:
         raise ValueError(f"t={t} outside the sampler window {sampler.window}")
-    if sampler.kind is SamplerKind.CONSTANT:
-        return 1.0
-    mixing = sampler.mixing
-    if sampler.kind is SamplerKind.DIRAC:
-        if isinstance(mixing, GeometricMixing):
-            return 1.0
-        return 1.0 if mixing.pmf(t) > 0 else 0.0
-    a = sampler.a
-    if isinstance(mixing, GeometricMixing):
-        return 1.0  # sum over all onsets n <= t of (1-a) a^(t-n) telescopes to 1
-    total = 0.0
-    for n in mixing.support:
-        if n <= t:
-            total += (1.0 - a) * a ** (t - n)
-    return total
+    return float(_window_means(sampler)[int(t) - lo])
 
 
 def spectral_bound(sampler: SpectralSampler) -> float:
-    """Supremum of Y over the window across all realizations.
-
-    Infinite for the decay kind under geometric mixing when the decay rate
-    is at least the mixing ratio: far-past onsets then carry more decayed
-    value than their probability weight withdraws.
+    """Supremum of Y over the window across all realizations: the largest
+    row value at the finite mixing's support up to the window's end, or
+    at the window's ends under geometric mixing, where an earlier onset's
+    row is at most max(a/ratio, a*ratio) times the next one's.  Infinite
+    for the decay kind under geometric mixing when a >= ratio, as far-past
+    onsets then carry more decayed value than their probability weight
+    withdraws, and when the mass at a window end underflows to 0.
     """
-    lo, hi = sampler.window
+    mixing = sampler.mixing
     if sampler.kind is SamplerKind.CONSTANT:
         return 1.0
-    mixing = sampler.mixing
-    if sampler.kind is SamplerKind.DIRAC:
-        if isinstance(mixing, GeometricMixing):
-            worst = max(abs(lo), abs(hi))
-            return 1.0 / (mixing.center_mass * mixing.ratio ** worst)
-        peaks = [1.0 / w for n, w in mixing.weights if lo <= n <= hi]
-        return max(peaks, default=0.0)
-    a = sampler.a
     if isinstance(mixing, FiniteMixing):
-        best = 0.0
-        for n, w in mixing.weights:
-            if n <= hi:
-                best = max(best, (1.0 - a) * a ** (max(lo, n) - n) / w)
-        return best
-    if a >= mixing.ratio:
+        onsets = mixing._support[mixing._support <= sampler.window[1]]
+    elif sampler.kind is SamplerKind.DECAY and sampler.a >= mixing.ratio:
         return math.inf
-    best = 0.0
-    n = hi
-    floor = min(lo, 0)
-    while True:
-        term = (1.0 - a) * a ** (max(lo, n) - n) / mixing.pmf(n)
-        best = max(best, term)
-        # below the window and past zero the terms shrink geometrically
-        if n < floor and term < best:
-            return best
-        n -= 1
-
-
-class ConeKind(str, Enum):
-    DIRAC = "dirac"
-    CONSTANT = "constant"
-    DECAY = "decay"
+    else:
+        onsets = sampler.window
+    return float(_spectral_rows(sampler, onsets).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -344,16 +323,16 @@ class ConeSpec:
     invariant under positive scaling.
     """
 
-    kind: ConeKind
+    kind: SamplerKind
     a: float | None = None
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        kind = ConeKind(self.kind)
+        kind = SamplerKind(self.kind)
         object.__setattr__(self, "kind", kind)
         if not (0.0 < self.tolerance < 1.0):
             raise ValueError("tolerance must lie in (0, 1)")
-        if kind is ConeKind.DECAY:
+        if kind is SamplerKind.DECAY:
             if self.a is None or not (0.0 < float(self.a) < 1.0):
                 raise ValueError("decay cone needs a strictly inside (0, 1)")
             object.__setattr__(self, "a", float(self.a))
@@ -377,9 +356,9 @@ def cone_member(path, spec: ConeSpec) -> bool:
         return True
     tol = spec.tolerance
     active = values > tol * peak
-    if spec.kind is ConeKind.DIRAC:
+    if spec.kind is SamplerKind.DIRAC:
         return int(active.sum()) <= 1
-    if spec.kind is ConeKind.CONSTANT:
+    if spec.kind is SamplerKind.CONSTANT:
         return float(values.min()) >= (1.0 - tol) * peak
     onset = int(np.argmax(active))
     if active[:onset].any():
@@ -478,12 +457,12 @@ _BLOCK_ELEMENTS = 1 << 16
 @functools.lru_cache(maxsize=128)
 def _check_charged(sampler: SpectralSampler) -> None:
     """Raise if the sampler never charges some window coordinate."""
-    lo, hi = sampler.window
-    for t in range(lo, hi + 1):
-        if spectral_mean(sampler, t) <= 0.0:
-            raise ValueError(
-                f"window coordinate {t} is never charged by the sampler; "
-                "the stopped construction would not terminate")
+    uncharged = np.flatnonzero(_window_means(sampler) <= 0.0)
+    if uncharged.size:
+        raise ValueError(
+            f"window coordinate {sampler.window[0] + int(uncharged[0])} is "
+            "never charged by the sampler; the stopped construction would "
+            "not terminate")
 
 
 def dehaan_max_stable(sampler: SpectralSampler, bound: float,
@@ -530,7 +509,7 @@ def dehaan_max_stable(sampler: SpectralSampler, bound: float,
         else:
             onsets, index = np.unique(sampler.mixing._quantile(u[1]),
                                       return_inverse=True)
-            table = np.array([_spectral_row(sampler, int(n)) for n in onsets])
+            table = _spectral_rows(sampler, onsets)
         values = marks[:, None] * table[index]
         np.maximum.accumulate(values, axis=0, out=values)
         np.maximum(values, running, out=values)

@@ -283,6 +283,38 @@ class TestIdentify:
         with pytest.raises(AmbiguousRatioError):
             identify(values)
 
+    @pytest.mark.parametrize("a", [0.5, 0.9])
+    @pytest.mark.parametrize("reversed_dir", [False, True])
+    def test_atom_path_skips_independence_test(self, monkeypatch, a,
+                                               reversed_dir):
+        """A path with a ratio atom never reads the independence verdict,
+        so it never pays for the test; a path without one still does."""
+        calls = []
+        honest = maxstab.analysis.independence_test
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(maxstab.analysis, "independence_test", spy)
+        simulate = simulate_reversed if reversed_dir else simulate_forward
+        direction = Direction.REVERSED if reversed_dir else Direction.FORWARD
+        path = simulate(MaxARParams(a, direction), 10_000, RngState(103))
+        result = identify(path.values)
+        assert result.params.direction is direction
+        assert result.params.a == pytest.approx(a, rel=1e-9)
+        assert calls == []
+        identify(simulate_forward(MaxARParams(0.0), 10_000, RngState(99)).values)
+        assert len(calls) == 1
+
+    def test_atom_at_one_only_unclassifiable(self, monkeypatch):
+        """Each value repeated once gives an atom at ratio 1 and no other;
+        no member of the family has it, and the test is not run."""
+        monkeypatch.setattr(maxstab.analysis, "independence_test", None)
+        values = np.repeat(frechet_sample(RngState(104), size=3000), 2)
+        with pytest.raises(UnclassifiableDataError, match="sits at one"):
+            identify(values)
+
     def test_exceptions_are_value_errors(self):
         assert issubclass(UnclassifiableDataError, IdentificationError)
         assert issubclass(AmbiguousRatioError, IdentificationError)
@@ -414,6 +446,11 @@ class TestRunBattery:
         for entry in payload["checks"]:
             assert set(entry) == {"name", "value", "threshold", "pass",
                                   "provenance"}
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.inf, math.nan])
+    def test_continuous_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            run_battery(ShapeFunction(0.5), RngState(1), epsilon=epsilon)
 
     def test_rejects_unknown_spec(self):
         with pytest.raises(TypeError):

@@ -419,6 +419,13 @@ class TestVerify:
         assert result.exit_code == 2
         assert "transitions must be positive" in result.stderr
 
+    @pytest.mark.parametrize("epsilon", ["0", "-0.5", "inf"])
+    def test_bad_epsilon_exits_2(self, runner, epsilon):
+        result = runner.invoke(main, ["verify", "--a", "0.5", "--continuous",
+                                      "--epsilon", epsilon])
+        assert result.exit_code == 2
+        assert "epsilon must be finite and positive" in result.stderr
+
     def test_tiny_ratio_passes_quietly(self):
         """Near a = 0 the Chapman-Kolmogorov check must neither fail nor
         warn: in x the kernel's kink sits at y/a, far out in the tail."""

@@ -356,6 +356,16 @@ class TestIndependenceTest:
         with pytest.raises(ValueError):
             independence_test(np.ones((2000, 2)), level=0.7)
 
+    def test_grid_and_null_size_are_fixed(self):
+        """The grid and the number of null tables are constants of the
+        test, recorded in its report."""
+        pairs = RngState(59).uniform(size=4000).reshape(-1, 2)
+        report = independence_test(pairs)
+        assert report.params["grid"] == 20
+        assert report.params["n_null"] == 2000
+        with pytest.raises(TypeError):
+            independence_test(pairs, grid=10)
+
     def test_null_rate_within_band(self):
         """False rejection rate stays near the nominal level."""
         rejections = 0

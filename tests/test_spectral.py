@@ -2,13 +2,13 @@
 membership, the exponent functional, and the stopped max-stable draw."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from maxstab import (
-    ConeKind,
     ConeSpec,
     ExponentFunctional,
     FiniteMixing,
@@ -30,7 +30,7 @@ from maxstab import (
     spectral_bound,
     spectral_mean,
 )
-from maxstab.spectral import _FIRST_BLOCK
+from maxstab.spectral import _FIRST_BLOCK, _spectral_rows
 
 UNIFORM5 = FiniteMixing({n: 1.0 for n in range(-2, 3)})
 
@@ -53,6 +53,34 @@ def brute_exponent(a: float, points, onsets) -> float:
             best = max(best, w / z)
         total += best
     return total
+
+
+def array_pow(x: float, k: int) -> float:
+    """x**k by numpy's array power on a one-element array, as the package
+    computes every power.  Python's ``**`` calls the C library's scalar
+    pow, which can differ in the last bit (at x = 0.3, k = 4 on AVX-512)."""
+    return float((x ** np.array([k]))[0])
+
+
+def onset_row(sampler, onset):
+    """One window row of the dirac or decay spectral process at the given
+    spike or onset index, point by point: the reference for
+    ``_spectral_rows``."""
+    lo, hi = sampler.window
+    values = np.zeros(sampler.length)
+    if sampler.kind is SamplerKind.DIRAC:
+        if lo <= onset <= hi:
+            values[onset - lo] = 1.0 / sampler.mixing.pmf(onset)
+        return values
+    a = sampler.a
+    first = max(lo, onset)
+    if first <= hi:
+        level = (1.0 - a) * array_pow(a, first - onset) \
+            / sampler.mixing.pmf(onset)
+        for k in range(first - lo, sampler.length):
+            values[k] = level
+            level = a * level
+    return values
 
 
 def loop_dehaan(sampler, bound, rng, max_points=100000):
@@ -242,6 +270,32 @@ class TestSampleSpectral:
         assert abs(vals.mean() - 1.0) < 4.0 * stderr
 
 
+class TestSpectralRows:
+    @pytest.mark.parametrize(
+        "sampler",
+        [s for s in BLOCK_SAMPLERS if s.kind is not SamplerKind.CONSTANT],
+        ids=lambda s: f"{s.kind.value}{s.window}")
+    def test_matches_onset_loop(self, sampler):
+        lo, hi = sampler.window
+        onsets = [n for n in range(lo - 5, hi + 6)
+                  if sampler.mixing.pmf(n) > 0.0]
+        rows = _spectral_rows(sampler, onsets)
+        assert rows.shape == (len(onsets), sampler.length)
+        for n, row in zip(onsets, rows):
+            assert row.tobytes() == onset_row(sampler, n).tobytes()
+
+    @pytest.mark.parametrize("mixing", [
+        GeometricMixing(0.3), GeometricMixing(0.5), GeometricMixing(0.8),
+        GeometricMixing(0.97), GeometricMixing(0.999), SPREAD,
+    ], ids=repr)
+    def test_scalar_pmf_matches_array(self, mixing):
+        n = np.arange(-1100, 1100)
+        masses = mixing.pmf(n)
+        scalars = [mixing.pmf(int(k)) for k in n]
+        assert all(isinstance(m, float) for m in scalars)
+        assert np.array(scalars).tobytes() == masses.tobytes()
+
+
 class TestSpectralMean:
     def test_geometric_mixing_is_unit(self):
         for sampler in (SpectralSampler.decay(0.3, (0, 5)),
@@ -303,6 +357,35 @@ class TestSpectralBound:
         sampler = SpectralSampler.decay(0.5, (0, 3))
         assert spectral_bound(sampler) == math.inf
 
+    @pytest.mark.parametrize("a", [0.05, 0.3, 0.49])
+    @pytest.mark.parametrize("ratio", [0.5, 0.8])
+    @pytest.mark.parametrize("window", [(-9, -4), (-2, 4), (0, 0), (3, 10)])
+    def test_window_ends_dominate_earlier_onsets(self, a, ratio, window):
+        """Under geometric mixing the rows at the window's ends hold the
+        largest value of every row at or before the window's end."""
+        lo, hi = window
+        m = GeometricMixing(ratio)
+        for sampler in (SpectralSampler.decay(a, window, m),
+                        SpectralSampler.dirac(window, m)):
+            brute = _spectral_rows(sampler, range(lo - 300, hi + 1)).max()
+            assert spectral_bound(sampler) == brute
+
+    @pytest.mark.parametrize("sampler", [
+        SpectralSampler.decay(0.3, (1100, 1105)),
+        SpectralSampler.dirac((0, 2000)),
+        SpectralSampler.dirac((-5000, -4990), GeometricMixing(0.8)),
+    ], ids=lambda s: f"{s.kind.value}{s.window}")
+    def test_underflowing_mass_gives_infinity(self, sampler):
+        """A window end whose mass underflows to 0 has no finite bound;
+        the bound says so without a numpy warning, and the de Haan
+        sampler refuses it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = spectral_bound(sampler)
+        assert bound == math.inf
+        with pytest.raises(ValueError, match="bound must be finite"):
+            dehaan_max_stable(sampler, bound, RngState(1))
+
     @pytest.mark.parametrize("sampler", [
         SpectralSampler.decay(0.3, (-2, 4)),
         SpectralSampler.dirac((0, 3), mixing=UNIFORM5),
@@ -318,30 +401,30 @@ class TestSpectralBound:
 
 class TestConeMember:
     def test_spike_is_dirac(self):
-        assert cone_member([0.0, 2.0, 0.0], ConeSpec(ConeKind.DIRAC))
-        assert not cone_member([1.0, 2.0, 0.0], ConeSpec(ConeKind.DIRAC))
+        assert cone_member([0.0, 2.0, 0.0], ConeSpec(SamplerKind.DIRAC))
+        assert not cone_member([1.0, 2.0, 0.0], ConeSpec(SamplerKind.DIRAC))
 
     def test_flat_is_constant(self):
-        assert cone_member([1.5, 1.5, 1.5], ConeSpec(ConeKind.CONSTANT))
-        assert not cone_member([1.5, 1.5, 1.4], ConeSpec(ConeKind.CONSTANT))
+        assert cone_member([1.5, 1.5, 1.5], ConeSpec(SamplerKind.CONSTANT))
+        assert not cone_member([1.5, 1.5, 1.4], ConeSpec(SamplerKind.CONSTANT))
 
     def test_geometric_tail_is_decay(self):
-        spec = ConeSpec(ConeKind.DECAY, a=0.5)
+        spec = ConeSpec(SamplerKind.DECAY, a=0.5)
         assert cone_member([0.0, 0.5, 0.25, 0.125], spec)
         assert not cone_member([0.0, 0.5, 0.3, 0.125], spec)
         assert not cone_member([0.0, 0.5, 0.25, 0.125],
-                               ConeSpec(ConeKind.DECAY, a=0.6))
+                               ConeSpec(SamplerKind.DECAY, a=0.6))
 
     def test_interior_zero_breaks_decay(self):
-        assert not cone_member([0.5, 0.0, 0.125], ConeSpec(ConeKind.DECAY, a=0.5))
+        assert not cone_member([0.5, 0.0, 0.125], ConeSpec(SamplerKind.DECAY, a=0.5))
 
     def test_zero_path_in_every_cone(self):
-        for spec in (ConeSpec(ConeKind.DIRAC), ConeSpec(ConeKind.CONSTANT),
-                     ConeSpec(ConeKind.DECAY, a=0.5)):
+        for spec in (ConeSpec(SamplerKind.DIRAC), ConeSpec(SamplerKind.CONSTANT),
+                     ConeSpec(SamplerKind.DECAY, a=0.5)):
             assert cone_member([0.0, 0.0, 0.0], spec)
 
     def test_sampler_realizations_belong(self):
-        spec = ConeSpec(ConeKind.DECAY, a=0.7)
+        spec = ConeSpec(SamplerKind.DECAY, a=0.7)
         sampler = SpectralSampler.decay(0.7, (-3, 5))
         rng = RngState(38)
         for _ in range(200):
@@ -350,16 +433,16 @@ class TestConeMember:
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_scale_invariance(self, u):
         base = np.array([0.0, 0.5, 0.25, 0.125])
-        spec = ConeSpec(ConeKind.DECAY, a=0.5)
+        spec = ConeSpec(SamplerKind.DECAY, a=0.5)
         assert cone_member(u * base, spec) == cone_member(base, spec)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            cone_member([1.0, -0.5], ConeSpec(ConeKind.DIRAC))
+            cone_member([1.0, -0.5], ConeSpec(SamplerKind.DIRAC))
         with pytest.raises(ValueError):
-            ConeSpec(ConeKind.DECAY)
+            ConeSpec(SamplerKind.DECAY)
         with pytest.raises(ValueError):
-            ConeSpec(ConeKind.CONSTANT, a=0.5)
+            ConeSpec(SamplerKind.CONSTANT, a=0.5)
 
 
 class TestShift:
