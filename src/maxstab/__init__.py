@@ -2,160 +2,25 @@
 Markov processes: the discrete max-autoregressive chain, its time
 reversal, and the continuous-time moving-maximum process."""
 
-from .analysis import (
-    AmbiguousRatioError,
-    BatterySizes,
-    IdentificationError,
-    IdentificationResult,
-    KsResult,
-    RatioSupportEstimate,
-    UnclassifiableDataError,
-    identify,
-    ks_critical_value,
-    ks_one_sample,
-    ks_two_sample,
-    ratio_support,
-    run_battery,
-)
-from .conditional import (
-    ConditionalFactors,
-    ConditionalQuery,
-    McConditionalEstimate,
-    conditional_cdf,
-    conditional_cdf_mc,
-    conditional_factors,
-    independence_test,
-)
-from .continuous import (
-    CadlagPath,
-    ShapeFunction,
-    path_value,
-    sample_grid,
-    simulate_moving_max,
-    simulate_moving_max_reversed,
-)
-from .distributions import (
-    RngState,
-    frechet_cdf,
-    frechet_quantile,
-    frechet_sample,
-)
-from .maxar import (
-    STATIONARY,
-    Direction,
-    DiscretePath,
-    MaxARParams,
-    StationaryLaw,
-    bivariate_cdf,
-    equilibrium_check,
-    kernel_cdf,
-    kernel_sample,
-    kernel_sample_many,
-    reverse_path,
-    simulate_forward,
-    simulate_reversed,
-)
-from .report import CheckResult, EmpiricalReport
-from .serialize import (
-    continuous_csv_text,
-    continuous_json_text,
-    discrete_csv_text,
-    discrete_json_text,
-    format_float,
-    parse_continuous_csv,
-    parse_continuous_json,
-    parse_discrete_csv,
-    parse_discrete_json,
-)
-from .spectral import (
-    ConeSpec,
-    ExponentFunctional,
-    FiniteMixing,
-    GeometricMixing,
-    IndexedPath,
-    SamplerKind,
-    SpectralBoundError,
-    SpectralSampler,
-    cone_member,
-    dehaan_max_stable,
-    exponent_rectangle,
-    sample_spectral,
-    shift,
-    spectral_bound,
-    spectral_mean,
-)
+from . import (analysis, conditional, continuous, distributions, maxar,
+               report, serialize, spectral)
+from .analysis import *
+from .conditional import *
+from .continuous import *
+from .distributions import *
+from .maxar import *
+from .report import *
+from .serialize import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousRatioError",
-    "BatterySizes",
-    "CadlagPath",
-    "CheckResult",
-    "ConditionalFactors",
-    "ConditionalQuery",
-    "ConeSpec",
-    "Direction",
-    "DiscretePath",
-    "EmpiricalReport",
-    "ExponentFunctional",
-    "FiniteMixing",
-    "GeometricMixing",
-    "IdentificationError",
-    "IdentificationResult",
-    "IndexedPath",
-    "KsResult",
-    "MaxARParams",
-    "McConditionalEstimate",
-    "RatioSupportEstimate",
-    "RngState",
-    "STATIONARY",
-    "SamplerKind",
-    "ShapeFunction",
-    "SpectralBoundError",
-    "SpectralSampler",
-    "StationaryLaw",
-    "UnclassifiableDataError",
-    "bivariate_cdf",
-    "conditional_cdf",
-    "conditional_cdf_mc",
-    "conditional_factors",
-    "cone_member",
-    "continuous_csv_text",
-    "continuous_json_text",
-    "dehaan_max_stable",
-    "discrete_csv_text",
-    "discrete_json_text",
-    "format_float",
-    "equilibrium_check",
-    "exponent_rectangle",
-    "frechet_cdf",
-    "frechet_quantile",
-    "frechet_sample",
-    "identify",
-    "independence_test",
-    "kernel_cdf",
-    "kernel_sample",
-    "kernel_sample_many",
-    "ks_critical_value",
-    "ks_one_sample",
-    "ks_two_sample",
-    "parse_continuous_csv",
-    "parse_continuous_json",
-    "parse_discrete_csv",
-    "parse_discrete_json",
-    "path_value",
-    "ratio_support",
-    "reverse_path",
-    "run_battery",
-    "sample_grid",
-    "sample_spectral",
-    "shift",
-    "simulate_forward",
-    "simulate_moving_max",
-    "simulate_moving_max_reversed",
-    "simulate_reversed",
-    "spectral_bound",
-    "spectral_mean",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += analysis.__all__
+__all__ += conditional.__all__
+__all__ += continuous.__all__
+__all__ += distributions.__all__
+__all__ += maxar.__all__
+__all__ += report.__all__
+__all__ += serialize.__all__
+__all__ += spectral.__all__

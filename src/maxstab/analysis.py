@@ -72,13 +72,16 @@ def ks_critical_value(level: float) -> float:
     return math.sqrt(-0.5 * math.log(level / 2.0))
 
 
+_KS_MIN_VALUES = 30
+
+
 def ks_one_sample(values, cdf: Callable, level: float = 0.01) -> KsResult:
     """Sup distance between the empirical CDF of an i.i.d. sample and a
     target CDF, with the asymptotic threshold at the given level."""
     x = np.sort(np.asarray(values, dtype=np.float64))
     n = x.size
-    if n < 30:
-        raise ValueError("need at least 30 values")
+    if n < _KS_MIN_VALUES:
+        raise ValueError(f"need at least {_KS_MIN_VALUES} values")
     if not np.all(np.isfinite(x)):
         raise ValueError("values must be finite")
     f = np.asarray(cdf(x), dtype=np.float64)
@@ -94,8 +97,11 @@ def ks_two_sample(x, y, level: float = 0.01) -> KsResult:
     x = np.sort(np.asarray(x, dtype=np.float64))
     y = np.sort(np.asarray(y, dtype=np.float64))
     n, m = x.size, y.size
-    if n < 30 or m < 30:
-        raise ValueError("need at least 30 values in each sample")
+    if n < _KS_MIN_VALUES or m < _KS_MIN_VALUES:
+        raise ValueError(f"need at least {_KS_MIN_VALUES} values in each "
+                         "sample")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("values must be finite")
     pooled = np.concatenate([x, y])
     fx = np.searchsorted(x, pooled, side="right") / n
     fy = np.searchsorted(y, pooled, side="right") / m
@@ -252,13 +258,22 @@ def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> Identification
         "member of the family")
 
 
+# the smallest size each battery check can run on: a KS test needs
+# _KS_MIN_VALUES per sample, the kernel checks split the transitions into
+# _KERNEL_BINS quantile bins, and a path needs two values for one ratio
+_KERNEL_BINS = 5
+_MIN_SIZES = {"marginal": _KS_MIN_VALUES,
+              "transitions": _KERNEL_BINS * _KS_MIN_VALUES,
+              "aggregation": _KS_MIN_VALUES, "path_length": 2,
+              "continuous_replicates": _KS_MIN_VALUES}
+
+
 @dataclass(frozen=True)
 class BatterySizes:
     """Sample sizes for the verification battery."""
 
     marginal: int = 4000
     transitions: int = 20000
-    pair_grid: int = 20000
     aggregation: int = 2000
     copies: int = 50
     path_length: int = 4000
@@ -268,9 +283,11 @@ class BatterySizes:
     def __post_init__(self):
         for field in fields(self):
             size = getattr(self, field.name)
-            if size < 1:
+            least = _MIN_SIZES.get(field.name, 1)
+            if size < least:
+                need = "positive" if size < 1 else f"at least {least}"
                 raise ValueError(f"battery size {field.name} must be "
-                                 f"positive, got {size}")
+                                 f"{need}, got {size}")
 
     def scaled(self, n: int) -> "BatterySizes":
         """Derive all sizes from one base count n."""
@@ -278,7 +295,6 @@ class BatterySizes:
             self,
             marginal=max(1000, n // 5),
             transitions=n,
-            pair_grid=n,
             aggregation=max(500, n // 10),
             path_length=max(1000, n // 5),
             continuous_replicates=max(1000, n // 5),
@@ -333,9 +349,9 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
 
         forward = MaxARParams(a, Direction.FORWARD)
         sampled = kernel_sample_many(forward, starts, sub)
-        edges = np.quantile(starts, np.arange(1, 5) / 5.0)
+        edges = np.quantile(starts, np.arange(1, _KERNEL_BINS) / _KERNEL_BINS)
         bins = np.searchsorted(edges, starts)
-        for b in range(5):
+        for b in range(_KERNEL_BINS):
             mask = bins == b
             ks = ks_two_sample(nexts[mask], sampled[mask], level)
             report.add(f"kernel_sample_two_sample_bin{b}", ks.statistic,
@@ -345,7 +361,7 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         lo_edges = np.concatenate([[0.0], edges])
         hi_edges = np.concatenate([edges, [math.inf]])
         y_grid = np.quantile(nexts, np.arange(1, 10) / 10.0)
-        for b in range(5):
+        for b in range(_KERNEL_BINS):
             mask = bins == b
             n_bin = int(mask.sum())
             p_lo = math.exp(-1.0 / lo_edges[b]) if lo_edges[b] > 0 else 0.0

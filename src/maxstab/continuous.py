@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +107,16 @@ class CadlagPath:
                 if vv >= reached * (1.0 + _JUMP_SLACK):
                     raise ValueError("reversed events must jump downward")
             prev_t, prev_v = tt, vv
+        # knot times over knot levels: the window start with the anchor,
+        # then each event; every path value is read off these.  Built in
+        # Fortran order, so each row is contiguous for searchsorted.
+        knots = np.array(((t0, self.anchor_value), *events), order="F").T
+        knots.flags.writeable = False
+        object.__setattr__(self, "_knots", knots)
 
     @property
     def event_times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.events])
+        return self._knots[0, 1:]
 
     def value(self, t: float) -> float:
         return path_value(self, t)
@@ -124,14 +129,22 @@ def path_value(path: CadlagPath, t: float) -> float:
     t0, t1 = path.window
     if not (t0 <= t <= t1):
         raise ValueError(f"t={t} outside window [{t0}, {t1}]")
-    k = bisect_right(path.events, (t, math.inf))
-    if k == 0:
-        base_t, base_v = t0, path.anchor_value
-    else:
-        base_t, base_v = path.events[k - 1]
-    if path.direction is Direction.FORWARD:
-        return base_v * path.a ** (t - base_t)
-    return base_v * path.a ** (-(t - base_t))
+    return float(_levels(path, t))
+
+
+def _levels(path: CadlagPath, times, left: bool = False):
+    """Path values at times in the window, a float or an array: each time
+    reads the last knot at or before it (strictly before it with left=True,
+    which gives left limits) and moves its level by a^+-dt.  The ufunc
+    np.power keeps a float and an array bitwise equal, which Python's **
+    and numpy scalar ** (both libm) do not."""
+    knots = path._knots
+    # the count of events at (or strictly before) each time is its knot
+    k = knots[0, 1:].searchsorted(times, "left" if left else "right")
+    dt = times - knots[0][k]
+    if path.direction is Direction.REVERSED:
+        dt = -dt
+    return knots[1][k] * np.power(path.a, dt)
 
 
 def _simulate_envelope(a: float, length: float, rng: RngState):
@@ -197,17 +210,12 @@ def simulate_moving_max_reversed(a: float, length: float,
         return simulate_moving_max(a, length, rng)
     forward = simulate_moving_max(a, length, rng)
     t0, t1 = forward.window
-    anchor = path_value(forward, t1)
-    events = []
-    prev_t, prev_v = t0, forward.anchor_value
-    pre_jump = []
-    for tt, vv in forward.events:
-        pre_jump.append((tt, prev_v * a ** (tt - prev_t)))
-        prev_t, prev_v = tt, vv
-    for tt, low in reversed(pre_jump):
-        events.append((t1 - tt, low))
-    return CadlagPath(a, Direction.REVERSED, (0.0, t1 - t0), anchor,
-                      tuple(events), forward.seed)
+    times = forward.event_times[::-1]
+    lows = _levels(forward, times, left=True)
+    return CadlagPath(a, Direction.REVERSED, (0.0, t1 - t0),
+                      path_value(forward, t1),
+                      tuple(zip((t1 - times).tolist(), lows.tolist())),
+                      forward.seed)
 
 
 def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
@@ -225,15 +233,5 @@ def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
     count = int(math.floor((t1 - t0) / epsilon + 1e-9)) + 1
     grid = t0 + epsilon * np.arange(count)
     grid[-1] = min(grid[-1], t1)
-    times = np.array([tt for tt, _ in path.events])
-    levels = np.array([vv for _, vv in path.events])
-    idx = np.searchsorted(times, grid, side="right")
-    base_t = np.where(idx > 0, times[idx - 1] if times.size else 0.0, t0)
-    base_v = np.where(idx > 0, levels[idx - 1] if levels.size else 0.0,
-                      path.anchor_value)
-    if path.direction is Direction.FORWARD:
-        values = base_v * path.a ** (grid - base_t)
-    else:
-        values = base_v * path.a ** (-(grid - base_t))
     params = MaxARParams(path.a ** epsilon, path.direction)
-    return DiscretePath(0, values, params, path.seed)
+    return DiscretePath(0, _levels(path, grid), params, path.seed)

@@ -130,6 +130,17 @@ class TestKsTwoSample:
         with pytest.raises(ValueError):
             ks_two_sample(np.ones(29), np.ones(100))
 
+    def test_rejects_non_finite(self):
+        x = frechet_sample(RngState(93), size=50)
+        y = frechet_sample(RngState(94), size=50)
+        for bad in (math.nan, math.inf):
+            z = x.copy()
+            z[7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ks_two_sample(z, y)
+            with pytest.raises(ValueError, match="finite"):
+                ks_two_sample(y, z)
+
     def test_marginals_hide_dependence_but_minima_reveal_it(self):
         """Chains with different a share the same marginal law; the pair
         minimum separates them by a sup distance near its analytic value."""
@@ -363,6 +374,17 @@ class TestBatterySizes:
             BatterySizes().scaled(0)
         with pytest.raises(ValueError):
             BatterySizes(copies=0)
+
+    def test_rejects_sizes_below_check_minimum(self):
+        """A size the checks cannot run on is refused up front, naming the
+        field and its minimum; each minimum itself is accepted."""
+        minimums = {"marginal": 30, "transitions": 150, "aggregation": 30,
+                    "path_length": 2, "continuous_replicates": 30}
+        for name, least in minimums.items():
+            BatterySizes(**{name: least})
+            with pytest.raises(ValueError,
+                               match=f"{name} must be at least {least}"):
+                BatterySizes(**{name: least - 1})
 
 
 class TestRunBattery:

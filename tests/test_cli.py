@@ -419,6 +419,14 @@ class TestVerify:
         assert result.exit_code == 2
         assert "transitions must be positive" in result.stderr
 
+    @pytest.mark.parametrize("n", ["100", "149"])
+    def test_count_below_kernel_bins_exits_2(self, runner, n):
+        """The kernel checks split the transitions into five bins of at
+        least 30; a smaller count is refused before the battery runs."""
+        result = runner.invoke(main, ["verify", "--a", "0.4", "--n", n])
+        assert result.exit_code == 2
+        assert "transitions must be at least 150" in result.stderr
+
     @pytest.mark.parametrize("epsilon", ["0", "-0.5", "inf"])
     def test_bad_epsilon_exits_2(self, runner, epsilon):
         result = runner.invoke(main, ["verify", "--a", "0.5", "--continuous",

@@ -292,6 +292,16 @@ class TestSimulateMovingMaxReversed:
             assert path_value(rev, t) == pytest.approx(
                 path_value(fwd, 3.0 - t), rel=1e-12)
 
+    def test_reads_forward_knots_backwards(self):
+        """The reversed anchor is the forward value at the window end, and
+        its event times are the forward ones mirrored, bit for bit."""
+        fwd = simulate_moving_max(0.5, 7.0, RngState(78))
+        rev = simulate_moving_max_reversed(0.5, 7.0, RngState(78))
+        assert len(fwd.events) > 3
+        assert rev.anchor_value == path_value(fwd, 7.0)
+        assert [t for t, _ in rev.events] \
+            == [7.0 - t for t, _ in reversed(fwd.events)]
+
     def test_interior_marginal(self):
         values = replicate_values(0.5, 1.25, 0.6, 4000, seed=69,
                                   reversed_direction=True)
@@ -324,11 +334,14 @@ class TestSampleGrid:
         assert skeleton.seed == path.seed
 
     def test_matches_pointwise_evaluation(self):
-        path = simulate_moving_max(0.5, 5.0, RngState(73))
-        skeleton = sample_grid(path, 0.5)
-        for k, value in enumerate(skeleton.values):
-            assert value == pytest.approx(
-                path_value(path, min(0.5 * k, 5.0)), rel=1e-14)
+        """Grid and pointwise values come from one map, so they agree bit
+        for bit in either direction."""
+        for simulate in (simulate_moving_max, simulate_moving_max_reversed):
+            for seed in range(12):
+                path = simulate(0.3, 20.0, RngState(73, seed))
+                skeleton = sample_grid(path, 0.37)
+                for k, value in enumerate(skeleton.values):
+                    assert value == path_value(path, min(0.37 * k, 20.0))
 
     def test_epsilon_validation(self):
         path = simulate_moving_max(0.5, 1.0, RngState(74))
