@@ -185,28 +185,31 @@ def _parse_query(text: str):
         raise click.UsageError(f"query field 'a': {exc}") from exc
     if not 0.0 <= a <= 1.0:
         raise click.UsageError("query field 'a': must lie in [0, 1]")
-    try:
-        tol = float(doc.get("tol", 1e-10))
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"query field 'tol': {exc}") from exc
-    if not 0.0 < tol <= 1e-4:
-        raise click.UsageError("query field 'tol': must lie in (0, 1e-4]")
-    return query, a, tol
+    if "tol" in doc:
+        try:
+            tol = float(doc["tol"])
+        except (TypeError, ValueError) as exc:
+            raise click.UsageError(f"query field 'tol': {exc}") from exc
+        if not 0.0 < tol <= 1e-4:
+            raise click.UsageError("query field 'tol': must lie in (0, 1e-4]")
+        click.echo("note: query field 'tol' is deprecated and has no effect",
+                   err=True)
+    return query, a
 
 
 @main.command("conditional")
 @click.option("--query", "query_path", required=True,
               help="JSON query file: {\"conditioning\": [t, z], "
-                   "\"targets\": [[t1, z1], ...], \"a\": a, \"tol\": tol}; "
-                   "tol is optional, checked and has no effect.")
+                   "\"targets\": [[t1, z1], ...], \"a\": a}; a legacy "
+                   "\"tol\" field is deprecated, checked and has no effect.")
 @click.option("--mc", type=int, default=None,
               help="Also print a Monte Carlo estimate from this many draws.")
 @_seed_option
 def cmd_conditional(query_path, mc, seed):
     """Evaluate a conditional exceedance-free probability given one
     observed value."""
-    query, a, tol = _parse_query(_read_text(query_path))
-    value = _guard(conditional_cdf, query, a, tol)
+    query, a = _parse_query(_read_text(query_path))
+    value = _guard(conditional_cdf, query, a)
     click.echo(f"{value:.15g}")
     if mc is not None:
         rng = _guard(RngState, seed)

@@ -23,6 +23,7 @@ evaluates the same two terms on random onsets weighted by 1/mass.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,16 +121,19 @@ def conditional_factors(query: ConditionalQuery, a: float) -> ConditionalFactors
 
 
 def conditional_cdf(query: ConditionalQuery, a: float,
-                    tol: float = 1e-10) -> float:
+                    tol: float | None = None) -> float:
     """P[eta(t_i) <= z_i for all targets | eta(t) = z] for the stationary
     process with decay rate a.
 
-    ``tol`` has no effect: the distinct-time rows commit no truncation
-    error, so there is no budget to spend.  It is still accepted, and
-    checked to lie in (0, 1e-4], because query files carry it.
+    ``tol`` is deprecated and has no effect: the distinct-time rows commit
+    no truncation error, so there is no budget to spend.  Passing it emits
+    a DeprecationWarning, and it is still checked to lie in (0, 1e-4].
     """
-    if not (0.0 < float(tol) <= _MAX_TOL):
-        raise ValueError("tol must lie in (0, 1e-4]")
+    if tol is not None:
+        warnings.warn("conditional_cdf: tol is deprecated and has no effect",
+                      DeprecationWarning, stacklevel=2)
+        if not (0.0 < float(tol) <= _MAX_TOL):
+            raise ValueError("tol must lie in (0, 1e-4]")
     return conditional_factors(query, a).value
 
 

@@ -57,7 +57,7 @@ class MaxARParams:
     direction: Direction = Direction.FORWARD
 
     def __post_init__(self):
-        a = float(self.a)
+        a = float(self.a) + 0.0  # -0.0 is stored as +0.0
         if not (math.isfinite(a) and 0.0 <= a <= 1.0):
             raise ValueError("a must lie in [0, 1]")
         object.__setattr__(self, "a", a)
@@ -155,17 +155,42 @@ def _stationary_windows(a: float, width: int, count: int,
     last 2s terms, and ceil(log2 width) passes cover the window.  a ** step
     is taken directly, since repeated squaring would compound its error.
     Width-2 windows equal max(a * X(0), (1-a) F(1)) bitwise.
+
+    The scan stops early, at the first pass with a ** step * hi < lo, where
+    hi and lo are the largest and smallest c_k of the whole block.  This
+    certificate is exact.  Each value only grows from pass to pass, and it
+    never exceeds hi, since a rounded p * v is at most v for p <= 1.  So
+    every value stays in [lo, hi].  Then every candidate p * x[t-s] of the
+    pass, rounded, is at most the rounded p * hi, which is below lo and
+    so below x[t], and ``np.maximum`` returns x unchanged.  Later passes
+    have smaller p and change nothing either, so the result is bitwise
+    the full scan's.  a = 0 runs no pass and a = 1 runs all of them.
     """
     # row t holds the uniforms of time t across the replicates
     x = rng.uniform(size=width * count).reshape(width, count)
     np.log(x, out=x)
     np.divide(-1.0, x[0], out=x[0])
     np.divide(-(1.0 - a), x[1:], out=x[1:])
+    hi, lo = x.max(), x.min()
     step = 1
     while step < width:
-        np.maximum(x[step:], a ** step * x[:-step], out=x[step:])
+        p = a ** step
+        if p * hi < lo:
+            break
+        np.maximum(x[step:], p * x[:-step], out=x[step:])
         step *= 2
     return x.T
+
+
+def _check_count(n) -> int:
+    """n as an int, refusing every value that is not a positive integer."""
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count <= 0 or count != n:
+        raise ValueError("n must be a positive integer")
+    return count
 
 
 def simulate_forward(params: MaxARParams, n: int, rng: RngState,
@@ -176,12 +201,14 @@ def simulate_forward(params: MaxARParams, n: int, rng: RngState,
     and the path consumes exactly n uniforms in total.  It is evaluated by
     the prefix scan of :func:`_stationary_windows` rather than step by
     step, so an atom equals a * X(t-1) to within a few ulp rather than as
-    the literal product.
+    the literal product.  The scan stops once no later pass can change a
+    value, which leaves the path bitwise that of the full scan.  n must be
+    a positive integer (a Python or numpy integer, or an integral float);
+    anything else, NaN and inf included, raises ValueError.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    count = _check_count(n)
     forward = MaxARParams(params.a, Direction.FORWARD)
-    values = _stationary_windows(forward.a, int(n), 1, rng)[0]
+    values = _stationary_windows(forward.a, count, 1, rng)[0]
     return DiscretePath(start_index, values, forward, (rng.seed, rng.stream))
 
 
@@ -201,7 +228,8 @@ def simulate_reversed(params: MaxARParams, n: int, rng: RngState,
     Simulated by reversing the index order of a forward draw, which is exact
     because stationarity makes the reversed window a stationary Markov path
     for the dual kernel.  For a in {0, 1} the law is symmetric and the
-    result is the canonical forward path.
+    result is the canonical forward path.  n is checked as in
+    :func:`simulate_forward`.
     """
     canonical = MaxARParams(params.a, params.direction)
     forward = simulate_forward(canonical, n, rng, start_index)

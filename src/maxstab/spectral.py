@@ -171,9 +171,13 @@ class FiniteMixing(_Mixing):
         return np.where(self._support.take(idx, mode="clip") == n,
                         self._mass_array.take(idx, mode="clip"), 0.0)
 
+    def _bins(self, u: np.ndarray) -> np.ndarray:
+        """Position in the support of the integer each uniform maps to."""
+        return np.searchsorted(self._edges, u, side="left")
+
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         """The integer each uniform in the 1-d array ``u`` maps to."""
-        return self._support[np.searchsorted(self._edges, u, side="left")]
+        return self._support[self._bins(u)]
 
 
 class SamplerKind(str, Enum):
@@ -270,13 +274,22 @@ def _spectral_rows(sampler: SpectralSampler, onsets) -> np.ndarray:
     return rows
 
 
+@functools.lru_cache(maxsize=32)
+def _support_rows(sampler: SpectralSampler) -> np.ndarray:
+    """Read-only :func:`_spectral_rows` at every support point of the
+    sampler's finite mixing, in support order, built once per sampler."""
+    rows = _spectral_rows(sampler, sampler.mixing._support)
+    rows.flags.writeable = False
+    return rows
+
+
 def _window_means(sampler: SpectralSampler) -> np.ndarray:
     """E[Y(t)] at each window coordinate: 1 when the mixing charges all
     integers (the shapes (1-a) a^(t-n) over onsets n <= t sum to 1)."""
     mixing = sampler.mixing
     if sampler.kind is SamplerKind.CONSTANT or isinstance(mixing, GeometricMixing):
         return np.ones(sampler.length)
-    return mixing.pmf(mixing._support) @ _spectral_rows(sampler, mixing._support)
+    return mixing.pmf(mixing._support) @ _support_rows(sampler)
 
 
 def spectral_mean(sampler: SpectralSampler, t: int) -> float:
@@ -305,12 +318,11 @@ def spectral_bound(sampler: SpectralSampler) -> float:
     if sampler.kind is SamplerKind.CONSTANT:
         return 1.0
     if isinstance(mixing, FiniteMixing):
-        onsets = mixing._support[mixing._support <= sampler.window[1]]
-    elif sampler.kind is SamplerKind.DECAY and sampler.a >= mixing.ratio:
+        # rows of onsets past the window's end are 0
+        return float(_support_rows(sampler).max(initial=0.0))
+    if sampler.kind is SamplerKind.DECAY and sampler.a >= mixing.ratio:
         return math.inf
-    else:
-        onsets = sampler.window
-    return float(_spectral_rows(sampler, onsets).max(initial=0.0))
+    return float(_spectral_rows(sampler, sampler.window).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -506,6 +518,8 @@ def dehaan_max_stable(sampler: SpectralSampler, bound: float,
         marks = 1.0 / gammas
         if constant:
             table, index = np.ones((1, sampler.length)), np.zeros(size, int)
+        elif isinstance(sampler.mixing, FiniteMixing):
+            table, index = _support_rows(sampler), sampler.mixing._bins(u[1])
         else:
             onsets, index = np.unique(sampler.mixing._quantile(u[1]),
                                       return_inverse=True)

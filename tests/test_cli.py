@@ -100,6 +100,18 @@ class TestSimulateDiscrete:
         ratios = values[1:] / values[:-1]
         assert ratios.min() >= 0.5 - 1e-12
 
+    def test_negative_zero_a_is_stored_as_zero(self, runner, tmp_path):
+        outputs = []
+        for a in ("-0", "0"):
+            out = str(tmp_path / f"path{a}.json")
+            result = runner.invoke(main, ["simulate-discrete", "--a", a,
+                                          "--n", "20", "--seed", "7",
+                                          "--out", out])
+            assert result.exit_code == 0
+            assert " a=0 " in result.output
+            outputs.append(Path(out).read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_repeat_runs_are_byte_identical(self, runner, tmp_path):
         args = ["simulate-discrete", "--a", "0.3", "--n", "500",
                 "--seed", "42", "--out", str(tmp_path / "p.csv")]
@@ -286,6 +298,20 @@ class TestConditional:
         result = runner.invoke(main, ["conditional", "--query", query])
         assert result.exit_code == 2
         assert "targets[0]" in result.stderr
+
+    def test_deprecated_tol_notes_on_stderr_only(self, runner, tmp_path):
+        doc = {"conditioning": [0, 1.2], "targets": [[-2, 0.8], [3, 1.5]],
+               "a": 0.4}
+        plain = runner.invoke(main, ["conditional", "--query",
+                                     write_query(tmp_path, doc)])
+        legacy = runner.invoke(main, [
+            "conditional", "--query",
+            write_query(tmp_path, dict(doc, tol=1e-10), "legacy.json")])
+        assert plain.exit_code == 0 and legacy.exit_code == 0
+        assert plain.stderr == ""
+        assert legacy.stdout == plain.stdout
+        assert legacy.stderr == \
+            "note: query field 'tol' is deprecated and has no effect\n"
 
     def test_out_of_range_tol_exits_2(self, runner, tmp_path):
         query = write_query(tmp_path, {"conditioning": [0, 1.0],

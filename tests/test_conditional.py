@@ -7,6 +7,7 @@ against its own Monte Carlo counterpart.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,8 +236,17 @@ class TestConditionalCdf:
     def test_tol_validation(self):
         q = ConditionalQuery((0, 1.0), ((1, 1.0),))
         for bad in (0.0, -1e-9, 1e-3):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError), \
+                    pytest.warns(DeprecationWarning):
                 conditional_cdf(q, 0.5, tol=bad)
+
+    def test_tol_is_deprecated_and_has_no_effect(self):
+        q = ConditionalQuery((0, 1.2), ((-2, 0.8), (3, 1.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = conditional_cdf(q, 0.4)
+        with pytest.warns(DeprecationWarning, match="tol is deprecated"):
+            assert conditional_cdf(q, 0.4, tol=1e-6) == value
 
     def test_a_validation(self):
         q = ConditionalQuery((0, 1.0), ((1, 1.0),))

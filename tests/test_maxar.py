@@ -30,6 +30,7 @@ from maxstab import (
     simulate_forward,
     simulate_reversed,
 )
+import maxstab.maxar
 from maxstab.maxar import _stationary_windows
 
 FWD = MaxARParams(0.5, Direction.FORWARD)
@@ -98,6 +99,34 @@ def forward_loop(a: float, u: np.ndarray) -> np.ndarray:
     return values
 
 
+def full_scan(a: float, width: int, count: int, rng: RngState) -> np.ndarray:
+    """Reference prefix scan that always runs all ceil(log2 width) passes:
+    the scan of ``_stationary_windows`` without its early stop."""
+    x = rng.uniform(size=width * count).reshape(width, count)
+    np.log(x, out=x)
+    np.divide(-1.0, x[0], out=x[0])
+    np.divide(-(1.0 - a), x[1:], out=x[1:])
+    step = 1
+    while step < width:
+        np.maximum(x[step:], a ** step * x[:-step], out=x[step:])
+        step *= 2
+    return x.T
+
+
+class CountingNumpy:
+    """Stand-in for the numpy module that counts ``np.maximum`` calls."""
+
+    def __init__(self):
+        self.maximum_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, *args, **kwargs):
+        self.maximum_calls += 1
+        return np.maximum(*args, **kwargs)
+
+
 def transition_cdf(params: MaxARParams, current: float, level: float) -> float:
     """CDF of the next chain value given the current one, either direction.
 
@@ -137,6 +166,9 @@ class TestMaxARParams:
         for bad in (-0.1, 1.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 MaxARParams(bad)
+
+    def test_negative_zero_is_stored_as_zero(self):
+        assert math.copysign(1.0, MaxARParams(-0.0).a) == 1.0
 
     def test_accepts_string_direction(self):
         p = MaxARParams(0.5, "reversed")
@@ -186,6 +218,23 @@ class TestSimulateForward:
         assert p1.start_index == 5
         assert np.array_equal(p1.values, p2.values)
         assert p1.seed == (1, 0)
+
+    @pytest.mark.parametrize("simulate,params",
+                             [(simulate_forward, FWD), (simulate_reversed, REV)])
+    @pytest.mark.parametrize("n", [2.7, math.nan, math.inf, -math.inf, 0, -3,
+                                   np.float64(0.5), "5", None])
+    def test_refuses_n_that_is_not_a_positive_integer(self, simulate, params,
+                                                      n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            simulate(params, n, RngState(1))
+
+    @pytest.mark.parametrize("simulate,params",
+                             [(simulate_forward, FWD), (simulate_reversed, REV)])
+    @pytest.mark.parametrize("n", [np.int64(7), np.int32(7), np.uint8(7), 7.0])
+    def test_accepts_integral_n(self, simulate, params, n):
+        path = simulate(params, n, RngState(1))
+        assert np.array_equal(path.values,
+                              simulate(params, 7, RngState(1)).values)
 
     def test_constant_chain(self):
         path = simulate_forward(MaxARParams(1.0), 50, RngState(2))
@@ -260,6 +309,30 @@ class TestStationaryWindows:
             expected = forward_loop(a, uniforms)
             rel = np.abs(got - expected) / expected
             assert rel.max() <= 64 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("width,count", [
+        (1, 1), (2, 2000), (3, 3), (4, 1), (5, 2000), (17, 3), (64, 2000),
+        (1024, 3), (1025, 1), (4096, 1), (4097, 3), (1_000_000, 1)])
+    @pytest.mark.parametrize(
+        "a", [0.0, -0.0, 5e-324, 0.05, 0.5, 0.95, 0.999, 1.0])
+    def test_early_stop_is_bitwise_the_full_scan(self, a, width, count):
+        rng = RngState(35, width)
+        windows = _stationary_windows(a, width, count, rng)
+        expected = full_scan(a, width, count, RngState(35, width))
+        assert np.array_equal(windows, expected)
+        fresh = RngState(35, width)
+        fresh.uniform(size=width * count)
+        assert rng.uniform() == fresh.uniform()
+
+    @pytest.mark.parametrize("a,fewest,most",
+                             [(0.0, 0, 0), (0.5, 1, 6), (1.0, 20, 20)])
+    def test_stop_fires(self, monkeypatch, a, fewest, most):
+        """At width 1e6 the full scan runs 20 passes; a = 0.5 stops after
+        at most 6, a = 0 runs none and a = 1 all of them."""
+        spy = CountingNumpy()
+        monkeypatch.setattr(maxstab.maxar, "np", spy)
+        _stationary_windows(a, 1_000_000, 1, RngState(36))
+        assert fewest <= spy.maximum_calls <= most
 
     @pytest.mark.parametrize("a", [0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
     def test_width_two_is_one_literal_step(self, a):

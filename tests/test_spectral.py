@@ -30,7 +30,8 @@ from maxstab import (
     spectral_bound,
     spectral_mean,
 )
-from maxstab.spectral import _FIRST_BLOCK, _spectral_rows
+import maxstab.spectral
+from maxstab.spectral import _FIRST_BLOCK, _spectral_rows, _support_rows
 
 UNIFORM5 = FiniteMixing({n: 1.0 for n in range(-2, 3)})
 
@@ -260,6 +261,7 @@ class TestSampleSpectral:
         assert ratios.min() == pytest.approx(0.45, rel=1e-12)
         assert np.all(np.abs(ratios - 0.45) <= 1e-12 * 0.45)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("mixing", [None, GeometricMixing(0.6)])
     def test_decay_unit_mean(self, mixing):
         sampler = SpectralSampler.decay(0.5, (0, 4), mixing=mixing)
@@ -635,6 +637,30 @@ class TestDehaanBlocks:
         for stream in range(8):
             assert dehaan_outcome(dehaan_max_stable, sampler, bound, stream) \
                 == dehaan_outcome(loop_dehaan, sampler, bound, stream)
+
+    @pytest.mark.parametrize("sampler", [
+        SpectralSampler.decay(0.7, (-2, 6), SPREAD),
+        SpectralSampler.dirac((0, 10), SPREAD),
+    ], ids=lambda s: s.kind.value)
+    def test_finite_mixing_reads_cached_rows(self, sampler, monkeypatch):
+        """Under a finite mixing every block indexes the support rows built
+        once per sampler, instead of building rows per block."""
+        rows = _support_rows(sampler)
+        assert not rows.flags.writeable
+        assert np.array_equal(rows,
+                              _spectral_rows(sampler, SPREAD._support))
+        bound = spectral_bound(sampler)
+        expected = [dehaan_outcome(dehaan_max_stable, sampler, bound, stream)
+                    for stream in range(4)]
+
+        def refuse(*args):
+            raise AssertionError("rows rebuilt inside a block")
+
+        monkeypatch.setattr(maxstab.spectral, "_spectral_rows", refuse)
+        for stream in range(4):
+            assert dehaan_outcome(dehaan_max_stable, sampler, bound,
+                                  stream) == expected[stream]
+        assert _support_rows(sampler) is rows
 
     def test_many_blocks(self):
         """Wide windows under geometric mixing take thousands of points."""
