@@ -12,6 +12,7 @@ the decision rules rely on.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
@@ -20,8 +21,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .conditional import independence_test
-from .continuous import ShapeFunction, path_value, sample_grid, \
-    simulate_moving_max, simulate_moving_max_reversed
+from .continuous import ShapeFunction, _jump_chain, _levels, \
+    _reversed_knots, _window_path, sample_grid
 from .distributions import RngState, frechet_cdf, frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, \
     _pair_cdf_errors, _stationary_windows, kernel_cdf, kernel_sample_many, \
@@ -444,18 +445,28 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                "reversing a path twice restores it exactly")
 
 
+def _replicate_values(shape: ShapeFunction, length: float, times,
+                      count: int, rng: RngState) -> np.ndarray:
+    """Values at the given times of count independent windows on
+    [0, length], read off one batch of knots; one row per time."""
+    knots = _jump_chain(shape.a, length, count, rng)
+    if shape.direction is Direction.REVERSED:
+        knots = _reversed_knots(shape.a, length, knots)
+    owner = np.repeat(np.arange(count), len(times))
+    return _levels(shape.a, shape.direction, knots, np.tile(times, count),
+                   owner=owner).reshape(count, len(times)).T
+
+
 def _continuous_battery(shape: ShapeFunction, epsilon: float,
                         sizes: BatterySizes, rng: RngState,
                         report: EmpiricalReport) -> None:
     a = shape.a
     reversed_dir = shape.direction is Direction.REVERSED
-    simulate = simulate_moving_max_reversed if reversed_dir \
-        else simulate_moving_max
     a_eff = a ** epsilon
     level = 0.001
 
     length = sizes.skeleton_points * epsilon
-    path = simulate(a, length, rng.substream(1))
+    path = _window_path(a, shape.direction, length, rng.substream(1))
     skeleton = sample_grid(path, epsilon)
     ratios = skeleton.ratios()
     if reversed_dir:
@@ -470,13 +481,8 @@ def _continuous_battery(shape: ShapeFunction, epsilon: float,
                "exactly")
 
     reps = sizes.continuous_replicates
-    sub = rng.substream(2)
-    first = np.empty(reps)
-    second = np.empty(reps)
-    for i in range(reps):
-        p = simulate(a, 2.0 * epsilon, sub)
-        first[i] = path_value(p, 0.0)
-        second[i] = path_value(p, epsilon)
+    first, second = _replicate_values(shape, 2.0 * epsilon, (0.0, epsilon),
+                                      reps, rng.substream(2))
     ks = ks_one_sample(first, frechet_cdf, level)
     report.add("continuous_marginal_ks", ks.statistic, ks.threshold, ks.passed,
                "unit Frechet marginal of the continuous process")
@@ -493,16 +499,12 @@ def _continuous_battery(shape: ShapeFunction, epsilon: float,
                ks.passed, "skeleton coordinate matches the discrete chain "
                "marginal")
 
-    sub = rng.substream(4)
-    held = 0
-    for i in range(reps):
-        p = simulate(a, 1.25, sub)
-        z0 = path_value(p, 0.125)
-        z1 = path_value(p, 1.125)
-        if reversed_dir:
-            z0, z1 = z1, z0
-        if abs(z1 - a * z0) <= 1e-12 * max(z1, a * z0):
-            held += 1
+    z0, z1 = _replicate_values(shape, 1.25, (0.125, 1.125), reps,
+                               rng.substream(4))
+    if reversed_dir:
+        z0, z1 = z1, z0
+    held = int(np.count_nonzero(
+        np.abs(z1 - a * z0) <= 1e-12 * np.maximum(z1, a * z0)))
     sigma = math.sqrt(a * (1.0 - a) / reps)
     report.add("holding_probability", abs(held / reps - a),
                4.0 * sigma + 1e-12, abs(held / reps - a) <= 4.0 * sigma + 1e-12,
@@ -527,6 +529,12 @@ def run_battery(spec, rng: RngState, sizes: BatterySizes | None = None,
     if isinstance(spec, ShapeFunction):
         if not (math.isfinite(epsilon) and epsilon > 0):
             raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+        # a subnormal or zero per-step decay leaves the skeleton edge no
+        # target, and its reciprocal overflows or divides by zero
+        if not spec.a ** epsilon >= sys.float_info.min:
+            raise ValueError(f"a**epsilon = {spec.a ** epsilon!r} at "
+                             f"a={spec.a!r}, epsilon={epsilon!r} is not a "
+                             "normal float")
         report = EmpiricalReport(params={
             "kind": "continuous", "a": spec.a,
             "direction": spec.direction.value, "epsilon": epsilon,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -91,32 +92,33 @@ class CadlagPath:
             raise ValueError("anchor_value must be finite and positive")
         events = tuple((float(tt), float(vv)) for tt, vv in self.events)
         object.__setattr__(self, "events", events)
-        prev_t, prev_v = t0, self.anchor_value
-        for tt, vv in events:
-            if not (prev_t < tt < t1):
-                raise ValueError("event times must increase strictly inside "
-                                 "the window")
-            if not (math.isfinite(vv) and vv > 0):
-                raise ValueError("event values must be finite and positive")
-            if self.direction is Direction.FORWARD:
-                reached = prev_v * a ** (tt - prev_t)
-                if vv <= reached * (1.0 - _JUMP_SLACK):
-                    raise ValueError("forward events must jump upward")
-            else:
-                reached = prev_v * a ** (-(tt - prev_t))
-                if vv >= reached * (1.0 + _JUMP_SLACK):
-                    raise ValueError("reversed events must jump downward")
-            prev_t, prev_v = tt, vv
-        # knot times over knot levels: the window start with the anchor,
-        # then each event; every path value is read off these.  Built in
-        # Fortran order, so each row is contiguous for searchsorted.
-        knots = np.array(((t0, self.anchor_value), *events), order="F").T
-        knots.flags.writeable = False
+        # the knots, the window start with the anchor and then each event,
+        # as contiguous read-only rows: every path value is read off these
+        rows = np.fromiter(chain((t0, self.anchor_value), *events),
+                           np.float64).reshape(-1, 2).T.copy()
+        rows.flags.writeable = False
+        times, levels = rows
+        # NaN fails every comparison and is refused with the rest
+        if not (np.all(times[1:] > times[:-1]) and times[-1] < t1):
+            raise ValueError("event times must increase strictly inside "
+                             "the window")
+        if not np.all(np.isfinite(levels) & (levels > 0)):
+            raise ValueError("event values must be finite and positive")
+        knots = (np.array([0, times.size]), times, levels)
+        with np.errstate(over="ignore"):  # reversed growth may overflow
+            reached = _levels(a, self.direction, knots, times[1:], left=True)
+        if not np.all(np.isfinite(reached)):
+            raise ValueError("path values must stay finite between events")
+        if self.direction is Direction.FORWARD:
+            if not np.all(levels[1:] > reached * (1.0 - _JUMP_SLACK)):
+                raise ValueError("forward events must jump upward")
+        elif not np.all(levels[1:] < reached * (1.0 + _JUMP_SLACK)):
+            raise ValueError("reversed events must jump downward")
         object.__setattr__(self, "_knots", knots)
 
     @property
     def event_times(self) -> np.ndarray:
-        return self._knots[0, 1:]
+        return self._knots[1][1:]
 
     def value(self, t: float) -> float:
         return path_value(self, t)
@@ -129,53 +131,84 @@ def path_value(path: CadlagPath, t: float) -> float:
     t0, t1 = path.window
     if not (t0 <= t <= t1):
         raise ValueError(f"t={t} outside window [{t0}, {t1}]")
-    return float(_levels(path, t))
+    return float(_levels(path.a, path.direction, path._knots, t))
 
 
-def _levels(path: CadlagPath, times, left: bool = False):
-    """Path values at times in the window, a float or an array: each time
-    reads the last knot at or before it (strictly before it with left=True,
-    which gives left limits) and moves its level by a^+-dt.  The ufunc
-    np.power keeps a float and an array bitwise equal, which Python's **
-    and numpy scalar ** (both libm) do not."""
-    knots = path._knots
-    # the count of events at (or strictly before) each time is its knot
-    k = knots[0, 1:].searchsorted(times, "left" if left else "right")
-    dt = times - knots[0][k]
-    if path.direction is Direction.REVERSED:
+def _levels(a: float, direction: Direction, knots, query, left: bool = False,
+            owner=None):
+    """Path values at query times, read off flat knot arrays (offsets,
+    times, levels), window i's knots at [offsets[i], offsets[i + 1]) with
+    its anchor first: each query moves the level of the last knot at or
+    before it (strictly before it with left=True: a left limit) by a^+-dt.
+    One path takes a float or an array; in a batch, owner gives each
+    query's window, and times are searched by the exact key (window, rank
+    among all times), never by a float shift that could merge two times.
+    The ufunc np.power keeps a float and an array bitwise equal, which
+    Python's ** and numpy scalar ** (both libm) do not.
+    """
+    offsets, times, levels = knots
+    keys, at = times, query
+    if owner is not None:
+        grid, rank = np.unique(np.concatenate([times, query]),
+                               return_inverse=True)
+        window = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        keys = np.concatenate([window, owner]) * grid.size + rank
+        keys, at = keys[:times.size], keys[times.size:]
+    k = keys.searchsorted(at, "left" if left else "right") - 1
+    dt = query - times[k]
+    if direction is Direction.REVERSED:
         dt = -dt
-    return knots[1][k] * np.power(path.a, dt)
+    return levels[k] * np.power(a, dt)
 
 
-def _simulate_envelope(a: float, length: float, rng: RngState):
-    """Anchor value and jump events of the forward process on [0, length].
+def _jump_chain(a: float, length: float, count: int, rng: RngState):
+    """Knot arrays (offsets, times, levels) of count forward windows on
+    [0, length], drawn one after another; each anchor is unit Frechet.
 
     On the clock s = a^-t the extremal process M(s) = a^-t Z(t) sits at
     z s, waits an exponential time of that mean for its next jump and then
     rises by the factor 1/U; mapped back to t, that is the event time and
-    level below, so every step is an exact transition.
+    level below, so every step is an exact transition.  a = 1 never jumps.
     """
     rate = -math.log(a)
-    anchor = z = frechet_sample(rng)
-    t, events = 0.0, []
-    while True:
-        step = z * rng.exponential()
-        t += math.log1p(step) / rate
-        if t >= length:
-            return anchor, events
-        z = z / ((1.0 + step) * rng.uniform())
-        events.append((t, z))
+    exponential, uniform, log1p = rng.exponential, rng.uniform, math.log1p
+    offsets, times, levels = [0], [], []
+    for _ in range(count):
+        t, z = 0.0, frechet_sample(rng)
+        times.append(t)
+        levels.append(z)
+        while rate:
+            step = z * exponential()
+            t += log1p(step) / rate
+            if t >= length:
+                break
+            z = z / ((1.0 + step) * uniform())
+            times.append(t)
+            levels.append(z)
+        offsets.append(len(times))
+    return np.array(offsets), np.array(times), np.array(levels)
 
 
-def simulate_moving_max(a: float, length: float, rng: RngState) -> CadlagPath:
-    """Exact draw of the moving-maximum process on the window [0, length].
+def _reversed_knots(a: float, length: float, knots):
+    """Knots of each window's time reversal t -> length - t: the anchor is
+    the forward value at length, and the events are the forward ones in
+    reverse order at the forward left limits, so the reversal stays
+    cadlag, grows at rate a^-1 and jumps down."""
+    offsets, times, _ = knots
+    starts = offsets[:-1]
+    window = np.repeat(np.arange(starts.size), np.diff(offsets))
+    # each slot reads its mirrored forward knot, an anchor slot the window
+    # end, where the left limit is the value
+    source = (starts + offsets[1:])[window] - np.arange(times.size)
+    source[starts] = starts
+    query = times[source]
+    query[starts] = length
+    return offsets, length - query, _levels(a, Direction.FORWARD, knots,
+                                            query, left=True, owner=window)
 
-    The value at 0 is unit Frechet and is drawn directly; the path then
-    runs as a Markov jump chain, with no stopping rule, whose events form a
-    Poisson process of rate -log a.  a = 1 is the constant member of the
-    family; a = 0 has no continuous-time counterpart (independent values at
-    every real time admit no measurable cadlag version) and is rejected.
-    """
+
+def _window_path(a: float, direction: Direction, length: float,
+                 rng: RngState) -> CadlagPath:
     a = float(a)
     length = float(length)
     if not (math.isfinite(length) and length > 0):
@@ -187,12 +220,25 @@ def simulate_moving_max(a: float, length: float, rng: RngState) -> CadlagPath:
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
     seed = (rng.seed, rng.stream)
-    if a == 1.0:
-        return CadlagPath(a, Direction.FORWARD, (0.0, length),
-                          frechet_sample(rng), (), seed)
-    anchor, events = _simulate_envelope(a, length, rng)
-    return CadlagPath(a, Direction.FORWARD, (0.0, length), anchor,
-                      tuple(events), seed)
+    knots = _jump_chain(a, length, 1, rng)
+    if direction is Direction.REVERSED:
+        knots = _reversed_knots(a, length, knots)
+    _, times, levels = knots
+    return CadlagPath(a, direction, (0.0, length), float(levels[0]),
+                      tuple(zip(times[1:].tolist(), levels[1:].tolist())),
+                      seed)
+
+
+def simulate_moving_max(a: float, length: float, rng: RngState) -> CadlagPath:
+    """Exact draw of the moving-maximum process on the window [0, length].
+
+    The value at 0 is unit Frechet and is drawn directly; the path then
+    runs as a Markov jump chain, with no stopping rule, whose events form a
+    Poisson process of rate -log a.  a = 1 is the constant member of the
+    family; a = 0 has no continuous-time counterpart (independent values at
+    every real time admit no measurable cadlag version) and is rejected.
+    """
+    return _window_path(a, Direction.FORWARD, length, rng)
 
 
 def simulate_moving_max_reversed(a: float, length: float,
@@ -203,19 +249,11 @@ def simulate_moving_max_reversed(a: float, length: float,
     limits, which keeps the result cadlag: segments grow at rate a^-1 and
     events jump down to the forward pre-jump level.
     """
-    a = float(a)
-    if a == 1.0:
+    if float(a) == 1.0:
         warnings.warn("reversing the constant member returns the forward "
                       "path", stacklevel=2)
         return simulate_moving_max(a, length, rng)
-    forward = simulate_moving_max(a, length, rng)
-    t0, t1 = forward.window
-    times = forward.event_times[::-1]
-    lows = _levels(forward, times, left=True)
-    return CadlagPath(a, Direction.REVERSED, (0.0, t1 - t0),
-                      path_value(forward, t1),
-                      tuple(zip((t1 - times).tolist(), lows.tolist())),
-                      forward.seed)
+    return _window_path(a, Direction.REVERSED, length, rng)
 
 
 def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
@@ -234,4 +272,5 @@ def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
     grid = t0 + epsilon * np.arange(count)
     grid[-1] = min(grid[-1], t1)
     params = MaxARParams(path.a ** epsilon, path.direction)
-    return DiscretePath(0, _levels(path, grid), params, path.seed)
+    return DiscretePath(0, _levels(path.a, path.direction, path._knots, grid),
+                        params, path.seed)

@@ -52,49 +52,68 @@ def discrete_csv_text(path: DiscretePath) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scan_discrete_rows(rows: list[str]):
-    """Parse data rows one at a time; raises ValueError naming the first
-    malformed line (the header is line 1)."""
-    indices = []
-    values = []
+def _data_rows(text: str, header: str) -> list[str]:
+    """The nonblank rows after the header, which must match exactly."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"line 1: expected header {header!r}")
+    return lines[1:]
+
+
+def _scan_rows(rows: list[str], converters) -> list[list]:
+    """The columns of the data rows, converted one row at a time; raises
+    ValueError naming the first malformed line (the header is line 1)."""
+    columns = [[] for _ in converters]
     for i, ln in enumerate(rows, start=2):
         parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"line {i}: expected two comma-separated fields")
+        if len(parts) != len(converters):
+            raise ValueError(f"line {i}: expected {len(converters)} "
+                             "comma-separated fields")
         try:
-            indices.append(int(parts[0]))
-            values.append(float(parts[1]))
+            for column, convert, part in zip(columns, converters, parts):
+                column.append(convert(part))
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from exc
-    return indices, values
+    return columns
+
+
+def _require(ok: np.ndarray, column: np.ndarray, rule: str) -> None:
+    """Raise naming the first data row where ok fails."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"line {bad[0] + 2}: {rule}, got "
+                         f"{float(column[bad[0]])!r}")
+
+
+_POSITIVE = "value must be finite and positive"
 
 
 def parse_discrete_csv(text: str):
     """Parse the discrete CSV format into (start_index, values).
 
-    The header must match exactly and the indices must be consecutive
-    integers; malformed input raises ValueError naming the offending line.
-    Each column is converted by numpy at once, with the same int and float
-    rules; only when that fails are the rows scanned one at a time.
+    The header must match exactly, the indices must be consecutive
+    integers and the values finite and positive; malformed input raises
+    ValueError naming the offending line.  Each column is converted by
+    numpy at once, with the same int and float rules; only when that fails
+    are the rows scanned one at a time.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != DISCRETE_CSV_HEADER:
-        raise ValueError(
-            f"line 1: expected header {DISCRETE_CSV_HEADER!r}")
-    if len(lines) < 2:
+    rows = _data_rows(text, DISCRETE_CSV_HEADER)
+    if not rows:
         raise ValueError("no data rows")
     # a row without its one comma leaves a tail no float accepts
-    heads, _, tails = zip(*(ln.partition(",") for ln in lines[1:]))
+    heads, _, tails = zip(*(ln.partition(",") for ln in rows))
     try:
         indices = np.array(heads, dtype=np.int64).tolist()
         values = np.array(tails, dtype=np.float64)
     except (ValueError, OverflowError):
         # the scan raises at the bad line; indices beyond int64 pass it
-        indices, values = _scan_discrete_rows(lines[1:])
+        indices, values = _scan_rows(rows, (int, float))
     start = indices[0]
     if indices != list(range(start, start + len(indices))):
         raise ValueError("indices must be consecutive integers")
-    return start, np.asarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    _require(np.isfinite(values) & (values > 0), values, _POSITIVE)
+    return start, values
 
 
 def discrete_json_text(path: DiscretePath) -> str:
@@ -135,33 +154,26 @@ def parse_continuous_csv(text: str):
     """Parse the continuous CSV format into (times, values, is_event)
     arrays; the decay rate is not stored in CSV, so rebuilding a full path
     object requires the JSON format instead."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CONTINUOUS_CSV_HEADER:
-        raise ValueError(
-            f"line 1: expected header {CONTINUOUS_CSV_HEADER!r}")
-    if len(lines) < 3:
+    rows = _data_rows(text, CONTINUOUS_CSV_HEADER)
+    if len(rows) < 2:
         raise ValueError("need at least the anchor and closing rows")
-    times, values, flags = [], [], []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {i}: expected three comma-separated fields")
-        try:
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
-            flag = int(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"line {i}: {exc}") from exc
-        if flag not in (0, 1):
-            raise ValueError(f"line {i}: is_event must be 0 or 1")
-        flags.append(flag)
-    times = np.asarray(times, dtype=np.float64)
+    times, values, flags = map(np.array, _scan_rows(
+        rows, (float, float, _event_flag)))
+    _require(np.isfinite(times), times, "time must be finite")
+    _require(np.isfinite(values) & (values > 0), values, _POSITIVE)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     if flags[0] != 0 or flags[-1] != 0:
         raise ValueError("first and last rows must be the anchor and close "
                          "markers (is_event=0)")
-    return times, np.asarray(values, dtype=np.float64), np.asarray(flags)
+    return times, values, flags
+
+
+def _event_flag(text: str) -> int:
+    flag = int(text)
+    if flag not in (0, 1):
+        raise ValueError("is_event must be 0 or 1")
+    return flag
 
 
 def continuous_json_text(path: CadlagPath) -> str:

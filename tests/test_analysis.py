@@ -474,6 +474,21 @@ class TestRunBattery:
         with pytest.raises(ValueError, match="epsilon must be finite"):
             run_battery(ShapeFunction(0.5), RngState(1), epsilon=epsilon)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_continuous_rejects_subnormal_step_decay(self, direction,
+                                                     monkeypatch):
+        """At a = 1e-300 and epsilon = 1.1, a**epsilon underflows to 0:
+        the skeleton edge has no target, so nothing is drawn."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before refusing")
+
+        for name in ("_jump_chain", "_window_path", "_stationary_windows"):
+            monkeypatch.setattr(maxstab.analysis, name, no_draw)
+        with pytest.raises(ValueError, match=r"a\*\*epsilon = 0\.0 at "
+                           r"a=1e-300, epsilon=1\.1 is not a normal float"):
+            run_battery(ShapeFunction(1e-300, direction), RngState(23),
+                        BatterySizes().scaled(1000), epsilon=1.1)
+
     def test_rejects_unknown_spec(self):
         with pytest.raises(TypeError):
             run_battery(object(), RngState(1))

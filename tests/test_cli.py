@@ -389,6 +389,16 @@ class TestIdentify:
         assert result.exit_code == 2
         assert "broken.csv" in result.stderr
 
+    @pytest.mark.parametrize("row", ["nan", "-3", "inf", "0"])
+    def test_bad_value_exits_2_naming_the_line(self, runner, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,value\n0,1.0\n1,{row}\n2,1.5\n")
+        result = runner.invoke(main, ["identify", "--in", str(path)])
+        assert result.exit_code == 2
+        assert "line 3: value must be finite and positive" in result.stderr
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+
     def test_missing_file_exits_1(self, runner, tmp_path):
         result = runner.invoke(main, ["identify", "--in",
                                       str(tmp_path / "absent.csv")])
@@ -459,6 +469,20 @@ class TestVerify:
                                       "--epsilon", epsilon])
         assert result.exit_code == 2
         assert "epsilon must be finite and positive" in result.stderr
+
+    @pytest.mark.parametrize("direction", ["forward", "reversed"])
+    def test_subnormal_step_decay_exits_2(self, direction):
+        """a**epsilon underflows to 0 here; the battery refuses it before
+        drawing, not with a spurious FAIL or a ZeroDivisionError."""
+        result = run_fresh("from maxstab.cli import main; main()", "verify",
+                           "--a", "1e-300", "--continuous", "--epsilon",
+                           "1.1", "--n", "1000", "--seed", "23",
+                           "--direction", direction)
+        assert result.returncode == 2, result.stdout
+        assert result.stdout == ""
+        assert "a**epsilon = 0.0 at a=1e-300, epsilon=1.1 is not a normal " \
+            "float" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_tiny_ratio_passes_quietly(self):
         """Near a = 0 the Chapman-Kolmogorov check must neither fail nor

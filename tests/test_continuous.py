@@ -23,6 +23,9 @@ from maxstab import (
     simulate_moving_max,
     simulate_moving_max_reversed,
 )
+from maxstab.continuous import _JUMP_SLACK, _jump_chain, _levels, \
+    _reversed_knots
+from maxstab.distributions import frechet_sample
 
 
 def replicate_values(a: float, length: float, at: float, count: int,
@@ -34,6 +37,66 @@ def replicate_values(a: float, length: float, at: float, count: int,
     for r in range(count):
         out[r] = path_value(sim(a, length, RngState(seed, r)), at)
     return out
+
+
+def loop_chain(a: float, length: float, rng: RngState):
+    """Reference window draw: the scalar extremal-process chain as one
+    call per window, returning (anchor, [(time, level), ...])."""
+    rate = -math.log(a)
+    anchor = z = frechet_sample(rng)
+    t, events = 0.0, []
+    while True:
+        step = z * rng.exponential()
+        t += math.log1p(step) / rate
+        if t >= length:
+            return anchor, events
+        z = z / ((1.0 + step) * rng.uniform())
+        events.append((t, z))
+
+
+def loop_levels(path: CadlagPath, t: float, left: bool = False) -> float:
+    """Reference value of one path at one time: the last knot at (or
+    strictly before) t, moved by a^+-dt through the ufunc np.power."""
+    knots = [(path.window[0], path.anchor_value), *path.events]
+    k = max(i for i, (tt, _) in enumerate(knots)
+            if (tt < t if left and i else tt <= t))
+    dt = t - knots[k][0]
+    if path.direction is Direction.REVERSED:
+        dt = -dt
+    return float(knots[k][1] * np.power(path.a, dt))
+
+
+def loop_reversal(forward: CadlagPath) -> CadlagPath:
+    """Reference time reversal of a forward path on [0, length]: the
+    anchor is the value at the end, and each event, in reverse order,
+    moves to length - t at the forward left limit."""
+    length = forward.window[1]
+    events = tuple((length - t, loop_levels(forward, t, left=True))
+                   for t, _ in reversed(forward.events))
+    return CadlagPath(forward.a, Direction.REVERSED, (0.0, length),
+                      path_value(forward, length), events, forward.seed)
+
+
+def loop_accepts(a, direction, window, anchor, events) -> bool:
+    """Reference event validation: the per-event loop with Python **,
+    whose OverflowError on a reversed gap too long to grow over counts as
+    a refusal."""
+    prev_t, prev_v = window[0], anchor
+    for tt, vv in events:
+        if not (prev_t < tt < window[1]):
+            return False
+        if not (math.isfinite(vv) and vv > 0):
+            return False
+        try:
+            if direction is Direction.FORWARD:
+                if vv <= prev_v * a ** (tt - prev_t) * (1.0 - _JUMP_SLACK):
+                    return False
+            elif vv >= prev_v * a ** (-(tt - prev_t)) * (1.0 + _JUMP_SLACK):
+                return False
+        except OverflowError:
+            return False
+        prev_t, prev_v = tt, vv
+    return True
 
 
 class TestShapeFunction:
@@ -374,3 +437,132 @@ class TestSampleGrid:
         res = ks_two_sample(cont.min(axis=1), np.minimum(first, second),
                             level=0.01)
         assert res.passed, res
+
+
+class TestKnotArrays:
+    """The jump chain, the value map and the reversal on flat knot arrays
+    against one-path-at-a-time references."""
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("length", [0.2, 1.25, 20.0])
+    def test_chain_is_successive_window_draws(self, a, length):
+        count = 40
+        rng = RngState(90, 1)
+        offsets, times, levels = _jump_chain(a, length, count, rng)
+        ref = RngState(90, 1)
+        public = RngState(90, 1)
+        assert offsets.size == count + 1
+        for i in range(count):
+            anchor, events = loop_chain(a, length, ref)
+            path = simulate_moving_max(a, length, public)
+            knots = slice(offsets[i], offsets[i + 1])
+            assert times[knots].tolist() == [0.0] + [t for t, _ in events]
+            assert levels[knots].tolist() == [anchor] + [v for _, v in events]
+            assert path.anchor_value == anchor
+            assert path.events == tuple(events)
+        assert rng.uniform() == ref.uniform() == public.uniform()
+
+    def test_constant_member_draws_anchors_only(self):
+        rng = RngState(91)
+        offsets, times, levels = _jump_chain(1.0, 5.0, 7, rng)
+        assert offsets.tolist() == list(range(8))
+        assert not times.any()
+        assert levels.tolist() == frechet_sample(RngState(91),
+                                                 size=7).tolist()
+        assert rng.uniform() == RngState(91).uniform(size=8)[7]
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("a,length", [(0.5, 1.25), (0.1, 3.0),
+                                          (0.9, 0.4)])
+    def test_batch_reads_equal_path_reads(self, direction, a, length):
+        count = 60
+        knots = _jump_chain(a, length, count, RngState(92, 5))
+        if direction is Direction.REVERSED:
+            knots = _reversed_knots(a, length, knots)
+        offsets, times, _ = knots
+        sim = simulate_moving_max if direction is Direction.FORWARD \
+            else simulate_moving_max_reversed
+        rng = RngState(92, 5)
+        paths = [sim(a, length, rng) for _ in range(count)]
+        inner = np.random.default_rng(3).uniform(0.0, length, size=(count, 3))
+        right, left = [], []
+        for i, path in enumerate(paths):
+            own = times[offsets[i]:offsets[i + 1]]
+            # the knots are the path's own, bit for bit
+            assert own.tolist() == [0.0] + [t for t, _ in path.events]
+            # one ulp below an event still reads the knot before it
+            below = np.nextafter(own[1:], 0.0)
+            right += [(i, t) for t in [0.0, *inner[i], *own, *below, length]]
+            left += [(i, t) for t in [*own[1:], *inner[i], length]]
+        for queries, is_left in ((right, False), (left, True)):
+            owner = np.array([i for i, _ in queries])
+            at = np.array([t for _, t in queries])
+            got = _levels(a, direction, knots, at, left=is_left, owner=owner)
+            want = [loop_levels(paths[i], t, is_left) for i, t in queries]
+            assert got.tolist() == want
+            if not is_left:
+                assert want == [path_value(paths[i], t) for i, t in queries]
+
+    @pytest.mark.parametrize("a,length", [(0.5, 7.0), (0.1, 20.0)])
+    def test_reversal_is_the_loop_reversal(self, a, length):
+        for seed in range(10):
+            forward = simulate_moving_max(a, length, RngState(93, seed))
+            rev = simulate_moving_max_reversed(a, length, RngState(93, seed))
+            ref = loop_reversal(forward)
+            assert rev.anchor_value == ref.anchor_value
+            assert rev.events == ref.events
+
+    def test_array_check_accepts_what_the_loop_accepts(self):
+        rng = np.random.default_rng(94)
+        cases = []
+        for seed in range(30):
+            a = float(rng.uniform(0.05, 0.95))
+            for path in (simulate_moving_max(a, 4.0, RngState(95, seed)),
+                         simulate_moving_max_reversed(a, 4.0,
+                                                      RngState(95, seed))):
+                cases.append((a, path.direction, path.anchor_value,
+                              list(path.events)))
+        inputs = []
+        for a, direction, anchor, events in cases:
+            inputs.append((a, direction, anchor, events))
+            if len(events) >= 2:
+                swapped = list(events)
+                swapped[0], swapped[1] = swapped[1], swapped[0]
+                inputs.append((a, direction, anchor, swapped))
+            edge_event = (4.0, anchor * 10.0 if direction is Direction.FORWARD
+                          else anchor * 1e-3)
+            inputs.append((a, direction, anchor, events + [edge_event]))
+            inputs.append((a, direction, anchor, [(0.0, anchor)] + events))
+            for j in range(len(events)):
+                prev_t, prev_v = ((0.0, anchor) if j == 0 else events[j - 1])
+                t = events[j][0]
+                sign = 1.0 if direction is Direction.FORWARD else -1.0
+                reached = prev_v * a ** (sign * (t - prev_t))
+                edge = reached * (1.0 - sign * _JUMP_SLACK)
+                for factor in (1.0 - 1e-12, 1.0 + 1e-12):
+                    moved = list(events)
+                    moved[j] = (t, edge * factor)
+                    inputs.append((a, direction, anchor, moved))
+                for bad in (math.nan, 0.0, -1.0, math.inf):
+                    moved = list(events)
+                    moved[j] = (t, bad)
+                    inputs.append((a, direction, anchor, moved))
+                moved = list(events)
+                moved[j] = (math.nan, events[j][1])
+                inputs.append((a, direction, anchor, moved))
+        # a reversed level that would grow past the float range over a gap
+        inputs.append((0.5, Direction.REVERSED, 1.0, [(3.99, 1e-300)]))
+        inputs.append((1e-300, Direction.REVERSED, 1.0, [(2.0, 0.5)]))
+        inputs.append((1e-300, Direction.FORWARD, 1.0, [(2.0, 1e-300)]))
+        accepted = 0
+        for a, direction, anchor, events in inputs:
+            want = loop_accepts(a, direction, (0.0, 4.0), anchor, events)
+            try:
+                CadlagPath(a, direction, (0.0, 4.0), anchor, tuple(events))
+                got = True
+            except ValueError:
+                got = False
+            assert got == want, (a, direction, anchor, events)
+            accepted += got
+        # both outcomes occur often
+        assert 0.1 * len(inputs) < accepted < 0.9 * len(inputs)

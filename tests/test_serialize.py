@@ -68,6 +68,26 @@ class TestDiscreteCsv:
         with pytest.raises(ValueError, match="line 3"):
             parse_discrete_csv("t,value\n0,1.0\n1,oops\n")
 
+    @pytest.mark.parametrize("text,line", [
+        ("t,value\n0,nan\n1,-3\n", 2),
+        ("t,value\n0,1.5\n1,-3\n", 3),
+        ("t,value\n0,1.5\n1,2\n2,inf\n", 4),
+        ("t,value\n0,1.5\n1,0\n", 3),
+        ("t,value\n0,1.5\n1,-inf\n", 3),
+    ])
+    def test_bad_values_reported_with_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: value must be "
+                           "finite and positive"):
+            parse_discrete_csv(text)
+
+    def test_bad_value_found_on_the_scan_path(self):
+        """Indices beyond int64 take the row scan; values are still
+        checked."""
+        big = 2**63
+        text = f"t,value\n{big},1.0\n{big + 1},nan\n"
+        with pytest.raises(ValueError, match="^line 3: value must be"):
+            parse_discrete_csv(text)
+
     def test_gap_in_indices_rejected(self):
         with pytest.raises(ValueError, match="consecutive"):
             parse_discrete_csv("t,value\n0,1.0\n2,1.0\n")
@@ -129,6 +149,24 @@ class TestContinuousCsv:
     def test_monotone_times_required(self):
         text = "time,value,is_event\n0,1,0\n2,5,1\n1,2,0\n"
         with pytest.raises(ValueError, match="increasing"):
+            parse_continuous_csv(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("time,value,is_event\n0,1.5,0\nnan,-2,1\n2,inf,0\n",
+         "line 3: time must be finite"),
+        ("time,value,is_event\n0,1.5,0\n1,-2,1\n2,inf,0\n",
+         "line 3: value must be finite and positive"),
+        ("time,value,is_event\n0,1.5,0\n1,2,1\n2,inf,0\n",
+         "line 4: value must be finite and positive"),
+        ("time,value,is_event\n0,0,0\n2,1,0\n",
+         "line 2: value must be finite and positive"),
+        ("time,value,is_event\n-inf,1,0\n2,1,0\n",
+         "line 2: time must be finite"),
+        ("time,value,is_event\n0,1,0\n1,nan,1\n2,1,0\n",
+         "line 3: value must be finite and positive"),
+    ])
+    def test_bad_values_reported_with_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
             parse_continuous_csv(text)
 
     def test_end_markers_required(self):
