@@ -4,6 +4,13 @@ Everything downstream draws randomness through :class:`RngState`, a
 counter-based generator keyed by a (seed, stream) pair.  All sampling is
 inverse-transform, so the number of uniforms consumed by an operation is a
 deterministic function of its arguments.
+
+Uniforms are built from Philox's 64-bit words by integer operations and one
+exact subtraction, inside the block the generator returns: the top 52 bits
+k of a word become the mantissa of the double 1 + k/2**52, and subtracting
+1 - 2**-53 leaves (k + 1/2)/2**52.  Both operands lie within a factor of
+two of each other, so by Sterbenz's lemma the difference is exact, and the
+bits do not depend on any rounding mode, libm or SIMD path.
 """
 
 from __future__ import annotations
@@ -20,8 +27,39 @@ __all__ = [
 ]
 
 _RAW_SHIFT = np.uint64(12)
-_INV_2_52 = 2.0**-52
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # the exponent field of 1.0
+_ONE_MINUS_HALF_ULP = 1.0 - 2.0**-53
 _BUFFER_SIZE = 512
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The uniforms (k + 1/2) / 2**52 of raw uint64 words, k their top 52
+    bits, built in raw's own memory as the module docstring says; raw is
+    overwritten and its float64 view returned.  Every y = 1 + k/2**52 has
+    1 - 2**-53 in [y/2, 2y], which is what Sterbenz's lemma needs."""
+    raw >>= _RAW_SHIFT
+    raw |= _ONE_BITS
+    u = raw.view(np.float64)
+    u -= _ONE_MINUS_HALF_ULP
+    return u
+
+
+def _as_integer(value) -> int | None:
+    """value as an int when it equals one: a Python or numpy integer or an
+    integral float.  Fractions, NaN, inf, strings and None give None."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
+def _check_key(value) -> int:
+    """value as an int in [0, 2**64), refusing every other value."""
+    key = _as_integer(value)
+    if key is None or not 0 <= key < 2**64:
+        raise ValueError("seed and stream must be unsigned 64-bit integers")
+    return key
 
 
 class RngState:
@@ -35,13 +73,18 @@ class RngState:
     Uniforms are the centered values (k + 1/2) / 2**52 built from the top 52
     bits of each 64-bit output; they are exactly representable and lie
     strictly inside (0, 1), so log and reciprocal transforms are always safe.
+    Each is made in place in the generator's output block as the double
+    1 + k/2**52, set by integer shift and or, minus 1 - 2**-53: an exact
+    subtraction by Sterbenz's lemma, so the bits are the same on every
+    platform.
+
+    seed and stream must be integers in [0, 2**64) (Python or numpy ints,
+    or integral floats); anything else raises ValueError.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if not (0 <= int(seed) < 2**64 and 0 <= int(stream) < 2**64):
-            raise ValueError("seed and stream must be unsigned 64-bit integers")
-        self.seed = int(seed)
-        self.stream = int(stream)
+        self.seed = _check_key(seed)
+        self.stream = _check_key(stream)
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self._buf = np.empty(0, dtype=np.float64)
@@ -55,19 +98,36 @@ class RngState:
         return RngState(self.seed, index)
 
     def _refill(self, need: int) -> None:
-        raw = self._bitgen.random_raw(max(need, _BUFFER_SIZE))
-        fresh = ((raw >> _RAW_SHIFT).astype(np.float64) + 0.5) * _INV_2_52
+        fresh = _uniforms(self._bitgen.random_raw(max(need, _BUFFER_SIZE)))
         left = self._buf[self._pos:]
         self._buf = np.concatenate([left, fresh]) if left.size else fresh
         self._pos = 0
 
     def uniform(self, size: int | None = None):
-        """Uniform draw(s) in the open interval (0, 1)."""
-        n = 1 if size is None else int(size)
+        """Uniform draw(s) in the open interval (0, 1).
+
+        A scalar is read straight from the buffer, which keeps the
+        one-at-a-time samplers' per-draw cost low.  A block is a new array
+        that the caller owns.  One that runs a full buffer past what is
+        buffered is drawn for the caller directly, with no copy, and leaves
+        the buffer empty; the generator is sequential, so the stream is the
+        same either way.
+        """
+        if size is None:
+            if self._pos == self._buf.size:
+                self._refill(1)
+            self._pos += 1
+            return float(self._buf[self._pos - 1])
+        n = int(size)
+        need = n - (self._buf.size - self._pos)
+        if need >= _BUFFER_SIZE:
+            fresh = _uniforms(self._bitgen.random_raw(need))
+            left = self._buf[self._pos:]
+            self._buf = np.empty(0, dtype=np.float64)
+            self._pos = 0
+            return np.concatenate([left, fresh]) if left.size else fresh
         out = self._peek(n)
         self._pos += n
-        if size is None:
-            return float(out[0])
         return out.copy()
 
     def _peek(self, size: int) -> np.ndarray:

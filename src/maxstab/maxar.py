@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import RngState, frechet_cdf, frechet_quantile, \
-    frechet_sample
+from .distributions import RngState, _as_integer, frechet_cdf, \
+    frechet_quantile, frechet_sample
 from .report import EmpiricalReport
 
 __all__ = [
@@ -111,7 +111,8 @@ class DiscretePath:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(values)) or np.any(values <= 0):
+        # a NaN makes the min NaN, which fails the comparison
+        if not (values.min() > 0 and values.max() < np.inf):
             raise ValueError("path values must be finite and positive")
         values = values.copy()
         values.flags.writeable = False
@@ -165,6 +166,10 @@ def _stationary_windows(a: float, width: int, count: int,
     so below x[t], and ``np.maximum`` returns x unchanged.  Later passes
     have smaller p and change nothing either, so the result is bitwise
     the full scan's.  a = 0 runs no pass and a = 1 runs all of them.
+
+    Every pass writes its products into one scratch block, so a draw holds
+    two arrays of its size: the uniforms, turned into the path in place,
+    and the scratch.
     """
     # row t holds the uniforms of time t across the replicates
     x = rng.uniform(size=width * count).reshape(width, count)
@@ -172,23 +177,22 @@ def _stationary_windows(a: float, width: int, count: int,
     np.divide(-1.0, x[0], out=x[0])
     np.divide(-(1.0 - a), x[1:], out=x[1:])
     hi, lo = x.max(), x.min()
+    scratch = np.empty((width - 1, count))
     step = 1
     while step < width:
         p = a ** step
         if p * hi < lo:
             break
-        np.maximum(x[step:], p * x[:-step], out=x[step:])
+        shifted = np.multiply(x[:-step], p, out=scratch[:width - step])
+        np.maximum(x[step:], shifted, out=x[step:])
         step *= 2
     return x.T
 
 
 def _check_count(n) -> int:
     """n as an int, refusing every value that is not a positive integer."""
-    try:
-        count = int(n)
-    except (TypeError, ValueError, OverflowError):
-        count = 0
-    if count <= 0 or count != n:
+    count = _as_integer(n)
+    if count is None or count <= 0:
         raise ValueError("n must be a positive integer")
     return count
 
@@ -206,10 +210,19 @@ def simulate_forward(params: MaxARParams, n: int, rng: RngState,
     a positive integer (a Python or numpy integer, or an integral float);
     anything else, NaN and inf included, raises ValueError.
     """
-    count = _check_count(n)
     forward = MaxARParams(params.a, Direction.FORWARD)
-    values = _stationary_windows(forward.a, count, 1, rng)[0]
-    return DiscretePath(start_index, values, forward, (rng.seed, rng.stream))
+    return _draw_path(forward, n, rng, start_index)
+
+
+def _draw_path(params: MaxARParams, n, rng: RngState,
+               start_index: int) -> DiscretePath:
+    """One scan of n stationary forward values, read forwards or, for a
+    reversed chain, backwards, and checked once against the one-step bound
+    of params' direction."""
+    values = _stationary_windows(params.a, _check_count(n), 1, rng)[0]
+    if params.direction is Direction.REVERSED:
+        values = values[::-1]
+    return DiscretePath(start_index, values, params, (rng.seed, rng.stream))
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:
@@ -227,15 +240,13 @@ def simulate_reversed(params: MaxARParams, n: int, rng: RngState,
 
     Simulated by reversing the index order of a forward draw, which is exact
     because stationarity makes the reversed window a stationary Markov path
-    for the dual kernel.  For a in {0, 1} the law is symmetric and the
-    result is the canonical forward path.  n is checked as in
-    :func:`simulate_forward`.
+    for the dual kernel; the values are bitwise those of
+    ``reverse_path(simulate_forward(...))`` on the same stream, built as one
+    path.  For a in {0, 1} the law is symmetric and the result is the
+    canonical forward path.  n is checked as in :func:`simulate_forward`.
     """
     canonical = MaxARParams(params.a, params.direction)
-    forward = simulate_forward(canonical, n, rng, start_index)
-    if canonical.direction is Direction.FORWARD:
-        return forward
-    return reverse_path(forward)
+    return _draw_path(canonical, n, rng, start_index)
 
 
 def _check_positive(name: str, value: float) -> float:

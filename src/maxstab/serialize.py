@@ -52,19 +52,21 @@ def discrete_csv_text(path: DiscretePath) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _data_rows(text: str, header: str) -> list[str]:
-    """The nonblank rows after the header, which must match exactly."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != header:
+def _data_rows(text: str, header: str) -> tuple[list[int], list[str]]:
+    """The file line numbers (from 1) of the nonblank rows after the
+    header, which must match exactly, and those rows."""
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
+                if ln.strip()]
+    if not numbered or numbered[0][1].strip() != header:
         raise ValueError(f"line 1: expected header {header!r}")
-    return lines[1:]
+    return [i for i, _ in numbered[1:]], [ln for _, ln in numbered[1:]]
 
 
-def _scan_rows(rows: list[str], converters) -> list[list]:
+def _scan_rows(numbers: list[int], rows: list[str], converters) -> list[list]:
     """The columns of the data rows, converted one row at a time; raises
-    ValueError naming the first malformed line (the header is line 1)."""
+    ValueError naming the file line of the first malformed row."""
     columns = [[] for _ in converters]
-    for i, ln in enumerate(rows, start=2):
+    for i, ln in zip(numbers, rows):
         parts = ln.split(",")
         if len(parts) != len(converters):
             raise ValueError(f"line {i}: expected {len(converters)} "
@@ -77,11 +79,12 @@ def _scan_rows(rows: list[str], converters) -> list[list]:
     return columns
 
 
-def _require(ok: np.ndarray, column: np.ndarray, rule: str) -> None:
-    """Raise naming the first data row where ok fails."""
+def _require(ok: np.ndarray, column: np.ndarray, rule: str,
+             numbers: list[int]) -> None:
+    """Raise naming the file line of the first data row where ok fails."""
     bad = np.flatnonzero(~ok)
     if bad.size:
-        raise ValueError(f"line {bad[0] + 2}: {rule}, got "
+        raise ValueError(f"line {numbers[bad[0]]}: {rule}, got "
                          f"{float(column[bad[0]])!r}")
 
 
@@ -97,7 +100,7 @@ def parse_discrete_csv(text: str):
     numpy at once, with the same int and float rules; only when that fails
     are the rows scanned one at a time.
     """
-    rows = _data_rows(text, DISCRETE_CSV_HEADER)
+    numbers, rows = _data_rows(text, DISCRETE_CSV_HEADER)
     if not rows:
         raise ValueError("no data rows")
     # a row without its one comma leaves a tail no float accepts
@@ -107,12 +110,12 @@ def parse_discrete_csv(text: str):
         values = np.array(tails, dtype=np.float64)
     except (ValueError, OverflowError):
         # the scan raises at the bad line; indices beyond int64 pass it
-        indices, values = _scan_rows(rows, (int, float))
+        indices, values = _scan_rows(numbers, rows, (int, float))
     start = indices[0]
     if indices != list(range(start, start + len(indices))):
         raise ValueError("indices must be consecutive integers")
     values = np.asarray(values, dtype=np.float64)
-    _require(np.isfinite(values) & (values > 0), values, _POSITIVE)
+    _require(np.isfinite(values) & (values > 0), values, _POSITIVE, numbers)
     return start, values
 
 
@@ -154,13 +157,13 @@ def parse_continuous_csv(text: str):
     """Parse the continuous CSV format into (times, values, is_event)
     arrays; the decay rate is not stored in CSV, so rebuilding a full path
     object requires the JSON format instead."""
-    rows = _data_rows(text, CONTINUOUS_CSV_HEADER)
+    numbers, rows = _data_rows(text, CONTINUOUS_CSV_HEADER)
     if len(rows) < 2:
         raise ValueError("need at least the anchor and closing rows")
     times, values, flags = map(np.array, _scan_rows(
-        rows, (float, float, _event_flag)))
-    _require(np.isfinite(times), times, "time must be finite")
-    _require(np.isfinite(values) & (values > 0), values, _POSITIVE)
+        numbers, rows, (float, float, _event_flag)))
+    _require(np.isfinite(times), times, "time must be finite", numbers)
+    _require(np.isfinite(values) & (values > 0), values, _POSITIVE, numbers)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     if flags[0] != 0 or flags[-1] != 0:

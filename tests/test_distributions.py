@@ -140,6 +140,54 @@ class TestRngState:
         with pytest.raises(ValueError):
             rng._peek(-1)
 
+    def test_mixed_sizes_equal_one_block(self):
+        """Scalar, small and buffer-sized draws in sequence walk the same
+        stream as one block draw."""
+        sizes = [None, 3, 511, 600, None, 2000, 0, 512, 1, 700, 511]
+        rng = RngState(13, 2)
+        parts = [np.atleast_1d(rng.uniform(size)) for size in sizes]
+        total = sum(1 if size is None else size for size in sizes)
+        block = RngState(13, 2).uniform(size=total + 5)
+        assert np.array_equal(np.concatenate(parts), block[:total])
+        assert np.array_equal(rng.uniform(size=5), block[total:])
+
+    @pytest.mark.parametrize("first", [0, 1, 511])
+    @pytest.mark.parametrize("size", [1, 600, 5000])
+    def test_block_owns_its_memory(self, first, size):
+        """Writing into a returned block changes no later draw, whether it
+        came from the buffer or straight from the generator."""
+        rng = RngState(14)
+        reference = RngState(14).uniform(size=first + size + 1000)
+        rng.uniform(size=first)
+        block = rng.uniform(size=size)
+        assert np.array_equal(block, reference[first:first + size])
+        block[:] = 2.0
+        assert np.array_equal(rng.uniform(size=1000),
+                              reference[first + size:])
+
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan, math.inf,
+                                     -math.inf, "7", "x", None, -1, 2**64,
+                                     float(2**64), np.float64(2.5)])
+    def test_refuses_keys_that_are_not_unsigned_64_bit_integers(self, bad):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            RngState(bad)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            RngState(1, bad)
+
+    @pytest.mark.parametrize("key", [np.int64(7), np.uint64(7), np.int32(7),
+                                     7.0])
+    def test_accepts_integer_keys(self, key):
+        rng = RngState(key, key)
+        assert (rng.seed, rng.stream) == (7, 7)
+        assert type(rng.seed) is int and type(rng.stream) is int
+        assert np.array_equal(rng.uniform(size=10),
+                              RngState(7, 7).uniform(size=10))
+
+    def test_accepts_the_largest_keys(self):
+        top = 2**64 - 1
+        for key in (top, np.uint64(top)):
+            assert RngState(key, key).seed == top
+
     def test_exponential_positive(self):
         e = RngState(3).exponential(size=10000)
         assert e.min() > 0.0

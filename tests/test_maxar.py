@@ -196,6 +196,16 @@ class TestDiscretePath:
         with pytest.raises(ValueError):
             DiscretePath(0, [1.0, 0.0], FWD)
 
+    @pytest.mark.parametrize("params", [FWD, REV])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0,
+                                     -0.0, -2.0])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_rejects_values_not_finite_and_positive(self, params, bad, where):
+        values = [1.0, 1.5, 1.2]
+        values[where] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            DiscretePath(0, values, params)
+
     def test_rejects_forward_ratio_violation(self):
         # a forward chain can never drop below a times the previous value
         with pytest.raises(ValueError):
@@ -384,6 +394,35 @@ class TestSimulateReversed:
         for column in (first, second):
             res = ks_one_sample(column, frechet_cdf, level=0.001)
             assert res.passed, res
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 513, 5000])
+    def test_equals_reversed_forward_draw(self, a, n):
+        """One reversed path is the forward draw read backwards, bit for
+        bit, and leaves the stream where the forward draw does."""
+        rng_rev, rng_fwd = RngState(13, 4), RngState(13, 4)
+        rev = simulate_reversed(MaxARParams(a, Direction.REVERSED), n,
+                                rng_rev, start_index=-2)
+        via = reverse_path(simulate_forward(MaxARParams(a), n, rng_fwd,
+                                            start_index=-2))
+        assert rev.values.tobytes() == via.values.tobytes()
+        assert (rev.start_index, rev.params, rev.seed) == \
+            (via.start_index, via.params, via.seed)
+        assert rng_rev.uniform() == rng_fwd.uniform()
+
+    def test_wrong_scan_fails_the_reversed_bound(self, monkeypatch):
+        """The reversed path checks the scan's values once: a forward drop
+        below a times the previous value is a reversed rise above 1/a."""
+        scan = _stationary_windows
+
+        def dropping(a, width, count, rng):
+            x = scan(a, width, count, rng)
+            x[0, width // 2] *= 0.5 * a
+            return x
+
+        monkeypatch.setattr(maxstab.maxar, "_stationary_windows", dropping)
+        with pytest.raises(ValueError, match="reversed path violates"):
+            simulate_reversed(REV, 1000, RngState(14))
 
     def test_reverse_path_involution(self):
         path = simulate_forward(FWD, 500, RngState(11))

@@ -80,6 +80,23 @@ class TestDiscreteCsv:
                            "finite and positive"):
             parse_discrete_csv(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("t,value\n0,1.5\n\n1,-inf\n",
+         "line 4: value must be finite and positive"),
+        ("t,value\n\n0,1.5\n1,x\n", "line 4: could not convert"),
+        ("\nt,value\n0,1.5\n \n\n1,0\n",
+         "line 6: value must be finite and positive"),
+        ("t,value\n\n0,1.5,2\n", "line 3: expected 2 comma-separated"),
+    ])
+    def test_blank_lines_keep_file_line_numbers(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_discrete_csv(text)
+
+    def test_blank_lines_parse(self):
+        start, values = parse_discrete_csv("t,value\n\n4,1.5\n\n5,2.5\n\n")
+        assert start == 4
+        assert values.tolist() == [1.5, 2.5]
+
     def test_bad_value_found_on_the_scan_path(self):
         """Indices beyond int64 take the row scan; values are still
         checked."""
@@ -166,6 +183,20 @@ class TestContinuousCsv:
          "line 3: value must be finite and positive"),
     ])
     def test_bad_values_reported_with_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_continuous_csv(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("time,value,is_event\n0,1.5,0\n\n1,-2,1\n2,1,0\n",
+         "line 4: value must be finite and positive"),
+        ("time,value,is_event\n\n0,1.5,0\n1,2,1\n\n2,inf,0\n",
+         "line 6: value must be finite and positive"),
+        ("\ntime,value,is_event\n0,1,0\n\nnan,2,1\n2,1,0\n",
+         "line 5: time must be finite"),
+        ("time,value,is_event\n0,1,0\n\n1,2,q\n2,1,0\n",
+         "line 4: invalid literal"),
+    ])
+    def test_blank_lines_keep_file_line_numbers(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             parse_continuous_csv(text)
 
