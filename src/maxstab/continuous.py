@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .distributions import RngState, frechet_sample
-from .maxar import Direction, DiscretePath, MaxARParams
+from .maxar import Direction, DiscretePath, MaxARParams, _owned_path
 
 __all__ = [
     "ShapeFunction",
@@ -105,10 +105,15 @@ class CadlagPath:
         if not np.all(np.isfinite(levels) & (levels > 0)):
             raise ValueError("event values must be finite and positive")
         knots = (np.array([0, times.size]), times, levels)
-        with np.errstate(over="ignore"):  # reversed growth may overflow
-            reached = _levels(a, self.direction, knots, times[1:], left=True)
+        # the left limits at each event and at the window end: reversed
+        # growth is largest there, and may overflow
+        with np.errstate(over="ignore"):
+            reached = _levels(a, self.direction, knots,
+                              np.append(times[1:], t1), left=True)
         if not np.all(np.isfinite(reached)):
-            raise ValueError("path values must stay finite between events")
+            raise ValueError("path values must stay finite between events "
+                             "and up to the window end")
+        reached = reached[:-1]
         if self.direction is Direction.FORWARD:
             if not np.all(levels[1:] > reached * (1.0 - _JUMP_SLACK)):
                 raise ValueError("forward events must jump upward")
@@ -272,5 +277,5 @@ def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
     grid = t0 + epsilon * np.arange(count)
     grid[-1] = min(grid[-1], t1)
     params = MaxARParams(path.a ** epsilon, path.direction)
-    return DiscretePath(0, _levels(path.a, path.direction, path._knots, grid),
-                        params, path.seed)
+    return _owned_path(0, _levels(path.a, path.direction, path._knots, grid),
+                       params, path.seed)

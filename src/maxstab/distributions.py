@@ -54,6 +54,15 @@ def _as_integer(value) -> int | None:
     return number if number == value else None
 
 
+def _check_size(size) -> int:
+    """A block size as an int, refusing every value that is not a
+    nonnegative integer."""
+    n = _as_integer(size)
+    if n is None or n < 0:
+        raise ValueError(f"size must be a nonnegative integer, got {size!r}")
+    return n
+
+
 def _check_key(value) -> int:
     """value as an int in [0, 2**64), refusing every other value."""
     key = _as_integer(value)
@@ -111,14 +120,16 @@ class RngState:
         that the caller owns.  One that runs a full buffer past what is
         buffered is drawn for the caller directly, with no copy, and leaves
         the buffer empty; the generator is sequential, so the stream is the
-        same either way.
+        same either way.  Either way the state keeps no reference to a
+        block it returns.  A size that is not a nonnegative integer (an
+        integral float is one) raises ValueError.
         """
         if size is None:
             if self._pos == self._buf.size:
                 self._refill(1)
             self._pos += 1
             return float(self._buf[self._pos - 1])
-        n = int(size)
+        n = _check_size(size)
         need = n - (self._buf.size - self._pos)
         if need >= _BUFFER_SIZE:
             fresh = _uniforms(self._bitgen.random_raw(need))
@@ -138,9 +149,7 @@ class RngState:
         have read, so the stream position never depends on the block size.
         The view must not be written to.
         """
-        n = int(size)
-        if n < 0:
-            raise ValueError("size must be nonnegative")
+        n = _check_size(size)
         if self._buf.size - self._pos < n:
             self._refill(n - (self._buf.size - self._pos))
         return self._buf[self._pos:self._pos + n]

@@ -94,13 +94,23 @@ class StationaryLaw:
 STATIONARY = StationaryLaw()
 
 _RATIO_SLACK = 1e-9
+# values per block of the scan's passes and of the path checks: 256 KB of
+# float64, which stays in a core's cache while a pass works on it
+_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
 class DiscretePath:
     """Finite window of a simulated chain: values at consecutive integers
     starting at start_index, plus the parameters and (seed, stream) that
-    produced it (None for paths assembled from external data)."""
+    produced it (None for paths assembled from external data).
+
+    The values are read-only.  The constructor copies whatever array it
+    is given, so a caller's later writes never reach the path.  The
+    package's own paths are not copied: a draw takes the scan's block,
+    which nothing else holds, and a reversal or a grid skeleton takes a
+    block that nothing can write.
+    """
 
     start_index: int
     values: np.ndarray
@@ -108,29 +118,9 @@ class DiscretePath:
     seed: tuple[int, int] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a nonempty 1-d array")
-        # a NaN makes the min NaN, which fails the comparison
-        if not (values.min() > 0 and values.max() < np.inf):
-            raise ValueError("path values must be finite and positive")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "start_index", int(self.start_index))
-        a = self.params.a
-        if values.size > 1 and 0.0 < a:
-            ratios = values[1:] / values[:-1]
-            if self.params.direction is Direction.FORWARD:
-                if ratios.min() < a * (1.0 - _RATIO_SLACK):
-                    raise ValueError(
-                        "forward path violates the one-step lower bound "
-                        f"min ratio {ratios.min()!r} < a = {a!r}")
-            else:
-                if ratios.max() > (1.0 / a) * (1.0 + _RATIO_SLACK):
-                    raise ValueError(
-                        "reversed path violates the one-step upper bound "
-                        f"max ratio {ratios.max()!r} > 1/a = {1.0 / a!r}")
+        object.__setattr__(self, "values",
+                           np.array(self.values, dtype=np.float64))
+        _check_path(self)
 
     def __len__(self) -> int:
         return self.values.size
@@ -143,6 +133,62 @@ class DiscretePath:
         if self.values.size < 2:
             raise ValueError("need at least two values to form ratios")
         return self.values[1:] / self.values[:-1]
+
+
+def _owned_path(start_index, values: np.ndarray, params: MaxARParams,
+                seed) -> DiscretePath:
+    """DiscretePath over values without the constructor's copy, checked
+    the same way; only for a 1-d float64 block that nothing else can
+    write."""
+    path = object.__new__(DiscretePath)
+    for name, value in (("start_index", start_index), ("values", values),
+                        ("params", params), ("seed", seed)):
+        object.__setattr__(path, name, value)
+    _check_path(path)
+    return path
+
+
+def _check_path(path: DiscretePath) -> None:
+    """Check a path's start index and values, and make the values
+    read-only.
+
+    The values must be a nonempty 1-d array of finite positive numbers
+    within the one-step ratio bound of the path's direction: no forward
+    ratio below a, no reversed one above 1/a.  The ratios are taken a
+    block at a time through one small scratch, so a long path needs no
+    temporary of its own size.  A wrong scan shows in this bound.
+    """
+    start = _as_integer(path.start_index)
+    if start is None:
+        raise ValueError("start_index must be an integer, "
+                         f"got {path.start_index!r}")
+    object.__setattr__(path, "start_index", start)
+    values = path.values
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a nonempty 1-d array")
+    # a NaN makes the min NaN, which fails the comparison
+    if not (values.min() > 0 and values.max() < np.inf):
+        raise ValueError("path values must be finite and positive")
+    values.flags.writeable = False
+    a = path.params.a
+    if values.size == 1 or a == 0.0:
+        return
+    forward = path.params.direction is Direction.FORWARD
+    pairs = values.size - 1
+    scratch = np.empty(min(pairs, _BLOCK_VALUES))
+    extreme = a if forward else 1.0 / a
+    for lo in range(0, pairs, _BLOCK_VALUES):
+        hi = min(lo + _BLOCK_VALUES, pairs)
+        ratios = np.divide(values[lo + 1:hi + 1], values[lo:hi],
+                           out=scratch[:hi - lo])
+        extreme = min(extreme, ratios.min()) if forward \
+            else max(extreme, ratios.max())
+    if forward and extreme < a * (1.0 - _RATIO_SLACK):
+        raise ValueError("forward path violates the one-step lower bound "
+                         f"min ratio {extreme!r} < a = {a!r}")
+    if not forward and extreme > (1.0 / a) * (1.0 + _RATIO_SLACK):
+        raise ValueError("reversed path violates the one-step upper bound "
+                         f"max ratio {extreme!r} > 1/a = {1.0 / a!r}")
 
 
 def _stationary_windows(a: float, width: int, count: int,
@@ -167,9 +213,17 @@ def _stationary_windows(a: float, width: int, count: int,
     have smaller p and change nothing either, so the result is bitwise
     the full scan's.  a = 0 runs no pass and a = 1 runs all of them.
 
-    Every pass writes its products into one scratch block, so a draw holds
-    two arrays of its size: the uniforms, turned into the path in place,
-    and the scratch.
+    Each pass runs from the top row down, in blocks of rows holding about
+    ``_BLOCK_VALUES`` values (one row if a row is longer), so a block is
+    still in cache when its maximum is taken.  The block of rows
+    [bottom, top) reads rows [bottom - step, top - step), all below top.
+    No block of the same pass has written those rows yet, since only the
+    rows from top up have been done, so every block reads the values of
+    the previous pass, as the whole-array pass does, and the result is
+    bitwise the same.  A
+    draw holds the block of uniforms, turned into the path in place, and
+    one scratch block of at most ``_BLOCK_VALUES`` values (256 KB), or
+    one row where a row is longer.
     """
     # row t holds the uniforms of time t across the replicates
     x = rng.uniform(size=width * count).reshape(width, count)
@@ -177,14 +231,18 @@ def _stationary_windows(a: float, width: int, count: int,
     np.divide(-1.0, x[0], out=x[0])
     np.divide(-(1.0 - a), x[1:], out=x[1:])
     hi, lo = x.max(), x.min()
-    scratch = np.empty((width - 1, count))
+    rows = max(1, _BLOCK_VALUES // count)
+    scratch = np.empty((min(rows, width - 1), count))
     step = 1
     while step < width:
         p = a ** step
         if p * hi < lo:
             break
-        shifted = np.multiply(x[:-step], p, out=scratch[:width - step])
-        np.maximum(x[step:], shifted, out=x[step:])
+        for top in range(width, step, -rows):
+            bottom = max(step, top - rows)
+            shifted = np.multiply(x[bottom - step:top - step], p,
+                                  out=scratch[:top - bottom])
+            np.maximum(x[bottom:top], shifted, out=x[bottom:top])
         step *= 2
     return x.T
 
@@ -222,7 +280,7 @@ def _draw_path(params: MaxARParams, n, rng: RngState,
     values = _stationary_windows(params.a, _check_count(n), 1, rng)[0]
     if params.direction is Direction.REVERSED:
         values = values[::-1]
-    return DiscretePath(start_index, values, params, (rng.seed, rng.stream))
+    return _owned_path(start_index, values, params, (rng.seed, rng.stream))
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:
@@ -231,7 +289,8 @@ def reverse_path(path: DiscretePath) -> DiscretePath:
         flipped = MaxARParams(path.params.a, Direction.REVERSED)
     else:
         flipped = MaxARParams(path.params.a, Direction.FORWARD)
-    return DiscretePath(path.start_index, path.values[::-1], flipped, path.seed)
+    return _owned_path(path.start_index, path.values[::-1], flipped,
+                       path.seed)
 
 
 def simulate_reversed(params: MaxARParams, n: int, rng: RngState,
@@ -344,8 +403,10 @@ def equilibrium_check(a: float, n: int, rng: RngState,
     Independent stationary pairs are used for each direction so the
     empirical CDF error bound sqrt(1/4n) applies exactly.
     """
-    if n < 1000:
-        raise ValueError("n must be at least 1000")
+    count = _as_integer(n)
+    if count is None or count < 1000:
+        raise ValueError(f"n must be an integer of at least 1000, got {n!r}")
+    n = count
     if not 0.0 < a < 1.0:
         raise ValueError("the two-sided comparison needs a strictly inside (0, 1)")
     params = MaxARParams(a, Direction.FORWARD)

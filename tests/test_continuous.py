@@ -79,8 +79,8 @@ def loop_reversal(forward: CadlagPath) -> CadlagPath:
 
 def loop_accepts(a, direction, window, anchor, events) -> bool:
     """Reference event validation: the per-event loop with Python **,
-    whose OverflowError on a reversed gap too long to grow over counts as
-    a refusal."""
+    whose OverflowError on a reversed gap too long to grow over, the last
+    one up to the window end included, counts as a refusal."""
     prev_t, prev_v = window[0], anchor
     for tt, vv in events:
         if not (prev_t < tt < window[1]):
@@ -96,6 +96,11 @@ def loop_accepts(a, direction, window, anchor, events) -> bool:
         except OverflowError:
             return False
         prev_t, prev_v = tt, vv
+    if direction is Direction.REVERSED:
+        try:
+            prev_v * a ** (-(window[1] - prev_t))
+        except OverflowError:
+            return False
     return True
 
 
@@ -166,6 +171,22 @@ class TestCadlagPath:
     def test_rejects_zero_rate(self):
         with pytest.raises(ValueError):
             CadlagPath(0.0, Direction.FORWARD, (0.0, 1.0), 1.0, ())
+
+    @pytest.mark.parametrize("anchor,events", [
+        (1.0, ()), (1e-300, ((1.0, 1e-301),)), (1.0, ((0.5, 1e-10),))])
+    def test_rejects_reversed_growth_past_window_end(self, anchor, events):
+        """Growth over the last segment is checked up to the window end,
+        where it is largest, so no value read later can overflow."""
+        with pytest.raises(ValueError, match="window end"):
+            CadlagPath(1e-300, Direction.REVERSED, (0.0, 4.0), anchor,
+                       events)
+
+    def test_reversed_growth_up_to_window_end_reads_finite(self):
+        # (1e-300) ** -1 = 1e300 is still a float
+        path = CadlagPath(1e-300, Direction.REVERSED, (0.0, 1.0), 1.0, ())
+        assert path_value(path, 1.0) == pytest.approx(1e300)
+        grid = sample_grid(path, 0.5).values
+        assert np.all(np.isfinite(grid)) and grid[-1] == path_value(path, 1.0)
 
     def test_event_times_property(self):
         path = CadlagPath(0.5, Direction.FORWARD, (0.0, 3.0), 1.0,
@@ -554,6 +575,10 @@ class TestKnotArrays:
         inputs.append((0.5, Direction.REVERSED, 1.0, [(3.99, 1e-300)]))
         inputs.append((1e-300, Direction.REVERSED, 1.0, [(2.0, 0.5)]))
         inputs.append((1e-300, Direction.FORWARD, 1.0, [(2.0, 1e-300)]))
+        # and past it over the last segment, up to the window end
+        inputs.append((1e-300, Direction.REVERSED, 1.0, []))
+        inputs.append((1e-300, Direction.REVERSED, 1e-300, [(1.0, 1e-301)]))
+        inputs.append((1e-300, Direction.REVERSED, 1e-300, [(3.5, 1e-301)]))
         accepted = 0
         for a, direction, anchor, events in inputs:
             want = loop_accepts(a, direction, (0.0, 4.0), anchor, events)

@@ -126,6 +126,19 @@ class TestRngState:
         singles = np.array([rng.exponential() for _ in range(5000)])
         assert np.array_equal(singles, RngState(3).exponential(size=5000))
 
+    @pytest.mark.parametrize("size", [1.5, -1, math.nan, math.inf, "3",
+                                      np.float64(2.5)])
+    def test_refuses_size_that_is_not_a_nonnegative_integer(self, size):
+        with pytest.raises(ValueError, match="size must be a nonnegative"):
+            RngState(1).uniform(size=size)
+        with pytest.raises(ValueError, match="size must be a nonnegative"):
+            RngState(1)._peek(size)
+
+    @pytest.mark.parametrize("size", [3.0, np.int64(3), np.uint8(3)])
+    def test_accepts_integral_size(self, size):
+        assert np.array_equal(RngState(1).uniform(size=size),
+                              RngState(1).uniform(size=3))
+
     def test_peek_does_not_consume(self):
         """A read-ahead, across a buffer refill too, returns the uniforms
         the next draw consumes, and consumes none of them."""

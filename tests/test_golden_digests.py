@@ -25,6 +25,7 @@ from maxstab import (
     simulate_reversed,
 )
 from maxstab.distributions import _uniforms
+from maxstab.maxar import _stationary_windows
 
 KEYS = [(0, 0), (1, 0), (7, 3), (2**63, 1), (2**64 - 1, 2**64 - 1)]
 UNIFORM_SIZES = [None, 511, None, 513, 5000, 1, 512]
@@ -32,6 +33,10 @@ EDGE_RAW = [0, 2**64 - 1, 2**63, 4095, 4096]
 PATH_AS = [0.0, 0.05, 0.5, 0.95, 1.0]
 PATH_NS = [1, 511, 512, 513, 100_000]
 PROBE = 4  # uniforms read after each draw to pin the stream position
+# the battery's window shapes, (width, count), and the long draws' a
+WINDOW_SHAPES = [(2, 5000), (3, 5000), (600, 7)]
+LONG_AS = [0.05, 0.5, 0.95]
+LONG_N = 1_000_000
 
 UNIFORM_DIGESTS = {
     (0, 0):
@@ -68,6 +73,20 @@ PATH_DIGESTS = {
         "9068b075ef1968e983c24b3405b0ed4531ac5e33e1e085b46c1f023abb74a4c1",
     ("reversed", 1.0):
         "a08bd8e35c7429c6e9ddadbfa78aa3b905eacced2cf28028f707dcc9143a0695",
+}
+
+WINDOW_DIGESTS = {
+    (2, 5000):
+        "2a928d70b24c1c6e14354e2765a75a209dafe1d6ac5827847915633b2e56a41f",
+    (3, 5000):
+        "c426f278802915d32e2510c69cb8798f64d397ab4dd2ad2a7fbaa7988deefae2",
+    (600, 7):
+        "0b7e75ccc5480d355053b194e6b7033465a176b4eed6882576a46bf958ee8a8d",
+}
+LONG_DIGESTS = {
+    0.05: "546d8e35a8da612fac1d1fd918b67379119957f094d90814bb989618cceab077",
+    0.5: "c501f40f5672373ff70950a4a071cca770dcf59f43f147f0b03e8ff9db16014c",
+    0.95: "6e35f5813300c5ed30c71e4ee9b1dd9a7ecd828ecd21c986530bfab3ba9ce866",
 }
 
 
@@ -118,3 +137,35 @@ def test_raw_edge_values():
 @pytest.mark.parametrize("direction, a", list(PATH_DIGESTS))
 def test_paths(direction, a):
     assert path_digest(direction, a) == PATH_DIGESTS[direction, a]
+
+
+def window_digest(width: int, count: int) -> str:
+    rng = RngState(37, width)
+    arrays = []
+    for a in PATH_AS:
+        arrays += [_stationary_windows(a, width, count, rng),
+                   rng.uniform(size=PROBE)]
+    return _digest(arrays)
+
+
+def long_digest(a: float) -> str:
+    rng = RngState(41, LONG_AS.index(a))
+    arrays = []
+    for direction in Direction:
+        params = MaxARParams(a, direction)
+        simulate = (simulate_forward if direction is Direction.FORWARD
+                    else simulate_reversed)
+        arrays += [simulate(params, LONG_N, rng).values,
+                   rng.uniform(size=PROBE)]
+    return _digest(arrays)
+
+
+@pytest.mark.parametrize("width, count", WINDOW_SHAPES)
+def test_windows(width, count):
+    assert window_digest(width, count) == WINDOW_DIGESTS[width, count]
+
+
+@pytest.mark.parametrize("a", LONG_AS)
+def test_long_paths(a):
+    """A forward and a reversed 1e6 draw: many scan blocks per pass."""
+    assert long_digest(a) == LONG_DIGESTS[a]

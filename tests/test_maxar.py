@@ -31,12 +31,13 @@ from maxstab import (
     simulate_reversed,
 )
 import maxstab.maxar
-from maxstab.maxar import _stationary_windows
+from maxstab.maxar import _BLOCK_VALUES, _stationary_windows
 
 FWD = MaxARParams(0.5, Direction.FORWARD)
 REV = MaxARParams(0.5, Direction.REVERSED)
 
 E_HALF = 0.6065306597126334
+ROWS = _BLOCK_VALUES  # rows of one scan block of a single window
 
 
 def forward_kernel_quadrature(a: float, x: float, y: float) -> float:
@@ -114,17 +115,27 @@ def full_scan(a: float, width: int, count: int, rng: RngState) -> np.ndarray:
 
 
 class CountingNumpy:
-    """Stand-in for the numpy module that counts ``np.maximum`` calls."""
+    """Stand-in for the numpy module that counts the scan's passes.
+
+    A pass writes its maximum a block of rows at a time, and it writes
+    the window's last row exactly once, so the passes are the
+    ``np.maximum`` calls whose ``out`` ends at the highest row written.
+    """
 
     def __init__(self):
-        self.maximum_calls = 0
+        self.last_rows = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def maximum(self, *args, **kwargs):
-        self.maximum_calls += 1
-        return np.maximum(*args, **kwargs)
+    def maximum(self, *args, out, **kwargs):
+        self.last_rows.append(out[-1].ctypes.data)
+        return np.maximum(*args, out=out, **kwargs)
+
+    @property
+    def passes(self) -> int:
+        rows = self.last_rows
+        return rows.count(max(rows)) if rows else 0
 
 
 def transition_cdf(params: MaxARParams, current: float, level: float) -> float:
@@ -219,6 +230,47 @@ class TestDiscretePath:
         path = DiscretePath(0, [1.0, 2.0, 1.5], FWD)
         assert np.allclose(path.ratios(), [2.0, 0.75])
 
+    @pytest.mark.parametrize("view", [False, True])
+    def test_caller_writes_do_not_reach_the_path(self, view):
+        values = np.array([1.0, 2.0, 1.5])
+        given = values[:]
+        if view:
+            given.flags.writeable = False
+        path = DiscretePath(0, given, FWD)
+        values[1] = 7.0
+        assert path.values.tolist() == [1.0, 2.0, 1.5]
+        assert values.flags.writeable
+
+    @pytest.mark.parametrize("start", [1.5, -0.5, math.nan, math.inf, "3",
+                                       None])
+    def test_refuses_start_index_that_is_not_an_integer(self, start):
+        with pytest.raises(ValueError, match="start_index must be an integer"):
+            DiscretePath(start, [1.0, 2.0], FWD)
+
+    @pytest.mark.parametrize("start", [np.int64(-4), 2.0, np.float64(-4.0)])
+    def test_accepts_integral_start_index(self, start):
+        path = DiscretePath(start, [1.0, 2.0], FWD)
+        assert type(path.start_index) is int
+        assert path.start_index == start
+
+    @pytest.mark.parametrize("params", [FWD, REV])
+    @pytest.mark.parametrize("pair", [_BLOCK_VALUES - 2, _BLOCK_VALUES - 1,
+                                      _BLOCK_VALUES, 2 * _BLOCK_VALUES])
+    def test_ratio_violation_at_a_block_boundary(self, params, pair):
+        """The ratio bound is checked a block of pairs at a time; a
+        violating pair on either side of a boundary raises, and the message
+        gives the extreme ratio of the whole path."""
+        values = np.ones(2 * _BLOCK_VALUES + 2)
+        values[pair + 1] = 0.3 if params is FWD else 3.0
+        # within the bound everywhere else, beyond it at the pair
+        values[pair + 2:] = values[pair + 1]
+        ratio = values[pair + 1] / values[pair]
+        with pytest.raises(ValueError, match="violates") as err:
+            DiscretePath(0, values, params)
+        assert repr(ratio) in str(err.value)
+        values[pair + 1:] = 0.5 if params is FWD else 2.0
+        DiscretePath(0, values, params)
+
 
 class TestSimulateForward:
     def test_shape_and_determinism(self):
@@ -299,6 +351,22 @@ class TestSimulateForward:
         with pytest.raises(ValueError):
             simulate_forward(FWD, 0, RngState(1))
 
+    @pytest.mark.parametrize("simulate,params",
+                             [(simulate_forward, FWD), (simulate_reversed, REV)])
+    def test_refuses_fractional_start_index(self, simulate, params):
+        with pytest.raises(ValueError, match="start_index must be an integer"):
+            simulate(params, 10, RngState(1), start_index=2.7)
+
+    @pytest.mark.parametrize("simulate,params",
+                             [(simulate_forward, FWD), (simulate_reversed, REV)])
+    @pytest.mark.parametrize("n", [1, 100, _BLOCK_VALUES + 1])
+    def test_drawn_values_are_read_only(self, simulate, params, n):
+        path = simulate(params, n, RngState(1))
+        for values in (path.values, reverse_path(path).values):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 5.0
+
 
 class TestStationaryWindows:
     """The prefix-scan kernel behind every stationary discrete draw."""
@@ -322,7 +390,14 @@ class TestStationaryWindows:
 
     @pytest.mark.parametrize("width,count", [
         (1, 1), (2, 2000), (3, 3), (4, 1), (5, 2000), (17, 3), (64, 2000),
-        (1024, 3), (1025, 1), (4096, 1), (4097, 3), (1_000_000, 1)])
+        (1024, 3), (1025, 1), (4096, 1), (4097, 3), (1_000_000, 1),
+        # B - 1, B, B + 1 and 2B + 1 rows, B the rows of one scan block;
+        # at a = 1 the last passes step further than a block
+        (ROWS - 1, 1), (ROWS, 1), (ROWS + 1, 1), (2 * ROWS + 1, 1),
+        (ROWS // 3 - 1, 3), (ROWS // 3, 3), (ROWS // 3 + 1, 3),
+        (2 * (ROWS // 3) + 1, 3),
+        # the battery's shapes; a row longer than a block is a block
+        (2, 100_000), (3, 100_000), (600, 7)])
     @pytest.mark.parametrize(
         "a", [0.0, -0.0, 5e-324, 0.05, 0.5, 0.95, 0.999, 1.0])
     def test_early_stop_is_bitwise_the_full_scan(self, a, width, count):
@@ -342,7 +417,7 @@ class TestStationaryWindows:
         spy = CountingNumpy()
         monkeypatch.setattr(maxstab.maxar, "np", spy)
         _stationary_windows(a, 1_000_000, 1, RngState(36))
-        assert fewest <= spy.maximum_calls <= most
+        assert fewest <= spy.passes <= most
 
     @pytest.mark.parametrize("a", [0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
     def test_width_two_is_one_literal_step(self, a):
@@ -364,6 +439,15 @@ class TestStationaryWindows:
         fresh = RngState(33)
         fresh.uniform(size=width * count)
         assert rng.uniform() == fresh.uniform()
+
+    def test_stream_keeps_no_reference_to_a_draw(self):
+        """A drawn block is the path's own: writing to the scan's base
+        array changes no later draw of the stream."""
+        rng, fresh = RngState(40), RngState(40)
+        windows = _stationary_windows(0.5, 4 * _BLOCK_VALUES, 1, rng)
+        fresh.uniform(size=4 * _BLOCK_VALUES)
+        windows.base[...] = 0.0
+        assert np.array_equal(rng.uniform(size=600), fresh.uniform(size=600))
 
     def test_simulate_forward_single_value(self):
         rng = RngState(34)
@@ -651,6 +735,17 @@ class TestEquilibrium:
     def test_requires_large_sample(self):
         with pytest.raises(ValueError):
             equilibrium_check(0.5, 999, RngState(1))
+
+    @pytest.mark.parametrize("n", [1000.5, math.nan, math.inf, "2000", None])
+    def test_refuses_n_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            equilibrium_check(0.5, n, RngState(1))
+
+    def test_accepts_integral_n(self):
+        report = equilibrium_check(0.5, 2000.0, RngState(23))
+        assert report.params["n"] == 2000
+        assert report.to_dict() == \
+            equilibrium_check(0.5, 2000, RngState(23)).to_dict()
 
     def test_report_schema(self):
         report = equilibrium_check(0.5, 2000, RngState(23))
