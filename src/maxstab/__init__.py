@@ -1,26 +1,68 @@
 """Exact simulation and statistical verification of stationary max-stable
 Markov processes: the discrete max-autoregressive chain, its time
-reversal, and the continuous-time moving-maximum process."""
+reversal, and the continuous-time moving-maximum process.
 
-from . import (analysis, conditional, continuous, distributions, maxar,
-               report, serialize, spectral)
-from .analysis import *
-from .conditional import *
-from .continuous import *
-from .distributions import *
-from .maxar import *
-from .report import *
-from .serialize import *
-from .spectral import *
+Submodules load on first use: ``import maxstab`` loads none of them, and
+``maxstab.<name>`` or ``from maxstab import <name>`` loads the one module
+that defines the name (and what that module imports)."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
-__all__ += analysis.__all__
-__all__ += conditional.__all__
-__all__ += continuous.__all__
-__all__ += distributions.__all__
-__all__ += maxar.__all__
-__all__ += report.__all__
-__all__ += serialize.__all__
-__all__ += spectral.__all__
+# Each submodule's public names, as in its own ``__all__`` (the package
+# tests check that the two agree).  Spelled out here so that the package
+# can answer ``__all__``, ``dir`` and a name lookup without importing
+# every module.
+_EXPORTS = {
+    "analysis": (
+        "KsResult", "RatioSupportEstimate", "IdentificationResult",
+        "IdentificationError", "UnclassifiableDataError",
+        "AmbiguousRatioError", "BatterySizes", "ks_critical_value",
+        "ks_one_sample", "ks_two_sample", "ratio_support", "identify",
+        "run_battery"),
+    "conditional": (
+        "ConditionalQuery", "ConditionalFactors", "McConditionalEstimate",
+        "conditional_factors", "conditional_cdf", "conditional_cdf_mc",
+        "independence_test"),
+    "continuous": (
+        "ShapeFunction", "CadlagPath", "simulate_moving_max",
+        "simulate_moving_max_reversed", "path_value", "sample_grid"),
+    "distributions": (
+        "RngState", "frechet_cdf", "frechet_quantile", "frechet_sample"),
+    "maxar": (
+        "Direction", "MaxARParams", "DiscretePath", "StationaryLaw",
+        "STATIONARY", "simulate_forward", "simulate_reversed", "reverse_path",
+        "kernel_cdf", "kernel_sample", "kernel_sample_many", "bivariate_cdf",
+        "equilibrium_check"),
+    "report": ("CheckResult", "EmpiricalReport"),
+    "serialize": (
+        "format_float", "discrete_csv_text", "parse_discrete_csv",
+        "discrete_json_text", "parse_discrete_json", "continuous_csv_text",
+        "parse_continuous_csv", "continuous_json_text",
+        "parse_continuous_json"),
+    "spectral": (
+        "IndexedPath", "GeometricMixing", "FiniteMixing", "SamplerKind",
+        "SpectralSampler", "ConeSpec", "SpectralBoundError",
+        "sample_spectral", "spectral_mean", "spectral_bound", "cone_member",
+        "ExponentFunctional", "exponent_rectangle", "dehaan_max_stable",
+        "shift"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

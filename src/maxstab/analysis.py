@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .conditional import independence_test
 from .continuous import ShapeFunction, _jump_chain, _levels, \
@@ -411,6 +410,10 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
     report.add("max_stability_pair_min", ks.statistic, ks.threshold, ks.passed,
                "rescaled pointwise max of independent copies keeps the "
                "consecutive-pair law (minimum statistic)")
+
+    # imported here so that only a process running the battery loads
+    # numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
 
     # With u = exp(-1/x) the stationary law is uniform on (0, 1) and the
     # forward kernel CDF is a step in u with one kink at exp(-a/y): one

@@ -14,15 +14,21 @@ import sys
 
 import click
 
-from .analysis import BatterySizes, IdentificationError, identify, run_battery
-from .conditional import ConditionalQuery, conditional_cdf, conditional_cdf_mc
-from .continuous import ShapeFunction, simulate_moving_max, \
-    simulate_moving_max_reversed
-from .distributions import RngState
-from .maxar import Direction, MaxARParams, kernel_cdf, simulate_forward, \
-    simulate_reversed
-from .serialize import continuous_csv_text, continuous_json_text, \
-    discrete_csv_text, discrete_json_text, parse_discrete_csv
+import maxstab
+
+# Commands call the package's names through this module, as ``_cli.<name>``.
+# A name resolves on first use, through the ``__getattr__`` below and then
+# the package's, so a process imports only the modules its subcommand
+# runs; and a name patched onto this module is the one called.  Under
+# ``python -m`` this module is ``__main__``.
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in maxstab.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(maxstab, name)
+
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -100,13 +106,15 @@ def main():
 @_format_option
 def cmd_simulate_discrete(a, direction, n, seed, out_path, fmt):
     """Draw a stationary window of the discrete chain and write it out."""
-    params = _guard(MaxARParams, a, Direction(direction))
-    rng = _guard(RngState, seed)
-    simulate = simulate_forward if params.direction is Direction.FORWARD \
-        else simulate_reversed
+    params = _guard(_cli.MaxARParams, a, _cli.Direction(direction))
+    rng = _guard(_cli.RngState, seed)
+    simulate = _cli.simulate_forward \
+        if params.direction is _cli.Direction.FORWARD \
+        else _cli.simulate_reversed
     path = _guard(simulate, params, n, rng)
     fmt = _resolve_format(out_path, fmt)
-    text = discrete_csv_text(path) if fmt == "csv" else discrete_json_text(path)
+    text = _cli.discrete_csv_text(path) if fmt == "csv" \
+        else _cli.discrete_json_text(path)
     _write_text(out_path, text)
     click.echo(f"simulate-discrete n={n} a={params.a:g} "
                f"direction={params.direction.value} seed={seed} -> {out_path}")
@@ -123,13 +131,13 @@ def cmd_simulate_discrete(a, direction, n, seed, out_path, fmt):
 @_format_option
 def cmd_simulate_continuous(a, direction, window, seed, out_path, fmt):
     """Draw the continuous moving-maximum process and write it out."""
-    rng = _guard(RngState, seed)
-    simulate = simulate_moving_max if direction == "forward" \
-        else simulate_moving_max_reversed
+    rng = _guard(_cli.RngState, seed)
+    simulate = _cli.simulate_moving_max if direction == "forward" \
+        else _cli.simulate_moving_max_reversed
     path = _guard(simulate, a, window, rng)
     fmt = _resolve_format(out_path, fmt)
-    text = continuous_csv_text(path) if fmt == "csv" \
-        else continuous_json_text(path)
+    text = _cli.continuous_csv_text(path) if fmt == "csv" \
+        else _cli.continuous_json_text(path)
     _write_text(out_path, text)
     click.echo(f"simulate-continuous events={len(path.events)} a={path.a:g} "
                f"direction={path.direction.value} window={window:g} "
@@ -144,8 +152,8 @@ def cmd_simulate_continuous(a, direction, window, seed, out_path, fmt):
 @click.option("--y", type=float, required=True, help="Next value bound.")
 def cmd_kernel_cdf(a, direction, x, y):
     """Print the one-step transition CDF to 15 significant digits."""
-    params = _guard(MaxARParams, a, Direction(direction))
-    value = _guard(kernel_cdf, params, x, y)
+    params = _guard(_cli.MaxARParams, a, _cli.Direction(direction))
+    value = _guard(_cli.kernel_cdf, params, x, y)
     click.echo(f"{value:.15g}")
 
 
@@ -173,9 +181,8 @@ def _parse_query(text: str):
             raise click.UsageError(
                 f"query field 'targets[{k}]': expected [index, level]")
     try:
-        query = ConditionalQuery(
-            (int(cond[0]), float(cond[1])),
-            tuple((int(t), float(z)) for t, z in targets))
+        query = _cli.ConditionalQuery(tuple(cond),
+                                      tuple(map(tuple, targets)))
     except (TypeError, ValueError) as exc:
         raise click.UsageError(
             f"query fields 'conditioning'/'targets': {exc}") from exc
@@ -209,11 +216,11 @@ def cmd_conditional(query_path, mc, seed):
     """Evaluate a conditional exceedance-free probability given one
     observed value."""
     query, a = _parse_query(_read_text(query_path))
-    value = _guard(conditional_cdf, query, a)
+    value = _guard(_cli.conditional_cdf, query, a)
     click.echo(f"{value:.15g}")
     if mc is not None:
-        rng = _guard(RngState, seed)
-        est = _guard(conditional_cdf_mc, query, a, mc, rng)
+        rng = _guard(_cli.RngState, seed)
+        est = _guard(_cli.conditional_cdf_mc, query, a, mc, rng)
         click.echo(f"mc {est.value:.15g} stderr {est.stderr:.15g}")
 
 
@@ -223,12 +230,12 @@ def cmd_conditional(query_path, mc, seed):
 def cmd_identify(in_path):
     """Recover the dependence parameter and time direction from a path."""
     try:
-        _, values = parse_discrete_csv(_read_text(in_path))
+        _, values = _cli.parse_discrete_csv(_read_text(in_path))
     except ValueError as exc:
         raise click.UsageError(f"{in_path}: {exc}") from exc
     try:
-        result = identify(values)
-    except IdentificationError as exc:
+        result = _cli.identify(values)
+    except _cli.IdentificationError as exc:
         detail = "; ".join(str(arg) for arg in exc.args)
         raise UnclassifiableExit(detail) from exc
     except ValueError as exc:
@@ -260,13 +267,14 @@ def cmd_identify(in_path):
               help="Where to write the JSON report.")
 def cmd_verify(a, direction, continuous, epsilon, n, seed, out_path):
     """Run the verification battery; exit 0 only if every check passes."""
-    rng = _guard(RngState, seed)
-    sizes = BatterySizes() if n is None else _guard(BatterySizes().scaled, n)
+    rng = _guard(_cli.RngState, seed)
+    sizes = _cli.BatterySizes() if n is None \
+        else _guard(_cli.BatterySizes().scaled, n)
     if continuous:
-        spec = _guard(ShapeFunction, a, Direction(direction))
+        spec = _guard(_cli.ShapeFunction, a, _cli.Direction(direction))
     else:
-        spec = _guard(MaxARParams, a, Direction(direction))
-    report = _guard(run_battery, spec, rng, sizes, epsilon=epsilon)
+        spec = _guard(_cli.MaxARParams, a, _cli.Direction(direction))
+    report = _guard(_cli.run_battery, spec, rng, sizes, epsilon=epsilon)
     for c in report.checks:
         status = "SKIP" if c.passed is None else \
             ("PASS" if c.passed else "FAIL")

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import RngState
+from .distributions import RngState, _as_integer
 from .report import EmpiricalReport
 from .spectral import GeometricMixing, _decay_profile, _onset_rows
 
@@ -46,6 +46,15 @@ __all__ = [
 _MAX_TOL = 1e-4
 
 
+def _index(value) -> int:
+    """A query index as an int, refusing every value that is not an
+    integer."""
+    index = _as_integer(value)
+    if index is None:
+        raise ValueError(f"indices must be integers, got {value!r}")
+    return index
+
+
 @dataclass(frozen=True)
 class ConditionalQuery:
     """Conditioning pair (index, observed level) and target pairs
@@ -55,11 +64,11 @@ class ConditionalQuery:
     targets: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        t0, z0 = int(self.conditioning[0]), float(self.conditioning[1])
+        t0, z0 = _index(self.conditioning[0]), float(self.conditioning[1])
         if not (math.isfinite(z0) and z0 > 0):
             raise ValueError("conditioning level must be finite and positive")
         object.__setattr__(self, "conditioning", (t0, z0))
-        targets = tuple((int(t), float(z)) for t, z in self.targets)
+        targets = tuple((_index(t), float(z)) for t, z in self.targets)
         if not targets:
             raise ValueError("at least one target is required")
         if len({t for t, _ in targets}) != len(targets):
@@ -178,9 +187,10 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
     meaningless.
     """
     a = _check_a(a)
-    n = int(n)
-    if n < 1000:
-        raise ValueError("n must be at least 1000")
+    count = _as_integer(n)
+    if count is None or count < 1000:
+        raise ValueError(f"n must be an integer of at least 1000, got {n!r}")
+    n = count
     ts, zs = _query_arrays(query)
     ind_sample, exc_sample = _factor_terms(
         _spectral_matrix(a, ts, n, rng, mixing), zs)

@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .continuous import CadlagPath, path_value
+from .distributions import _check_key
 from .maxar import Direction, DiscretePath, MaxARParams
 
 __all__ = [
@@ -40,9 +41,12 @@ def _seed_field(seed):
 
 
 def _parse_seed(field):
+    """A seed field as a (seed, stream) pair, refusing any field that is
+    not null or two unsigned 64-bit integers."""
     if field is None:
         return None
-    return (int(field[0]), int(field[1]))
+    seed, stream = field
+    return _check_key(seed), _check_key(stream)
 
 
 def discrete_csv_text(path: DiscretePath) -> str:
@@ -136,7 +140,7 @@ def parse_discrete_json(text: str) -> DiscretePath:
     if doc.get("kind") != "discrete-path":
         raise ValueError("field 'kind': expected 'discrete-path'")
     params = MaxARParams(float(doc["a"]), Direction(doc["direction"]))
-    return DiscretePath(int(doc["start_index"]),
+    return DiscretePath(doc["start_index"],
                         np.asarray(doc["values"], dtype=np.float64),
                         params, _parse_seed(doc.get("seed")))
 

@@ -436,7 +436,13 @@ def _onset_rows(a: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     functional that is homogeneous of degree one in the row is therefore
     the weighted sum over these rows, with a = 0 and a = 1 included.
     """
-    distinct = np.unique(times)
+    # np.unique would import numpy.ma; sorting and masking selects the
+    # same values
+    ordered = np.sort(times)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    distinct = ordered[keep]
     weights = np.ones(distinct.size)
     with np.errstate(divide="ignore"):  # a = 0: log is -inf, weight 1
         # expm1 keeps 1 - a^gap accurate to a few ulp as a nears 1

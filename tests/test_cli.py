@@ -292,6 +292,26 @@ class TestConditional:
         assert result.exit_code == 2
         assert "query field 'a': missing" in result.stderr
 
+    @pytest.mark.parametrize("doc", [
+        {"conditioning": [0.5, 1.0], "targets": [[1, 1.0]], "a": 0.5},
+        {"conditioning": [0, 1.0], "targets": [[1.25, 1.0]], "a": 0.5},
+        {"conditioning": ["0", 1.0], "targets": [[1, 1.0]], "a": 0.5},
+    ])
+    def test_index_that_is_not_an_integer_exits_2(self, runner, tmp_path,
+                                                  doc):
+        result = runner.invoke(main, ["conditional", "--query",
+                                      write_query(tmp_path, doc)])
+        assert result.exit_code == 2
+        assert "indices must be integers" in result.stderr
+        assert result.stdout == ""
+
+    def test_integral_float_index_is_evaluated(self, runner, tmp_path):
+        query = write_query(tmp_path, {"conditioning": [0.0, 1.0],
+                                       "targets": [[1.0, 1.0]], "a": 0.5})
+        result = runner.invoke(main, ["conditional", "--query", query])
+        assert result.exit_code == 0
+        assert result.output == "0.606530659712633\n"
+
     def test_bad_target_entry_exits_2(self, runner, tmp_path):
         query = write_query(tmp_path, {"conditioning": [0, 1.0],
                                        "targets": [[1, 1.0, 9]], "a": 0.5})
@@ -510,3 +530,74 @@ def test_cli_import_loads_no_scipy():
                        "sys.modules if m.split('.')[0] == 'scipy'))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Runs maxstab.cli as ``python -m maxstab.cli`` does, as ``__main__``, then
+# prints the names of every loaded module as the last line of stderr.
+RUN_AS_MAIN = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('maxstab.cli', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(*sorted(sys.modules), file=sys.stderr)\n")
+
+PACKAGE_MODULES = {"maxstab." + m for m in (
+    "analysis", "cli", "conditional", "continuous", "distributions", "maxar",
+    "report", "serialize", "spectral")}
+
+
+class TestFreshProcessLoads:
+    """A fresh process loads only the package modules its work runs."""
+
+    def test_import_loads_no_submodule(self):
+        result = run_fresh("import sys, maxstab; print(*sorted(m for m in "
+                           "sys.modules if m.startswith('maxstab')))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "maxstab\n"
+
+    def test_dir_and_star_import_list_every_export(self):
+        result = run_fresh(
+            "import json, sys, maxstab\n"
+            "names = dir(maxstab)\n"
+            "loaded = [m for m in sys.modules if m.startswith('maxstab.')]\n"
+            "from maxstab import *\n"
+            "print(json.dumps([names, loaded,\n"
+            "                  [n for n in maxstab.__all__\n"
+            "                   if globals()[n] is not getattr(maxstab, n)]]))")
+        assert result.returncode == 0, result.stderr
+        names, loaded, mismatched = json.loads(result.stdout)
+        assert set(maxstab.__all__) <= set(names)
+        assert {"maxstab." + n for n in names} >= \
+            PACKAGE_MODULES - {"maxstab.cli"}
+        assert loaded == [] and mismatched == []
+
+    @pytest.mark.parametrize("args,needed,unloaded", [
+        (["--help"], {"click"}, PACKAGE_MODULES | {"numpy"}),
+        (["kernel-cdf", "--a", "0.5", "--x", "1", "--y", "1"],
+         {"maxstab.maxar"},
+         {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral",
+          "maxstab.serialize", "numpy.random"}),
+        (["simulate-discrete", "--a", "0.5", "--n", "100",
+          "--out", "{tmp}/d.csv"],
+         {"maxstab.maxar", "maxstab.serialize"},
+         {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral"}),
+        (["simulate-continuous", "--a", "0.5", "--window", "5",
+          "--out", "{tmp}/c.json"],
+         {"maxstab.continuous", "maxstab.serialize"},
+         {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral"}),
+        (["conditional", "--query", "{tmp}/query.json", "--mc", "1000"],
+         {"maxstab.conditional", "maxstab.spectral"},
+         {"maxstab.analysis", "maxstab.continuous", "numpy.ma"}),
+    ], ids=["help", "kernel-cdf", "simulate-discrete", "simulate-continuous",
+            "conditional"])
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, args, needed,
+                                                unloaded):
+        write_query(tmp_path, {"conditioning": [0, 1.0],
+                               "targets": [[1, 1.0], [3, 0.5]], "a": 0.5})
+        result = run_fresh(RUN_AS_MAIN,
+                           *(arg.format(tmp=tmp_path) for arg in args))
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stderr.splitlines()[-1].split())
+        assert needed <= loaded
+        assert not {m for m in loaded for name in unloaded
+                    if m == name or m.startswith(name + ".")}

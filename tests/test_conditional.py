@@ -142,6 +142,27 @@ class TestConditionalQuery:
         with pytest.raises(ValueError):
             ConditionalQuery((0, 1.0), ((1, -2.0),))
 
+    @pytest.mark.parametrize("conditioning,targets", [
+        ((0.7, 1.0), ((2, 2.0),)),
+        ((0, 1.0), ((2.9, 2.0),)),
+        ((0, 1.0), ((1, 1.0), (1.5, 2.0))),
+        ((float("nan"), 1.0), ((1, 1.0),)),
+        ((0, 1.0), ((float("inf"), 1.0),)),
+        (("0", 1.0), ((1, 1.0),)),
+        ((0, 1.0), ((None, 1.0),)),
+    ])
+    def test_rejects_indices_that_are_not_integers(self, conditioning,
+                                                   targets):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            ConditionalQuery(conditioning, targets)
+
+    def test_accepts_integral_indices_as_int(self):
+        q = ConditionalQuery((np.int64(-2), 1.0),
+                             ((np.float64(3.0), 2.0), (1e3, 1.5)))
+        assert q.conditioning == (-2, 1.0)
+        assert q.targets == ((3, 2.0), (1000, 1.5))
+        assert all(type(t) is int for t, _ in (q.conditioning, *q.targets))
+
 
 class TestConditionalCdf:
     @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
@@ -329,6 +350,21 @@ class TestConditionalMc:
         q = ConditionalQuery((0, 1.0), ((1, 1.0),))
         with pytest.raises(ValueError):
             conditional_cdf_mc(q, 0.5, 999, RngState(1))
+
+    @pytest.mark.parametrize("n", [1000.9, 999.5, float("nan"),
+                                   float("inf"), "1000", None])
+    def test_refuses_sample_size_that_is_not_an_integer(self, n):
+        q = ConditionalQuery((0, 1.0), ((1, 1.0),))
+        with pytest.raises(ValueError,
+                           match="n must be an integer of at least 1000"):
+            conditional_cdf_mc(q, 0.5, n, RngState(1))
+
+    def test_integral_sample_size_runs_as_int(self):
+        q = ConditionalQuery((0, 1.0), ((1, 1.0),))
+        as_float = conditional_cdf_mc(q, 0.5, 1000.0, RngState(1))
+        as_int = conditional_cdf_mc(q, 0.5, np.int64(1000), RngState(1))
+        assert as_float == as_int
+        assert type(as_float.n) is int and as_float.n == 1000
 
 
 class TestIndependenceTest:

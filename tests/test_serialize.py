@@ -1,5 +1,7 @@
 """Tests for the lossless CSV and JSON path formats."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +142,20 @@ class TestDiscreteJson:
         with pytest.raises(ValueError, match="kind"):
             parse_discrete_json('{"kind": "something-else"}')
 
+    @pytest.mark.parametrize("start", [1.5, -0.25, "3", None])
+    def test_refuses_start_index_that_is_not_an_integer(self, discrete_path,
+                                                       start):
+        doc = json.loads(discrete_json_text(discrete_path))
+        doc["start_index"] = start
+        with pytest.raises(ValueError, match="start_index must be an integer"):
+            parse_discrete_json(json.dumps(doc))
+
+    def test_integral_start_index_loads_as_int(self, discrete_path):
+        doc = json.loads(discrete_json_text(discrete_path))
+        doc["start_index"] = -3.0
+        back = parse_discrete_json(json.dumps(doc))
+        assert back.start_index == -3 and type(back.start_index) is int
+
 
 class TestContinuousCsv:
     def test_structure(self, continuous_path):
@@ -235,3 +251,37 @@ class TestContinuousJson:
                                "0.000001", 1)
             with pytest.raises(ValueError):
                 parse_continuous_json(bad)
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+class TestJsonSeed:
+    """Both JSON parsers read the seed field the same way."""
+
+    def document(self, kind, discrete_path, continuous_path):
+        if kind == "discrete":
+            return (json.loads(discrete_json_text(discrete_path)),
+                    parse_discrete_json)
+        return (json.loads(continuous_json_text(continuous_path)),
+                parse_continuous_json)
+
+    @pytest.mark.parametrize("seed", [[1.5, 2.9], [1, 2.5], [0.5, 0],
+                                      [-1, 0], [2**64, 0], ["1", 2],
+                                      [1, None], [float("nan"), 0]])
+    def test_refuses_fields_that_are_not_unsigned_64_bit_integers(
+            self, kind, seed, discrete_path, continuous_path):
+        doc, parse = self.document(kind, discrete_path, continuous_path)
+        doc["seed"] = seed
+        with pytest.raises(ValueError, match="unsigned 64-bit integers"):
+            parse(json.dumps(doc))
+
+    def test_integral_fields_load_as_int(self, kind, discrete_path,
+                                         continuous_path):
+        doc, parse = self.document(kind, discrete_path, continuous_path)
+        doc["seed"] = [7.0, 2**64 - 1]
+        assert parse(json.dumps(doc)).seed == (7, 2**64 - 1)
+        assert all(type(v) is int for v in parse(json.dumps(doc)).seed)
+
+    def test_null_loads_as_none(self, kind, discrete_path, continuous_path):
+        doc, parse = self.document(kind, discrete_path, continuous_path)
+        doc["seed"] = None
+        assert parse(json.dumps(doc)).seed is None

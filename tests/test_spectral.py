@@ -31,7 +31,8 @@ from maxstab import (
     spectral_mean,
 )
 import maxstab.spectral
-from maxstab.spectral import _FIRST_BLOCK, _spectral_rows, _support_rows
+from maxstab.spectral import _FIRST_BLOCK, _decay_profile, _onset_rows, \
+    _spectral_rows, _support_rows
 
 UNIFORM5 = FiniteMixing({n: 1.0 for n in range(-2, 3)})
 
@@ -490,6 +491,18 @@ class TestExponentRectangle:
         func = ExponentFunctional(0.0)
         got = exponent_rectangle(func, [(0, 2.0), (0, 1.0), (3, 4.0)])
         assert got == pytest.approx(1.25, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.0, 0.45, 1.0])
+    @pytest.mark.parametrize("times", [[0], [5, 5, 5], [3, -2, 3, 0, -2, 7],
+                                       list(range(9, -1, -1))])
+    def test_onset_rows_stand_at_the_distinct_times(self, a, times):
+        """The rows sit at np.unique's distinct times, bit for bit."""
+        t = np.array(times, dtype=np.int64)
+        weights, rows = _onset_rows(a, t)
+        expected = _decay_profile(a, t, np.unique(t))
+        assert weights.shape == (expected.shape[0],)
+        assert rows.shape == expected.shape
+        assert np.array_equal(rows, expected)
 
     def test_constant_case(self):
         func = ExponentFunctional(1.0)
