@@ -11,6 +11,7 @@ the decision rules rely on.
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 import warnings
@@ -19,10 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .conditional import independence_test
-from .continuous import ShapeFunction, _jump_chain, _levels, \
-    _reversed_knots, _window_path, sample_grid
-from .distributions import RngState, frechet_cdf, frechet_sample
+from .distributions import RngState, _quantiles, frechet_cdf, \
+    frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, \
     _pair_cdf_errors, _stationary_windows, kernel_cdf, kernel_sample_many, \
     reverse_path, simulate_forward, simulate_reversed
@@ -43,6 +42,23 @@ __all__ = [
     "identify",
     "run_battery",
 ]
+
+# Names from conditional and continuous resolve on first use, through
+# __getattr__, and are called as _analysis.<name>: a process loads each
+# module only when it runs it, and a name patched onto this module is the
+# one called.
+_analysis = sys.modules[__name__]
+_LAZY = {"independence_test": "conditional", **dict.fromkeys((
+    "ShapeFunction", "_jump_chain", "_levels", "_reversed_knots",
+    "_window_path", "sample_grid"), "continuous")}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_LAZY[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 class IdentificationError(ValueError):
@@ -222,7 +238,8 @@ def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> Identification
                 "no ratio atom found and too few values to assess "
                 "independence (need at least 2000)")
         pairs = values[:2 * (n // 2)].reshape(-1, 2)  # disjoint consecutive
-        if independence_test(pairs, level=level).checks[0].passed is not True:
+        verdict = _analysis.independence_test(pairs, level=level)
+        if verdict.checks[0].passed is not True:
             raise UnclassifiableDataError(
                 "no ratio atom and the independence test rejected; the path "
                 "does not match any member of the family")
@@ -349,7 +366,7 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
 
         forward = MaxARParams(a, Direction.FORWARD)
         sampled = kernel_sample_many(forward, starts, sub)
-        edges = np.quantile(starts, np.arange(1, _KERNEL_BINS) / _KERNEL_BINS)
+        edges = _quantiles(starts, np.arange(1, _KERNEL_BINS) / _KERNEL_BINS)
         bins = np.searchsorted(edges, starts)
         for b in range(_KERNEL_BINS):
             mask = bins == b
@@ -360,7 +377,7 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                        "same stationary starts")
         lo_edges = np.concatenate([[0.0], edges])
         hi_edges = np.concatenate([edges, [math.inf]])
-        y_grid = np.quantile(nexts, np.arange(1, 10) / 10.0)
+        y_grid = _quantiles(nexts, np.arange(1, 10) / 10.0)
         for b in range(_KERNEL_BINS):
             mask = bins == b
             n_bin = int(mask.sum())
@@ -452,12 +469,13 @@ def _replicate_values(shape: ShapeFunction, length: float, times,
                       count: int, rng: RngState) -> np.ndarray:
     """Values at the given times of count independent windows on
     [0, length], read off one batch of knots; one row per time."""
-    knots = _jump_chain(shape.a, length, count, rng)
+    knots = _analysis._jump_chain(shape.a, length, count, rng)
     if shape.direction is Direction.REVERSED:
-        knots = _reversed_knots(shape.a, length, knots)
+        knots = _analysis._reversed_knots(shape.a, length, knots)
     owner = np.repeat(np.arange(count), len(times))
-    return _levels(shape.a, shape.direction, knots, np.tile(times, count),
-                   owner=owner).reshape(count, len(times)).T
+    values = _analysis._levels(shape.a, shape.direction, knots,
+                               np.tile(times, count), owner=owner)
+    return values.reshape(count, len(times)).T
 
 
 def _continuous_battery(shape: ShapeFunction, epsilon: float,
@@ -469,8 +487,9 @@ def _continuous_battery(shape: ShapeFunction, epsilon: float,
     level = 0.001
 
     length = sizes.skeleton_points * epsilon
-    path = _window_path(a, shape.direction, length, rng.substream(1))
-    skeleton = sample_grid(path, epsilon)
+    path = _analysis._window_path(a, shape.direction, length,
+                                  rng.substream(1))
+    skeleton = _analysis.sample_grid(path, epsilon)
     ratios = skeleton.ratios()
     if reversed_dir:
         edge = float(ratios.max())
@@ -529,7 +548,7 @@ def run_battery(spec, rng: RngState, sizes: BatterySizes | None = None,
         report.seeds.append((rng.seed, rng.stream))
         _discrete_battery(spec, sizes, rng, report)
         return report
-    if isinstance(spec, ShapeFunction):
+    if isinstance(spec, _analysis.ShapeFunction):
         if not (math.isfinite(epsilon) and epsilon > 0):
             raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
         # a subnormal or zero per-step decay leaves the skeleton edge no

@@ -167,6 +167,10 @@ def _parse_query(text: str):
     for key in ("conditioning", "targets", "a"):
         if key not in doc:
             raise click.UsageError(f"query field '{key}': missing")
+    if "tol" in doc:
+        raise click.UsageError(
+            "query field 'tol': no longer accepted; remove it (it had no "
+            "effect)")
     cond = doc["conditioning"]
     if not (isinstance(cond, list) and len(cond) == 2):
         raise click.UsageError(
@@ -192,23 +196,13 @@ def _parse_query(text: str):
         raise click.UsageError(f"query field 'a': {exc}") from exc
     if not 0.0 <= a <= 1.0:
         raise click.UsageError("query field 'a': must lie in [0, 1]")
-    if "tol" in doc:
-        try:
-            tol = float(doc["tol"])
-        except (TypeError, ValueError) as exc:
-            raise click.UsageError(f"query field 'tol': {exc}") from exc
-        if not 0.0 < tol <= 1e-4:
-            raise click.UsageError("query field 'tol': must lie in (0, 1e-4]")
-        click.echo("note: query field 'tol' is deprecated and has no effect",
-                   err=True)
     return query, a
 
 
 @main.command("conditional")
 @click.option("--query", "query_path", required=True,
               help="JSON query file: {\"conditioning\": [t, z], "
-                   "\"targets\": [[t1, z1], ...], \"a\": a}; a legacy "
-                   "\"tol\" field is deprecated, checked and has no effect.")
+                   "\"targets\": [[t1, z1], ...], \"a\": a}.")
 @click.option("--mc", type=int, default=None,
               help="Also print a Monte Carlo estimate from this many draws.")
 @_seed_option

@@ -23,15 +23,16 @@ evaluates the same two terms on random onsets weighted by 1/mass.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .distributions import RngState, _as_integer
+from .distributions import RngState, _integer, _quantiles
 from .report import EmpiricalReport
-from .spectral import GeometricMixing, _decay_profile, _onset_rows
+
+# spectral is imported inside the functions that sum or draw its rows, so
+# that a process running only the independence test does not load it.
 
 __all__ = [
     "ConditionalQuery",
@@ -43,16 +44,7 @@ __all__ = [
     "independence_test",
 ]
 
-_MAX_TOL = 1e-4
-
-
-def _index(value) -> int:
-    """A query index as an int, refusing every value that is not an
-    integer."""
-    index = _as_integer(value)
-    if index is None:
-        raise ValueError(f"indices must be integers, got {value!r}")
-    return index
+_INDEX_RULE = "indices must be integers"
 
 
 @dataclass(frozen=True)
@@ -64,11 +56,13 @@ class ConditionalQuery:
     targets: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        t0, z0 = _index(self.conditioning[0]), float(self.conditioning[1])
+        t0 = _integer(self.conditioning[0], _INDEX_RULE)
+        z0 = float(self.conditioning[1])
         if not (math.isfinite(z0) and z0 > 0):
             raise ValueError("conditioning level must be finite and positive")
         object.__setattr__(self, "conditioning", (t0, z0))
-        targets = tuple((_index(t), float(z)) for t, z in self.targets)
+        targets = tuple((_integer(t, _INDEX_RULE), float(z))
+                        for t, z in self.targets)
         if not targets:
             raise ValueError("at least one target is required")
         if len({t for t, _ in targets}) != len(targets):
@@ -122,6 +116,8 @@ def conditional_factors(query: ConditionalQuery, a: float) -> ConditionalFactors
     sums over all integer onsets are the weighted sums of the terms of the
     decay rows at the distinct query times, a = 0 and a = 1 included.
     """
+    from .spectral import _onset_rows
+
     a = _check_a(a)
     ts, zs = _query_arrays(query)
     weights, rows = _onset_rows(a, ts)
@@ -129,20 +125,9 @@ def conditional_factors(query: ConditionalQuery, a: float) -> ConditionalFactors
     return ConditionalFactors(float(weights @ indicator), float(weights @ excess))
 
 
-def conditional_cdf(query: ConditionalQuery, a: float,
-                    tol: float | None = None) -> float:
+def conditional_cdf(query: ConditionalQuery, a: float) -> float:
     """P[eta(t_i) <= z_i for all targets | eta(t) = z] for the stationary
-    process with decay rate a.
-
-    ``tol`` is deprecated and has no effect: the distinct-time rows commit
-    no truncation error, so there is no budget to spend.  Passing it emits
-    a DeprecationWarning, and it is still checked to lie in (0, 1e-4].
-    """
-    if tol is not None:
-        warnings.warn("conditional_cdf: tol is deprecated and has no effect",
-                      DeprecationWarning, stacklevel=2)
-        if not (0.0 < float(tol) <= _MAX_TOL):
-            raise ValueError("tol must lie in (0, 1e-4]")
+    process with decay rate a."""
     return conditional_factors(query, a).value
 
 
@@ -164,6 +149,8 @@ def _spectral_matrix(a: float, times: np.ndarray, n: int, rng: RngState,
                      mixing) -> np.ndarray:
     """n spectral realizations evaluated at the given times, as an
     (n, len(times)) array.  Randomness is the onset index only."""
+    from .spectral import GeometricMixing, _decay_profile
+
     if a == 1.0:
         return np.ones((n, times.size))
     if mixing is None:
@@ -187,10 +174,7 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
     meaningless.
     """
     a = _check_a(a)
-    count = _as_integer(n)
-    if count is None or count < 1000:
-        raise ValueError(f"n must be an integer of at least 1000, got {n!r}")
-    n = count
+    n = _integer(n, "n must be an integer of at least 1000", 1000)
     ts, zs = _query_arrays(query)
     ind_sample, exc_sample = _factor_terms(
         _spectral_matrix(a, ts, n, rng, mixing), zs)
@@ -214,7 +198,7 @@ def _grid_labels(x: np.ndarray, grid: int) -> np.ndarray:
     """Bin label of each value on the quantile grid: label <= k exactly
     when x <= q_k, ties included."""
     qs = np.arange(1, grid + 1) / (grid + 1.0)
-    return np.searchsorted(np.quantile(x, qs), x, side="left")
+    return np.searchsorted(_quantiles(x, qs), x, side="left")
 
 
 def _joint_grid_statistic(u: np.ndarray, v: np.ndarray, grid: int) -> float:
@@ -282,7 +266,7 @@ def _null_statistics(n: int, grid: int, n_null: int) -> np.ndarray:
 def _null_quantile(n: int, grid: int, n_null: int, level: float) -> float:
     """Null quantile of the grid statistic, computed once per process for
     each (n, grid, n_null, level)."""
-    return float(np.quantile(_null_statistics(n, grid, n_null), 1.0 - level))
+    return float(_quantiles(_null_statistics(n, grid, n_null), 1.0 - level))
 
 
 def independence_test(pairs, level: float = 0.01) -> EmpiricalReport:

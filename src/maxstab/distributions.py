@@ -44,31 +44,43 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def _as_integer(value) -> int | None:
-    """value as an int when it equals one: a Python or numpy integer or an
-    integral float.  Fractions, NaN, inf, strings and None give None."""
+def _integer(value, rule: str, least: int | None = None,
+             below: int | None = None) -> int:
+    """value as an int when it equals one (a Python or numpy integer or an
+    integral float) in [least, below); any other value, NaN, inf, strings
+    and None included, raises ValueError saying ``rule`` and the value."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
-        return None
-    return number if number == value else None
-
-
-def _check_size(size) -> int:
-    """A block size as an int, refusing every value that is not a
-    nonnegative integer."""
-    n = _as_integer(size)
-    if n is None or n < 0:
-        raise ValueError(f"size must be a nonnegative integer, got {size!r}")
-    return n
+        number = None
+    if number is None or number != value \
+            or (least is not None and number < least) \
+            or (below is not None and number >= below):
+        raise ValueError(f"{rule}, got {value!r}")
+    return number
 
 
 def _check_key(value) -> int:
     """value as an int in [0, 2**64), refusing every other value."""
-    key = _as_integer(value)
-    if key is None or not 0 <= key < 2**64:
-        raise ValueError("seed and stream must be unsigned 64-bit integers")
-    return key
+    return _integer(value, "seed and stream must be unsigned 64-bit integers",
+                    0, 2**64)
+
+
+def _quantiles(x: np.ndarray, qs):
+    """np.quantile(x, qs) with its default linear method, bit for bit, but
+    without np.quantile's np.unique, which imports numpy.ma: the sorted
+    values at floor(v) and the next index, clipped to the array, for the
+    virtual index v = (n - 1) q, interpolated by the fraction g of v as
+    numpy's _lerp does, from the upper neighbour where g >= 1/2."""
+    order = np.sort(x)
+    last = order.size - 1
+    index = last * np.asarray(qs, dtype=np.float64)
+    floor = np.floor(index)
+    g = index - floor
+    lo = np.minimum(floor.astype(np.intp), last)
+    lower, upper = order[lo], order[np.minimum(lo + 1, last)]
+    diff = upper - lower
+    return np.where(g >= 0.5, upper - diff * (1.0 - g), lower + diff * g)
 
 
 class RngState:
@@ -129,7 +141,7 @@ class RngState:
                 self._refill(1)
             self._pos += 1
             return float(self._buf[self._pos - 1])
-        n = _check_size(size)
+        n = _integer(size, "size must be a nonnegative integer", 0)
         need = n - (self._buf.size - self._pos)
         if need >= _BUFFER_SIZE:
             fresh = _uniforms(self._bitgen.random_raw(need))
@@ -149,7 +161,7 @@ class RngState:
         have read, so the stream position never depends on the block size.
         The view must not be written to.
         """
-        n = _check_size(size)
+        n = _integer(size, "size must be a nonnegative integer", 0)
         if self._buf.size - self._pos < n:
             self._refill(n - (self._buf.size - self._pos))
         return self._buf[self._pos:self._pos + n]
@@ -166,11 +178,13 @@ class RngState:
         return -np.log(u)
 
 
-def _check_scale(c: float) -> float:
-    c = float(c)
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError("scale must be finite and positive")
-    return c
+def _check_positive(name: str, value: float) -> float:
+    """value as a float, refusing every value that is not finite and
+    positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive")
+    return value
 
 
 def frechet_cdf(y, scale: float = 1.0):
@@ -179,7 +193,7 @@ def frechet_cdf(y, scale: float = 1.0):
     Nonpositive or non-finite y is a domain error: the support of the law is
     (0, inf) and callers are expected to have screened their data.
     """
-    c = _check_scale(scale)
+    c = _check_positive("scale", scale)
     arr = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError("y must be finite and positive")
@@ -191,7 +205,7 @@ def frechet_cdf(y, scale: float = 1.0):
 
 def frechet_quantile(p, scale: float = 1.0):
     """Inverse CDF: -scale/log(p) for p strictly inside (0, 1)."""
-    c = _check_scale(scale)
+    c = _check_positive("scale", scale)
     arr = np.asarray(p, dtype=np.float64)
     if not np.all((arr > 0) & (arr < 1)):
         raise ValueError("p must lie strictly inside (0, 1)")
@@ -207,7 +221,7 @@ def frechet_sample(rng: RngState, scale: float = 1.0, size: int | None = None):
     Both forms evaluate the same numpy expression, so one-at-a-time and
     block draws on the same stream are bitwise equal.
     """
-    c = _check_scale(scale)
+    c = _check_positive("scale", scale)
     u = rng.uniform(size)
     if size is None:
         return float(-c / np.log(u))

@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import RngState, _as_integer, frechet_cdf, \
-    frechet_quantile, frechet_sample
+from .distributions import RngState, _check_positive, _integer, \
+    frechet_cdf, frechet_quantile, frechet_sample
 from .report import EmpiricalReport
 
 __all__ = [
@@ -158,11 +158,8 @@ def _check_path(path: DiscretePath) -> None:
     block at a time through one small scratch, so a long path needs no
     temporary of its own size.  A wrong scan shows in this bound.
     """
-    start = _as_integer(path.start_index)
-    if start is None:
-        raise ValueError("start_index must be an integer, "
-                         f"got {path.start_index!r}")
-    object.__setattr__(path, "start_index", start)
+    object.__setattr__(path, "start_index", _integer(
+        path.start_index, "start_index must be an integer"))
     values = path.values
     if values.ndim != 1 or values.size == 0:
         raise ValueError("values must be a nonempty 1-d array")
@@ -247,14 +244,6 @@ def _stationary_windows(a: float, width: int, count: int,
     return x.T
 
 
-def _check_count(n) -> int:
-    """n as an int, refusing every value that is not a positive integer."""
-    count = _as_integer(n)
-    if count is None or count <= 0:
-        raise ValueError("n must be a positive integer")
-    return count
-
-
 def simulate_forward(params: MaxARParams, n: int, rng: RngState,
                      start_index: int = 0) -> DiscretePath:
     """Exact stationary draw of n consecutive values of the forward chain.
@@ -277,7 +266,8 @@ def _draw_path(params: MaxARParams, n, rng: RngState,
     """One scan of n stationary forward values, read forwards or, for a
     reversed chain, backwards, and checked once against the one-step bound
     of params' direction."""
-    values = _stationary_windows(params.a, _check_count(n), 1, rng)[0]
+    values = _stationary_windows(
+        params.a, _integer(n, "n must be a positive integer", 1), 1, rng)[0]
     if params.direction is Direction.REVERSED:
         values = values[::-1]
     return _owned_path(start_index, values, params, (rng.seed, rng.stream))
@@ -306,13 +296,6 @@ def simulate_reversed(params: MaxARParams, n: int, rng: RngState,
     """
     canonical = MaxARParams(params.a, params.direction)
     return _draw_path(canonical, n, rng, start_index)
-
-
-def _check_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive")
-    return value
 
 
 def kernel_cdf(params: MaxARParams, x: float, y: float) -> float:
@@ -403,10 +386,7 @@ def equilibrium_check(a: float, n: int, rng: RngState,
     Independent stationary pairs are used for each direction so the
     empirical CDF error bound sqrt(1/4n) applies exactly.
     """
-    count = _as_integer(n)
-    if count is None or count < 1000:
-        raise ValueError(f"n must be an integer of at least 1000, got {n!r}")
-    n = count
+    n = _integer(n, "n must be an integer of at least 1000", 1000)
     if not 0.0 < a < 1.0:
         raise ValueError("the two-sided comparison needs a strictly inside (0, 1)")
     params = MaxARParams(a, Direction.FORWARD)

@@ -12,9 +12,11 @@ import json
 
 import numpy as np
 
-from .continuous import CadlagPath, path_value
 from .distributions import _check_key
 from .maxar import Direction, DiscretePath, MaxARParams
+
+# continuous is imported only by the two functions that evaluate or build
+# a continuous path, so discrete paths never load it.
 
 __all__ = [
     "format_float",
@@ -148,6 +150,8 @@ def parse_discrete_json(text: str) -> DiscretePath:
 def continuous_csv_text(path: CadlagPath) -> str:
     """Rows time,value,is_event: the anchor row, one row per event, and a
     closing row with the left-limit value at the window end."""
+    from .continuous import path_value
+
     t0, t1 = path.window
     lines = [CONTINUOUS_CSV_HEADER,
              f"{format_float(t0)},{format_float(path.anchor_value)},0"]
@@ -197,6 +201,8 @@ def continuous_json_text(path: CadlagPath) -> str:
 
 
 def parse_continuous_json(text: str) -> CadlagPath:
+    from .continuous import CadlagPath
+
     doc = json.loads(text)
     if doc.get("kind") != "continuous-path":
         raise ValueError("field 'kind': expected 'continuous-path'")

@@ -21,13 +21,16 @@ from maxstab import (
     ConditionalQuery,
     Direction,
     EmpiricalReport,
+    MaxARParams,
     RngState,
     conditional_cdf,
+    discrete_csv_text,
     format_float,
     parse_continuous_csv,
     parse_continuous_json,
     parse_discrete_csv,
     parse_discrete_json,
+    simulate_forward,
 )
 from maxstab.cli import main
 
@@ -319,7 +322,9 @@ class TestConditional:
         assert result.exit_code == 2
         assert "targets[0]" in result.stderr
 
-    def test_deprecated_tol_notes_on_stderr_only(self, runner, tmp_path):
+    def test_tol_field_is_refused(self, runner, tmp_path):
+        """The query file's tol field had no effect and is refused now,
+        with a usage error that names it; the query without it runs."""
         doc = {"conditioning": [0, 1.2], "targets": [[-2, 0.8], [3, 1.5]],
                "a": 0.4}
         plain = runner.invoke(main, ["conditional", "--query",
@@ -327,11 +332,9 @@ class TestConditional:
         legacy = runner.invoke(main, [
             "conditional", "--query",
             write_query(tmp_path, dict(doc, tol=1e-10), "legacy.json")])
-        assert plain.exit_code == 0 and legacy.exit_code == 0
-        assert plain.stderr == ""
-        assert legacy.stdout == plain.stdout
-        assert legacy.stderr == \
-            "note: query field 'tol' is deprecated and has no effect\n"
+        assert plain.exit_code == 0 and plain.stderr == ""
+        assert legacy.exit_code == 2 and legacy.stdout == ""
+        assert "query field 'tol'" in legacy.stderr
 
     def test_out_of_range_tol_exits_2(self, runner, tmp_path):
         query = write_query(tmp_path, {"conditioning": [0, 1.0],
@@ -580,7 +583,8 @@ class TestFreshProcessLoads:
         (["simulate-discrete", "--a", "0.5", "--n", "100",
           "--out", "{tmp}/d.csv"],
          {"maxstab.maxar", "maxstab.serialize"},
-         {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral"}),
+         {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral",
+          "maxstab.continuous"}),
         (["simulate-continuous", "--a", "0.5", "--window", "5",
           "--out", "{tmp}/c.json"],
          {"maxstab.continuous", "maxstab.serialize"},
@@ -588,10 +592,31 @@ class TestFreshProcessLoads:
         (["conditional", "--query", "{tmp}/query.json", "--mc", "1000"],
          {"maxstab.conditional", "maxstab.spectral"},
          {"maxstab.analysis", "maxstab.continuous", "numpy.ma"}),
+        (["identify", "--in", "{tmp}/atom.csv"],
+         {"maxstab.analysis", "maxstab.serialize"},
+         {"maxstab.conditional", "maxstab.spectral", "maxstab.continuous",
+          "numpy.ma"}),
+        (["identify", "--in", "{tmp}/iid.csv"],
+         {"maxstab.analysis", "maxstab.conditional"},
+         {"maxstab.spectral", "maxstab.continuous", "numpy.ma"}),
+        (["verify", "--a", "0.5", "--n", "2000"],
+         {"maxstab.analysis"},
+         {"maxstab.spectral", "maxstab.conditional", "maxstab.continuous",
+          "numpy.ma"}),
+        (["verify", "--a", "0.5", "--continuous", "--n", "2000"],
+         {"maxstab.analysis", "maxstab.continuous"},
+         {"maxstab.spectral", "maxstab.conditional", "numpy.ma",
+          "numpy.polynomial"}),
     ], ids=["help", "kernel-cdf", "simulate-discrete", "simulate-continuous",
-            "conditional"])
+            "conditional", "identify-atom", "identify-independent", "verify",
+            "verify-continuous"])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, args, needed,
                                                 unloaded):
+        # a path with a ratio atom, and one (a = 0) that identify can only
+        # attribute through the independence test
+        for name, a in (("atom.csv", 0.5), ("iid.csv", 0.0)):
+            path = simulate_forward(MaxARParams(a), 4000, RngState(7))
+            (tmp_path / name).write_text(discrete_csv_text(path))
         write_query(tmp_path, {"conditioning": [0, 1.0],
                                "targets": [[1, 1.0], [3, 0.5]], "a": 0.5})
         result = run_fresh(RUN_AS_MAIN,

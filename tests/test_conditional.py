@@ -7,7 +7,6 @@ against its own Monte Carlo counterpart.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -254,20 +253,12 @@ class TestConditionalCdf:
         value = conditional_cdf(q, a)
         assert 0.0 <= value <= 1.0
 
-    def test_tol_validation(self):
-        q = ConditionalQuery((0, 1.0), ((1, 1.0),))
-        for bad in (0.0, -1e-9, 1e-3):
-            with pytest.raises(ValueError), \
-                    pytest.warns(DeprecationWarning):
-                conditional_cdf(q, 0.5, tol=bad)
-
-    def test_tol_is_deprecated_and_has_no_effect(self):
+    @pytest.mark.parametrize("tol", [1e-6, 0.0, 1e-3])
+    def test_tol_argument_is_refused(self, tol):
+        """conditional_cdf took a tol that had no effect; it is gone."""
         q = ConditionalQuery((0, 1.2), ((-2, 0.8), (3, 1.5)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            value = conditional_cdf(q, 0.4)
-        with pytest.warns(DeprecationWarning, match="tol is deprecated"):
-            assert conditional_cdf(q, 0.4, tol=1e-6) == value
+        with pytest.raises(TypeError, match="tol"):
+            conditional_cdf(q, 0.4, tol=tol)
 
     def test_a_validation(self):
         q = ConditionalQuery((0, 1.0), ((1, 1.0),))

@@ -14,6 +14,7 @@ from maxstab import (
     ks_one_sample,
     ks_two_sample,
 )
+from maxstab.distributions import _quantiles
 
 E_INV = 0.36787944117144233
 
@@ -249,3 +250,40 @@ class TestFrechetSample:
         a = frechet_sample(RngState(9), size=50)
         b = frechet_sample(RngState(9), size=50)
         assert np.array_equal(a, b)
+
+
+# the discrete battery's two grids, the independence test's grid, and the
+# scalar levels its null quantile is read at
+QUANTILE_GRIDS = [np.arange(1, 5) / 5, np.arange(1, 10) / 10.0,
+                  np.arange(1, 21) / 21.0, 0.99, 0.999, 0.0, 1.0]
+
+
+class TestQuantiles:
+    """_quantiles is np.quantile's linear method, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(x, qs):
+        want = np.asarray(np.quantile(x, qs), dtype=np.float64)
+        got = np.asarray(_quantiles(x, qs), dtype=np.float64)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 31, 100, 999, 2000, 20000])
+    @pytest.mark.parametrize("qs", QUANTILE_GRIDS)
+    def test_frechet_samples(self, n, qs):
+        self.assert_bitwise(frechet_sample(RngState(n), size=n), qs)
+
+    @pytest.mark.parametrize("qs", QUANTILE_GRIDS)
+    def test_tied_values(self, qs):
+        x = np.round(frechet_sample(RngState(5), size=1001), 1)
+        assert np.unique(x).size < 200
+        self.assert_bitwise(x, qs)
+        self.assert_bitwise(np.full(7, 2.5), qs)
+
+    @pytest.mark.parametrize("n,q", [(3, 0.25), (5, 0.125), (11, 0.05),
+                                     (21, 0.975)])
+    def test_fractional_index_one_half(self, n, q):
+        """At (n - 1) q = k + 1/2 numpy interpolates down from the upper
+        neighbour."""
+        assert (n - 1) * q % 1.0 == 0.5
+        self.assert_bitwise(frechet_sample(RngState(n), size=n), q)
