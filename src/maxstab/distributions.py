@@ -68,17 +68,19 @@ def _check_key(value) -> int:
 
 def _quantiles(x: np.ndarray, qs):
     """np.quantile(x, qs) with its default linear method, bit for bit, but
-    without np.quantile's np.unique, which imports numpy.ma: the sorted
-    values at floor(v) and the next index, clipped to the array, for the
-    virtual index v = (n - 1) q, interpolated by the fraction g of v as
+    without np.quantile's np.unique, which imports numpy.ma: the order
+    statistics at floor(v) and the next index, clipped to the array, for
+    the virtual index v = (n - 1) q, selected by np.partition as
+    np.quantile selects them and interpolated by the fraction g of v as
     numpy's _lerp does, from the upper neighbour where g >= 1/2."""
-    order = np.sort(x)
-    last = order.size - 1
+    last = np.size(x) - 1
     index = last * np.asarray(qs, dtype=np.float64)
     floor = np.floor(index)
     g = index - floor
     lo = np.minimum(floor.astype(np.intp), last)
-    lower, upper = order[lo], order[np.minimum(lo + 1, last)]
+    hi = np.minimum(lo + 1, last)
+    order = np.partition(x, np.concatenate((lo.ravel(), hi.ravel())))
+    lower, upper = order[lo], order[hi]
     diff = upper - lower
     return np.where(g >= 0.5, upper - diff * (1.0 - g), lower + diff * g)
 
