@@ -10,10 +10,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each submodule's public names, as in its own ``__all__`` (the package
-# tests check that the two agree).  Spelled out here so that the package
-# can answer ``__all__``, ``dir`` and a name lookup without importing
-# every module.
+# Each submodule's public names: the only list of them, which each
+# submodule's ``__all__`` is read from.  Kept here so that the package can
+# answer ``__all__``, ``dir`` and a name lookup without importing every
+# module.
 _EXPORTS = {
     "analysis": (
         "KsResult", "RatioSupportEstimate", "IdentificationResult",

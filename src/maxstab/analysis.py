@@ -20,28 +20,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .distributions import RngState, _quantiles, frechet_cdf, \
-    frechet_sample
+from . import _EXPORTS
+from .distributions import RngState, _check_positive, \
+    _check_positive_array, _integer, _quantiles, frechet_cdf, frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, \
     _pair_cdf_errors, _stationary_windows, kernel_cdf, kernel_sample_many, \
     reverse_path, simulate_forward, simulate_reversed
 from .report import EmpiricalReport
 
-__all__ = [
-    "KsResult",
-    "RatioSupportEstimate",
-    "IdentificationResult",
-    "IdentificationError",
-    "UnclassifiableDataError",
-    "AmbiguousRatioError",
-    "BatterySizes",
-    "ks_critical_value",
-    "ks_one_sample",
-    "ks_two_sample",
-    "ratio_support",
-    "identify",
-    "run_battery",
-]
+__all__ = list(_EXPORTS["analysis"])
 
 # Names from conditional and continuous resolve on first use, through
 # __getattr__, and are called as _analysis.<name>: a process loads each
@@ -91,15 +78,22 @@ def ks_critical_value(level: float) -> float:
 _KS_MIN_VALUES = 30
 
 
-def ks_one_sample(values, cdf: Callable, level: float = 0.01) -> KsResult:
-    """Sup distance between the empirical CDF of an i.i.d. sample and a
-    target CDF, with the asymptotic threshold at the given level."""
+def _ks_sample(values) -> np.ndarray:
+    """values sorted as float64, refusing a sample of fewer than
+    _KS_MIN_VALUES values or with a value that is not finite."""
     x = np.sort(np.asarray(values, dtype=np.float64))
-    n = x.size
-    if n < _KS_MIN_VALUES:
+    if x.size < _KS_MIN_VALUES:
         raise ValueError(f"need at least {_KS_MIN_VALUES} values")
     if not np.all(np.isfinite(x)):
         raise ValueError("values must be finite")
+    return x
+
+
+def ks_one_sample(values, cdf: Callable, level: float = 0.01) -> KsResult:
+    """Sup distance between the empirical CDF of an i.i.d. sample and a
+    target CDF, with the asymptotic threshold at the given level."""
+    x = _ks_sample(values)
+    n = x.size
     f = np.asarray(cdf(x), dtype=np.float64)
     steps = np.arange(1, n + 1) / n
     stat = float(np.max(np.maximum(steps - f, f - (steps - 1.0 / n))))
@@ -110,14 +104,8 @@ def ks_one_sample(values, cdf: Callable, level: float = 0.01) -> KsResult:
 def ks_two_sample(x, y, level: float = 0.01) -> KsResult:
     """Sup distance between two empirical CDFs with the asymptotic
     two-sample threshold."""
-    x = np.sort(np.asarray(x, dtype=np.float64))
-    y = np.sort(np.asarray(y, dtype=np.float64))
+    x, y = _ks_sample(x), _ks_sample(y)
     n, m = x.size, y.size
-    if n < _KS_MIN_VALUES or m < _KS_MIN_VALUES:
-        raise ValueError(f"need at least {_KS_MIN_VALUES} values in each "
-                         "sample")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("values must be finite")
     pooled = np.concatenate([x, y])
     fx = np.searchsorted(x, pooled, side="right") / n
     fy = np.searchsorted(y, pooled, side="right") / m
@@ -132,9 +120,7 @@ def _as_values(path) -> np.ndarray:
     values = np.asarray(path, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("expected a 1-d array of values")
-    if not np.all(np.isfinite(values)) or np.any(values <= 0):
-        raise ValueError("values must be finite and positive")
-    return values
+    return _check_positive_array("values", values)
 
 
 _ATOM_MIN_COUNT = 3
@@ -301,10 +287,10 @@ class BatterySizes:
         for field in fields(self):
             size = getattr(self, field.name)
             least = _MIN_SIZES.get(field.name, 1)
-            if size < least:
-                need = "positive" if size < 1 else f"at least {least}"
-                raise ValueError(f"battery size {field.name} must be "
-                                 f"{need}, got {size}")
+            need = "positive" if size < 1 else \
+                f"at least {least}" if size < least else "an integer"
+            object.__setattr__(self, field.name, _integer(
+                size, f"battery size {field.name} must be {need}", least))
 
     def scaled(self, n: int) -> "BatterySizes":
         """Derive all sizes from one base count n."""
@@ -325,6 +311,7 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                       rng: RngState, report: EmpiricalReport) -> None:
     a = params.a
     reversed_dir = params.direction is Direction.REVERSED
+    forward = MaxARParams(a, Direction.FORWARD)
     level = 0.001
 
     windows = _stationary_windows(a, 3, sizes.marginal, rng.substream(1))
@@ -332,24 +319,21 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         windows = windows[:, ::-1]
     for col in range(windows.shape[1]):
         ks = ks_one_sample(windows[:, col], frechet_cdf, level)
-        report.add(f"stationary_marginal_ks_t{col}", ks.statistic, ks.threshold,
-                   ks.passed, "unit Frechet marginal at a fixed coordinate "
-                   "across independent replicates")
+        report.check(f"stationary_marginal_ks_t{col}", ks.statistic,
+                     ks.threshold, "unit Frechet marginal at a fixed "
+                     "coordinate across independent replicates")
 
     path = (simulate_reversed if reversed_dir else simulate_forward)(
         params, sizes.path_length, rng.substream(2))
     ratios = path.ratios()
     if a > 0.0:
         if reversed_dir:
-            report.add("ratio_upper_edge", float(ratios.max()),
-                       (1.0 / a) * (1.0 + 1e-9),
-                       float(ratios.max()) <= (1.0 / a) * (1.0 + 1e-9),
-                       "reversed one-step ratios never exceed 1/a")
+            report.check("ratio_upper_edge", ratios.max(),
+                         (1.0 / a) * (1.0 + 1e-9),
+                         "reversed one-step ratios never exceed 1/a", "<=")
         else:
-            report.add("ratio_lower_edge", float(ratios.min()),
-                       a * (1.0 - 1e-9),
-                       float(ratios.min()) >= a * (1.0 - 1e-9),
-                       "forward one-step ratios never fall below a")
+            report.check("ratio_lower_edge", ratios.min(), a * (1.0 - 1e-9),
+                         "forward one-step ratios never fall below a", ">=")
 
     if 0.0 < a < 1.0:
         n = sizes.transitions
@@ -360,21 +344,18 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         # split, so every other threshold keeps its bits
         sigma = math.sqrt(a * (1.0 - a) / n) \
             or math.sqrt(a) * math.sqrt((1.0 - a) / n)
-        report.add("transition_atom_mass", abs(atom_freq - a), 4.0 * sigma,
-                   abs(atom_freq - a) <= 4.0 * sigma,
-                   "holding frequency of the decayed value equals a")
+        report.check("transition_atom_mass", abs(atom_freq - a), 4.0 * sigma,
+                     "holding frequency of the decayed value equals a", "<=")
 
-        forward = MaxARParams(a, Direction.FORWARD)
         sampled = kernel_sample_many(forward, starts, sub)
         edges = _quantiles(starts, np.arange(1, _KERNEL_BINS) / _KERNEL_BINS)
         bins = np.searchsorted(edges, starts)
         for b in range(_KERNEL_BINS):
             mask = bins == b
             ks = ks_two_sample(nexts[mask], sampled[mask], level)
-            report.add(f"kernel_sample_two_sample_bin{b}", ks.statistic,
-                       ks.threshold, ks.passed,
-                       "recursion step vs inverse-CDF kernel draw from the "
-                       "same stationary starts")
+            report.check(f"kernel_sample_two_sample_bin{b}", ks.statistic,
+                         ks.threshold, "recursion step vs inverse-CDF kernel "
+                         "draw from the same stationary starts")
         lo_edges = np.concatenate([[0.0], edges])
         hi_edges = np.concatenate([edges, [math.inf]])
         y_grid = _quantiles(nexts, np.arange(1, 10) / 10.0)
@@ -390,24 +371,23 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                     / (p_hi - p_lo)
                 emp = float(np.mean(nexts[mask] <= y))
                 worst = max(worst, abs(emp - target))
-            report.add(f"kernel_binned_cdf_bin{b}", worst,
-                       3.0 / math.sqrt(n_bin), worst < 3.0 / math.sqrt(n_bin),
-                       "closed-form transition CDF mixed over the "
-                       "conditioning bin")
+            report.check(f"kernel_binned_cdf_bin{b}", worst,
+                         3.0 / math.sqrt(n_bin), "closed-form transition CDF "
+                         "mixed over the conditioning bin")
 
         grid = (0.5, 1.0, 2.0)
         worst = max(_pair_cdf_errors(forward, starts, nexts, grid).values())
         bound = 2.0 / math.sqrt(n)
-        report.add("bivariate_grid", worst, bound, worst < bound,
-                   "closed-form joint CDF of a stationary transition pair")
+        report.check("bivariate_grid", worst, bound,
+                     "closed-form joint CDF of a stationary transition pair")
 
         rev = MaxARParams(a, Direction.REVERSED)
         rev_starts = frechet_sample(sub, size=n)
         rev_nexts = kernel_sample_many(rev, rev_starts, sub)
         worst = max(_pair_cdf_errors(rev, rev_starts, rev_nexts, grid).values())
-        report.add("equilibrium_grid", worst, bound, worst < bound,
-                   "detailed balance: backward transition pairs carry the "
-                   "swapped forward joint law")
+        report.check("equilibrium_grid", worst, bound,
+                     "detailed balance: backward transition pairs carry the "
+                     "swapped forward joint law")
 
     copies = sizes.copies
     reps = sizes.aggregation
@@ -420,13 +400,13 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         aggregated = aggregated[:, ::-1]
         single = single[:, ::-1]
     ks = ks_two_sample(aggregated[:, 0], single[:, 0], level)
-    report.add("max_stability_marginal", ks.statistic, ks.threshold, ks.passed,
-               "rescaled pointwise max of independent copies keeps the "
-               "marginal law")
+    report.check("max_stability_marginal", ks.statistic, ks.threshold,
+                 "rescaled pointwise max of independent copies keeps the "
+                 "marginal law")
     ks = ks_two_sample(aggregated.min(axis=1), single.min(axis=1), level)
-    report.add("max_stability_pair_min", ks.statistic, ks.threshold, ks.passed,
-               "rescaled pointwise max of independent copies keeps the "
-               "consecutive-pair law (minimum statistic)")
+    report.check("max_stability_pair_min", ks.statistic, ks.threshold,
+                 "rescaled pointwise max of independent copies keeps the "
+                 "consecutive-pair law (minimum statistic)")
 
     # imported here so that only a process running the battery loads
     # numpy.polynomial
@@ -436,7 +416,6 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
     # forward kernel CDF is a step in u with one kink at exp(-a/y): one
     # fixed panel on each side of it integrates it to rounding.  The upper
     # panel is mapped by w = 1 - u, since u rounds onto 1 for tiny a.
-    forward_params = MaxARParams(a, Direction.FORWARD)
     nodes, weights = leggauss(_QUADRATURE_NODES)
     nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
     worst = 0.0
@@ -446,13 +425,13 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
             xs = -1.0 / np.array([np.log(lower * nodes),
                                   np.log1p(-upper * nodes)])
         # at a = 0 or subnormal a, upper * nodes underflows and x overflows
-        cdf = [[kernel_cdf(forward_params, x, y) for x in row]
+        cdf = [[kernel_cdf(forward, x, y) for x in row]
                for row in np.minimum(xs, np.finfo(float).max).tolist()]
         integral = float(np.dot([lower, upper], np.dot(cdf, weights)))
         worst = max(worst, abs(integral - math.exp(-1.0 / y)))
-    report.add("chapman_kolmogorov_quadrature", worst, 1e-8, worst < 1e-8,
-               "transition kernel integrated against the stationary law "
-               "returns the stationary CDF")
+    report.check("chapman_kolmogorov_quadrature", worst, 1e-8,
+                 "transition kernel integrated against the stationary law "
+                 "returns the stationary CDF")
 
     with warnings.catch_warnings():
         # at a in {0, 1} reverse_path canonicalizes the direction and says
@@ -461,8 +440,8 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         twice = reverse_path(reverse_path(path))
     same = twice.values.shape == path.values.shape and \
         bool(np.all(twice.values == path.values))
-    report.add("reversal_involution", 0.0 if same else 1.0, 0.5, same,
-               "reversing a path twice restores it exactly")
+    report.check("reversal_involution", 0.0 if same else 1.0, 0.5,
+                 "reversing a path twice restores it exactly")
 
 
 def _replicate_values(shape: ShapeFunction, length: float, times,
@@ -497,29 +476,27 @@ def _continuous_battery(shape: ShapeFunction, epsilon: float,
     else:
         edge = float(ratios.min())
         target = a_eff
-    report.add("skeleton_ratio_edge", abs(edge - target), 1e-9 * target,
-               abs(edge - target) <= 1e-9 * target,
-               "grid skeleton ratio support edge equals the per-step decay "
-               "exactly")
+    report.check("skeleton_ratio_edge", abs(edge - target), 1e-9 * target,
+                 "grid skeleton ratio support edge equals the per-step decay "
+                 "exactly", "<=")
 
     reps = sizes.continuous_replicates
     first, second = _replicate_values(shape, 2.0 * epsilon, (0.0, epsilon),
                                       reps, rng.substream(2))
     ks = ks_one_sample(first, frechet_cdf, level)
-    report.add("continuous_marginal_ks", ks.statistic, ks.threshold, ks.passed,
-               "unit Frechet marginal of the continuous process")
+    report.check("continuous_marginal_ks", ks.statistic, ks.threshold,
+                 "unit Frechet marginal of the continuous process")
     chain_pairs = _stationary_windows(a_eff, 2, reps, rng.substream(3))
     if reversed_dir:
         chain_pairs = chain_pairs[:, ::-1]
     ks = ks_two_sample(np.minimum(first, second),
                        chain_pairs.min(axis=1), level)
-    report.add("skeleton_pair_min_two_sample", ks.statistic, ks.threshold,
-               ks.passed, "skeleton pair law matches the discrete chain at "
-               "the per-step decay (minimum statistic)")
+    report.check("skeleton_pair_min_two_sample", ks.statistic, ks.threshold,
+                 "skeleton pair law matches the discrete chain at the "
+                 "per-step decay (minimum statistic)")
     ks = ks_two_sample(second, chain_pairs[:, 1], level)
-    report.add("skeleton_marginal_two_sample", ks.statistic, ks.threshold,
-               ks.passed, "skeleton coordinate matches the discrete chain "
-               "marginal")
+    report.check("skeleton_marginal_two_sample", ks.statistic, ks.threshold,
+                 "skeleton coordinate matches the discrete chain marginal")
 
     z0, z1 = _replicate_values(shape, 1.25, (0.125, 1.125), reps,
                                rng.substream(4))
@@ -528,9 +505,9 @@ def _continuous_battery(shape: ShapeFunction, epsilon: float,
     held = int(np.count_nonzero(
         np.abs(z1 - a * z0) <= 1e-12 * np.maximum(z1, a * z0)))
     sigma = math.sqrt(a * (1.0 - a) / reps)
-    report.add("holding_probability", abs(held / reps - a),
-               4.0 * sigma + 1e-12, abs(held / reps - a) <= 4.0 * sigma + 1e-12,
-               "probability of one unit of pure decay equals a")
+    report.check("holding_probability", abs(held / reps - a),
+                 4.0 * sigma + 1e-12,
+                 "probability of one unit of pure decay equals a", "<=")
 
 
 def run_battery(spec, rng: RngState, sizes: BatterySizes | None = None,
@@ -541,27 +518,23 @@ def run_battery(spec, rng: RngState, sizes: BatterySizes | None = None,
     Individual check failures are recorded in the report, never raised.
     """
     sizes = sizes or BatterySizes()
-    if isinstance(spec, MaxARParams):
-        report = EmpiricalReport(params={
-            "kind": "discrete", "a": spec.a,
-            "direction": spec.direction.value, "sizes": vars(sizes)})
-        report.seeds.append((rng.seed, rng.stream))
-        _discrete_battery(spec, sizes, rng, report)
-        return report
-    if isinstance(spec, _analysis.ShapeFunction):
-        if not (math.isfinite(epsilon) and epsilon > 0):
-            raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    discrete = isinstance(spec, MaxARParams)
+    if not (discrete or isinstance(spec, _analysis.ShapeFunction)):
+        raise TypeError("spec must be MaxARParams or ShapeFunction")
+    params = {"kind": "discrete", "a": spec.a,
+              "direction": spec.direction.value, "sizes": vars(sizes)}
+    if not discrete:
+        _check_positive("epsilon", epsilon)
         # a subnormal or zero per-step decay leaves the skeleton edge no
         # target, and its reciprocal overflows or divides by zero
         if not spec.a ** epsilon >= sys.float_info.min:
             raise ValueError(f"a**epsilon = {spec.a ** epsilon!r} at "
                              f"a={spec.a!r}, epsilon={epsilon!r} is not a "
                              "normal float")
-        report = EmpiricalReport(params={
-            "kind": "continuous", "a": spec.a,
-            "direction": spec.direction.value, "epsilon": epsilon,
-            "sizes": vars(sizes)})
-        report.seeds.append((rng.seed, rng.stream))
+        params.update(kind="continuous", epsilon=epsilon)
+    report = EmpiricalReport(seeds=[(rng.seed, rng.stream)], params=params)
+    if discrete:
+        _discrete_battery(spec, sizes, rng, report)
+    else:
         _continuous_battery(spec, epsilon, sizes, rng, report)
-        return report
-    raise TypeError("spec must be MaxARParams or ShapeFunction")
+    return report

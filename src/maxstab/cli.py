@@ -158,6 +158,8 @@ def cmd_kernel_cdf(a, direction, x, y):
 
 
 def _parse_query(text: str):
+    from maxstab.distributions import _check_unit
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -191,11 +193,9 @@ def _parse_query(text: str):
         raise click.UsageError(
             f"query fields 'conditioning'/'targets': {exc}") from exc
     try:
-        a = float(doc["a"])
+        a = _check_unit("a", doc["a"])
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"query field 'a': {exc}") from exc
-    if not 0.0 <= a <= 1.0:
-        raise click.UsageError("query field 'a': must lie in [0, 1]")
     return query, a
 
 

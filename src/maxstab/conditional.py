@@ -28,21 +28,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import RngState, _integer, _quantiles
+from . import _EXPORTS
+from .distributions import RngState, _check_positive, _check_unit, \
+    _integer, _quantiles
 from .report import EmpiricalReport
 
 # spectral is imported inside the functions that sum or draw its rows, so
 # that a process running only the independence test does not load it.
 
-__all__ = [
-    "ConditionalQuery",
-    "ConditionalFactors",
-    "McConditionalEstimate",
-    "conditional_factors",
-    "conditional_cdf",
-    "conditional_cdf_mc",
-    "independence_test",
-]
+__all__ = list(_EXPORTS["conditional"])
 
 _INDEX_RULE = "indices must be integers"
 
@@ -57,9 +51,7 @@ class ConditionalQuery:
 
     def __post_init__(self):
         t0 = _integer(self.conditioning[0], _INDEX_RULE)
-        z0 = float(self.conditioning[1])
-        if not (math.isfinite(z0) and z0 > 0):
-            raise ValueError("conditioning level must be finite and positive")
+        z0 = _check_positive("conditioning level", self.conditioning[1])
         object.__setattr__(self, "conditioning", (t0, z0))
         targets = tuple((_integer(t, _INDEX_RULE), float(z))
                         for t, z in self.targets)
@@ -68,8 +60,7 @@ class ConditionalQuery:
         if len({t for t, _ in targets}) != len(targets):
             raise ValueError("target indices must be distinct")
         for _, z in targets:
-            if not (math.isfinite(z) and z > 0):
-                raise ValueError("target levels must be finite and positive")
+            _check_positive("target levels", z)
         object.__setattr__(self, "targets", targets)
 
 
@@ -84,13 +75,6 @@ class ConditionalFactors:
     @property
     def value(self) -> float:
         return self.indicator_moment * math.exp(-self.excess_moment)
-
-
-def _check_a(a: float) -> float:
-    a = float(a)
-    if not (math.isfinite(a) and 0.0 <= a <= 1.0):
-        raise ValueError("a must lie in [0, 1]")
-    return a
 
 
 def _query_arrays(query: ConditionalQuery) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +102,7 @@ def conditional_factors(query: ConditionalQuery, a: float) -> ConditionalFactors
     """
     from .spectral import _onset_rows
 
-    a = _check_a(a)
+    a = _check_unit("a", a)
     ts, zs = _query_arrays(query)
     weights, rows = _onset_rows(a, ts)
     indicator, excess = _factor_terms(rows, zs)
@@ -173,7 +157,7 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
     enough in the far past to make the variance infinite and the stderr
     meaningless.
     """
-    a = _check_a(a)
+    a = _check_unit("a", a)
     n = _integer(n, "n must be an integer of at least 1000", 1000)
     ts, zs = _query_arrays(query)
     ind_sample, exc_sample = _factor_terms(
@@ -299,6 +283,7 @@ def independence_test(pairs, level: float = 0.01) -> EmpiricalReport:
         return report
     stat = _joint_grid_statistic(u, v, _GRID)
     threshold = _null_quantile(arr.shape[0], _GRID, _N_NULL, level)
-    report.add("independence_sup_distance", stat, threshold, stat <= threshold,
-               "joint empirical CDF vs product of marginals on a rank grid")
+    report.check("independence_sup_distance", stat, threshold,
+                 "joint empirical CDF vs product of marginals on a rank grid",
+                 "<=")
     return report

@@ -19,17 +19,12 @@ from itertools import chain
 
 import numpy as np
 
-from .distributions import RngState, frechet_sample
+from . import _EXPORTS
+from .distributions import RngState, _check_positive, \
+    _check_positive_array, frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, _owned_path
 
-__all__ = [
-    "ShapeFunction",
-    "CadlagPath",
-    "simulate_moving_max",
-    "simulate_moving_max_reversed",
-    "path_value",
-    "sample_grid",
-]
+__all__ = list(_EXPORTS["continuous"])
 
 
 @dataclass(frozen=True)
@@ -88,8 +83,8 @@ class CadlagPath:
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
             raise ValueError("window must be a nondegenerate finite interval")
         object.__setattr__(self, "window", (t0, t1))
-        if not (math.isfinite(self.anchor_value) and self.anchor_value > 0):
-            raise ValueError("anchor_value must be finite and positive")
+        object.__setattr__(self, "anchor_value", _check_positive(
+            "anchor_value", self.anchor_value))
         events = tuple((float(tt), float(vv)) for tt, vv in self.events)
         object.__setattr__(self, "events", events)
         # the knots, the window start with the anchor and then each event,
@@ -102,8 +97,7 @@ class CadlagPath:
         if not (np.all(times[1:] > times[:-1]) and times[-1] < t1):
             raise ValueError("event times must increase strictly inside "
                              "the window")
-        if not np.all(np.isfinite(levels) & (levels > 0)):
-            raise ValueError("event values must be finite and positive")
+        _check_positive_array("event values", levels)
         knots = (np.array([0, times.size]), times, levels)
         # the left limits at each event and at the window end: reversed
         # growth is largest there, and may overflow
@@ -215,9 +209,7 @@ def _reversed_knots(a: float, length: float, knots):
 def _window_path(a: float, direction: Direction, length: float,
                  rng: RngState) -> CadlagPath:
     a = float(a)
-    length = float(length)
-    if not (math.isfinite(length) and length > 0):
-        raise ValueError("length must be finite and positive")
+    length = _check_positive("length", length)
     if a == 0.0:
         raise ValueError(
             "a = 0 has no continuous-time member: the limit would need "

@@ -19,12 +19,9 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "RngState",
-    "frechet_cdf",
-    "frechet_quantile",
-    "frechet_sample",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["distributions"])
 
 _RAW_SHIFT = np.uint64(12)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the exponent field of 1.0
@@ -189,6 +186,24 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+def _check_positive_array(name: str, values) -> np.ndarray:
+    """values as a float64 array, refusing it when any entry is not finite
+    and positive; an empty array passes."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+        raise ValueError(f"{name} must be finite and positive")
+    return arr
+
+
+def _check_unit(name: str, value: float) -> float:
+    """value as a float, refusing every value outside [0, 1], NaN
+    included."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return value
+
+
 def frechet_cdf(y, scale: float = 1.0):
     """CDF exp(-scale/y) on y > 0; accepts scalars or arrays.
 
@@ -196,9 +211,7 @@ def frechet_cdf(y, scale: float = 1.0):
     (0, inf) and callers are expected to have screened their data.
     """
     c = _check_positive("scale", scale)
-    arr = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ValueError("y must be finite and positive")
+    arr = _check_positive_array("y", y)
     out = np.exp(-c / arr)
     if np.isscalar(y) or arr.ndim == 0:
         return float(out)
@@ -218,13 +231,8 @@ def frechet_quantile(p, scale: float = 1.0):
 
 
 def frechet_sample(rng: RngState, scale: float = 1.0, size: int | None = None):
-    """Inverse-transform sample(s), one uniform per variate.
-
-    Both forms evaluate the same numpy expression, so one-at-a-time and
-    block draws on the same stream are bitwise equal.
+    """Inverse-transform sample(s), one uniform per variate: scale over the
+    unit exponential -log(U) of :meth:`RngState.exponential`, so
+    one-at-a-time and block draws on the same stream are bitwise equal.
     """
-    c = _check_positive("scale", scale)
-    u = rng.uniform(size)
-    if size is None:
-        return float(-c / np.log(u))
-    return -c / np.log(u)
+    return _check_positive("scale", scale) / rng.exponential(size)

@@ -18,25 +18,13 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import RngState, _check_positive, _integer, \
-    frechet_cdf, frechet_quantile, frechet_sample
+from . import _EXPORTS
+from .distributions import RngState, _check_positive, \
+    _check_positive_array, _check_unit, _integer, frechet_cdf, \
+    frechet_quantile, frechet_sample
 from .report import EmpiricalReport
 
-__all__ = [
-    "Direction",
-    "MaxARParams",
-    "DiscretePath",
-    "StationaryLaw",
-    "STATIONARY",
-    "simulate_forward",
-    "simulate_reversed",
-    "reverse_path",
-    "kernel_cdf",
-    "kernel_sample",
-    "kernel_sample_many",
-    "bivariate_cdf",
-    "equilibrium_check",
-]
+__all__ = list(_EXPORTS["maxar"])
 
 
 class Direction(str, Enum):
@@ -57,9 +45,7 @@ class MaxARParams:
     direction: Direction = Direction.FORWARD
 
     def __post_init__(self):
-        a = float(self.a) + 0.0  # -0.0 is stored as +0.0
-        if not (math.isfinite(a) and 0.0 <= a <= 1.0):
-            raise ValueError("a must lie in [0, 1]")
+        a = _check_unit("a", self.a) + 0.0  # -0.0 is stored as +0.0
         object.__setattr__(self, "a", a)
         direction = Direction(self.direction)
         if direction is Direction.REVERSED and a in (0.0, 1.0):
@@ -336,9 +322,7 @@ def kernel_sample_many(params: MaxARParams, current: np.ndarray,
                        rng: RngState) -> np.ndarray:
     """Vectorized :func:`kernel_sample`: one uniform per entry, same
     inverse-transform map applied elementwise."""
-    current = np.asarray(current, dtype=np.float64)
-    if not np.all(np.isfinite(current)) or np.any(current <= 0):
-        raise ValueError("current values must be finite and positive")
+    current = _check_positive_array("current values", current)
     a = params.a
     u = rng.uniform(size=current.size).reshape(current.shape)
     if params.direction is Direction.FORWARD:
@@ -403,10 +387,8 @@ def equilibrium_check(a: float, n: int, rng: RngState,
     rev_next = kernel_sample_many(reversed_params, rev_start, rng)
     backward = _pair_cdf_errors(reversed_params, rev_start, rev_next, grid)
     for (u, v), err in _pair_cdf_errors(params, fwd_x, fwd_y, grid).items():
-        report.add(f"forward_pair_cdf_{u}_{v}", err, tolerance,
-                   err < tolerance,
-                   "closed-form joint CDF of consecutive stationary values")
-        report.add(f"reversed_pair_cdf_{u}_{v}", backward[u, v], tolerance,
-                   backward[u, v] < tolerance,
-                   "detailed-balance identity linking the two kernels")
+        report.check(f"forward_pair_cdf_{u}_{v}", err, tolerance,
+                     "closed-form joint CDF of consecutive stationary values")
+        report.check(f"reversed_pair_cdf_{u}_{v}", backward[u, v], tolerance,
+                     "detailed-balance identity linking the two kernels")
     return report

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
-__all__ = ["CheckResult", "EmpiricalReport"]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["report"])
+
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,15 @@ class EmpiricalReport:
         result = CheckResult(name, float(value), float(threshold), passed, note)
         self.checks.append(result)
         return result
+
+    def check(self, name: str, value: float, threshold: float, note: str,
+              relation: str = "<") -> CheckResult:
+        """Record a decided check that passes when value ``relation``
+        threshold holds, both taken as floats, so a NaN value fails under
+        every relation (``<``, ``<=`` or ``>=``)."""
+        value, threshold = float(value), float(threshold)
+        return self.add(name, value, threshold,
+                        _RELATIONS[relation](value, threshold), note)
 
     @property
     def all_passed(self) -> bool:

@@ -12,23 +12,14 @@ import json
 
 import numpy as np
 
+from . import _EXPORTS
 from .distributions import _check_key
 from .maxar import Direction, DiscretePath, MaxARParams
 
 # continuous is imported only by the two functions that evaluate or build
 # a continuous path, so discrete paths never load it.
 
-__all__ = [
-    "format_float",
-    "discrete_csv_text",
-    "parse_discrete_csv",
-    "discrete_json_text",
-    "parse_discrete_json",
-    "continuous_csv_text",
-    "parse_continuous_csv",
-    "continuous_json_text",
-    "parse_continuous_json",
-]
+__all__ = list(_EXPORTS["serialize"])
 
 DISCRETE_CSV_HEADER = "t,value"
 CONTINUOUS_CSV_HEADER = "time,value,is_event"

@@ -25,25 +25,11 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import RngState
+from . import _EXPORTS
+from .distributions import RngState, _check_positive, \
+    _check_positive_array, _check_unit
 
-__all__ = [
-    "IndexedPath",
-    "GeometricMixing",
-    "FiniteMixing",
-    "SamplerKind",
-    "SpectralSampler",
-    "ConeSpec",
-    "SpectralBoundError",
-    "sample_spectral",
-    "spectral_mean",
-    "spectral_bound",
-    "cone_member",
-    "ExponentFunctional",
-    "exponent_rectangle",
-    "dehaan_max_stable",
-    "shift",
-]
+__all__ = list(_EXPORTS["spectral"])
 
 
 class SpectralBoundError(RuntimeError):
@@ -357,12 +343,9 @@ def cone_member(path, spec: ConeSpec) -> bool:
 
     The zero path is a member of every cone (it is the apex of each).
     """
-    values = path.values if isinstance(path, IndexedPath) else \
-        np.asarray(path, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("path must be a nonempty 1-d array")
-    if not np.all(np.isfinite(values)) or np.any(values < 0):
-        raise ValueError("path values must be finite and nonnegative")
+    if not isinstance(path, IndexedPath):
+        path = IndexedPath(0, path)
+    values = path.values
     peak = float(values.max())
     if peak == 0.0:
         return True
@@ -395,9 +378,7 @@ class ExponentFunctional:
     shifts: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        a = float(self.a)
-        if not (math.isfinite(a) and 0.0 <= a <= 1.0):
-            raise ValueError("a must lie in [0, 1]")
+        a = _check_unit("a", self.a)
         object.__setattr__(self, "a", a)
         if self.shifts is not None:
             shifts = tuple(sorted(int(n) for n in self.shifts))
@@ -413,9 +394,7 @@ def _check_points(points) -> tuple[np.ndarray, np.ndarray]:
     if not pts:
         raise ValueError("points must be nonempty")
     t = np.array([int(p[0]) for p in pts], dtype=np.int64)
-    z = np.array([float(p[1]) for p in pts], dtype=np.float64)
-    if not np.all(np.isfinite(z)) or np.any(z <= 0):
-        raise ValueError("levels must be finite and positive")
+    z = _check_positive_array("levels", [float(p[1]) for p in pts])
     return t, z
 
 
@@ -503,8 +482,7 @@ def dehaan_max_stable(sampler: SpectralSampler, bound: float,
     stream position afterwards are bitwise those of the point-by-point
     construction, whatever the block sizes.
     """
-    if not (math.isfinite(bound) and bound > 0):
-        raise ValueError("bound must be finite and positive")
+    _check_positive("bound", bound)
     _check_charged(sampler)
     lo = sampler.window[0]
     constant = sampler.kind is SamplerKind.CONSTANT

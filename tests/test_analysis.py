@@ -375,6 +375,18 @@ class TestBatterySizes:
         with pytest.raises(ValueError):
             BatterySizes(copies=0)
 
+    @pytest.mark.parametrize("name", [
+        "marginal", "transitions", "aggregation", "copies", "path_length",
+        "continuous_replicates", "skeleton_points"])
+    def test_rejects_non_integer_sizes(self, name):
+        """A fractional size is refused up front, not deep in a draw or
+        written into a report; an integral float is taken as its int."""
+        with pytest.raises(ValueError, match=f"battery size {name} must be "
+                           r"an integer, got 400\.5"):
+            BatterySizes(**{name: 400.5})
+        size = getattr(BatterySizes(**{name: 400.0}), name)
+        assert size == 400 and type(size) is int
+
     def test_rejects_sizes_below_check_minimum(self):
         """A size the checks cannot run on is refused up front, naming the
         field and its minimum; each minimum itself is accepted."""

@@ -14,7 +14,8 @@ from maxstab import (
     ks_one_sample,
     ks_two_sample,
 )
-from maxstab.distributions import _quantiles
+from maxstab.distributions import _check_positive_array, _check_unit, \
+    _quantiles
 
 E_INV = 0.36787944117144233
 
@@ -287,3 +288,22 @@ class TestQuantiles:
         neighbour."""
         assert (n - 1) * q % 1.0 == 0.5
         self.assert_bitwise(frechet_sample(RngState(n), size=n), q)
+
+
+class TestArgumentChecks:
+    def test_unit_interval_keeps_its_ends(self):
+        assert _check_unit("a", 0) == 0.0 and _check_unit("a", 1) == 1.0
+        for bad in (-1e-300, 1.0 + 2**-52, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"^a must lie in \[0, 1\]$"):
+                _check_unit("a", bad)
+
+    def test_positive_array_passes_empty(self):
+        """The array sites accept an empty array, as they did before they
+        shared the check."""
+        empty = _check_positive_array("values", [])
+        assert empty.dtype == np.float64 and empty.size == 0
+        assert frechet_cdf(np.empty(0)).size == 0
+        for bad in ([1.0, 0.0], [math.nan], [1.0, math.inf], [[-2.0]]):
+            with pytest.raises(ValueError,
+                               match="^values must be finite and positive$"):
+                _check_positive_array("values", bad)

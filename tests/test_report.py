@@ -1,6 +1,7 @@
 """Tests for the check-report container and its JSON schema."""
 
 import json
+import math
 
 import pytest
 
@@ -41,3 +42,27 @@ class TestEmpiricalReport:
         assert report.to_json() == report.to_json()
         keys = list(json.loads(report.to_json()))
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("relation,passed",
+                             [("<", False), ("<=", True), (">=", True)])
+    def test_check_at_threshold(self, relation, passed):
+        report = EmpiricalReport()
+        result = report.check("edge", 0.5, 0.5, "why", relation)
+        assert result == CheckResult("edge", 0.5, 0.5, passed, "why")
+        assert type(result.passed) is bool and report.checks == [result]
+
+    @pytest.mark.parametrize("relation", ["<", "<=", ">="])
+    def test_check_nan_value_fails(self, relation):
+        report = EmpiricalReport()
+        assert report.check("nan", math.nan, 1.0, "", relation).passed is False
+        assert report.failures == report.checks
+
+    def test_check_round_trip_is_byte_identical(self):
+        report = EmpiricalReport(params={"a": 0.5}, seeds=[(7, 0)])
+        report.check("below", 0.1, 0.5, "strict")
+        report.check("edge", 2.0, 2.0, "lower edge", ">=")
+        report.check("over", 0.7, 0.5, "inclusive", "<=")
+        report.check("nan", math.nan, 0.5, "")
+        report.add("skipped", math.nan, math.nan, None, "not applicable")
+        back = EmpiricalReport.from_dict(report.to_dict())
+        assert back.to_json() == report.to_json()

@@ -262,13 +262,17 @@ class TestSampleSpectral:
         assert ratios.min() == pytest.approx(0.45, rel=1e-12)
         assert np.all(np.abs(ratios - 0.45) <= 1e-12 * 0.45)
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("mixing", [None, GeometricMixing(0.6)])
     def test_decay_unit_mean(self, mixing):
+        """50,000 onsets drawn in one call, one uniform each, are the
+        onsets of 50,000 sample_spectral draws on the same stream; their
+        rows are the draws' rows (test_matches_onset_loop)."""
         sampler = SpectralSampler.decay(0.5, (0, 4), mixing=mixing)
-        rng = RngState(36)
-        vals = np.array([sample_spectral(sampler, rng).value_at(2)
-                         for _ in range(50000)])
+        rows = _spectral_rows(
+            sampler, sampler.mixing.sample(RngState(36), size=50000))
+        first = sample_spectral(sampler, RngState(36))
+        assert first.values.tobytes() == rows[0].tobytes()
+        vals = rows[:, 2]
         stderr = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 4.0 * stderr
 
