@@ -14,7 +14,6 @@ from __future__ import annotations
 import importlib
 import math
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
@@ -25,7 +24,7 @@ from .distributions import RngState, _check_positive, \
     _check_positive_array, _integer, _quantiles, frechet_cdf, frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, \
     _pair_cdf_errors, _stationary_windows, kernel_cdf, kernel_sample_many, \
-    reverse_path, simulate_forward, simulate_reversed
+    reverse_path
 from .report import EmpiricalReport
 
 __all__ = list(_EXPORTS["analysis"])
@@ -174,10 +173,7 @@ def ratio_support(path, rel_tol: float = 1e-9) -> RatioSupportEstimate:
         raise ValueError("need at least two values")
     ratios = values[1:] / values[:-1]
     clusters = _ratio_clusters(ratios, rel_tol)
-    if not clusters:
-        return RatioSupportEstimate(float(ratios.min()), float(ratios.max()),
-                                    None, 0.0, ratios.size)
-    location, count = clusters[0]
+    location, count = clusters[0] if clusters else (None, 0)
     return RatioSupportEstimate(float(ratios.min()), float(ratios.max()),
                                 location, count / ratios.size, ratios.size)
 
@@ -307,6 +303,13 @@ class BatterySizes:
 _QUADRATURE_NODES = 32
 
 
+def _windows(a: float, width: int, count: int, rng: RngState,
+             reversed_dir: bool) -> np.ndarray:
+    """count stationary windows of the chain, read in its direction."""
+    windows = _stationary_windows(a, width, count, rng)
+    return windows[:, ::-1] if reversed_dir else windows
+
+
 def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                       rng: RngState, report: EmpiricalReport) -> None:
     a = params.a
@@ -314,18 +317,18 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
     forward = MaxARParams(a, Direction.FORWARD)
     level = 0.001
 
-    windows = _stationary_windows(a, 3, sizes.marginal, rng.substream(1))
-    if reversed_dir:
-        windows = windows[:, ::-1]
+    windows = _windows(a, 3, sizes.marginal, rng.substream(1), reversed_dir)
     for col in range(windows.shape[1]):
         ks = ks_one_sample(windows[:, col], frechet_cdf, level)
         report.check(f"stationary_marginal_ks_t{col}", ks.statistic,
                      ks.threshold, "unit Frechet marginal at a fixed "
                      "coordinate across independent replicates")
 
-    path = (simulate_reversed if reversed_dir else simulate_forward)(
-        params, sizes.path_length, rng.substream(2))
-    ratios = path.ratios()
+    # the path's values, checked here rather than by DiscretePath, so a
+    # wrong scan shows as failed checks
+    values = _windows(a, sizes.path_length, 1, rng.substream(2),
+                      reversed_dir)[0]
+    ratios = values[1:] / values[:-1]
     if a > 0.0:
         if reversed_dir:
             report.check("ratio_upper_edge", ratios.max(),
@@ -381,7 +384,7 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         report.check("bivariate_grid", worst, bound,
                      "closed-form joint CDF of a stationary transition pair")
 
-        rev = MaxARParams(a, Direction.REVERSED)
+        rev = forward.reversed()
         rev_starts = frechet_sample(sub, size=n)
         rev_nexts = kernel_sample_many(rev, rev_starts, sub)
         worst = max(_pair_cdf_errors(rev, rev_starts, rev_nexts, grid).values())
@@ -392,13 +395,9 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
     copies = sizes.copies
     reps = sizes.aggregation
     sub = rng.substream(4)
-    block = _stationary_windows(a, 2, reps * copies, sub)
-    block = block.reshape(reps, copies, 2)
-    aggregated = block.max(axis=1) / copies
-    single = _stationary_windows(a, 2, reps, sub)
-    if reversed_dir:
-        aggregated = aggregated[:, ::-1]
-        single = single[:, ::-1]
+    block = _windows(a, 2, reps * copies, sub, reversed_dir)
+    aggregated = block.reshape(reps, copies, 2).max(axis=1) / copies
+    single = _windows(a, 2, reps, sub, reversed_dir)
     ks = ks_two_sample(aggregated[:, 0], single[:, 0], level)
     report.check("max_stability_marginal", ks.statistic, ks.threshold,
                  "rescaled pointwise max of independent copies keeps the "
@@ -433,13 +432,12 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                  "transition kernel integrated against the stationary law "
                  "returns the stationary CDF")
 
-    with warnings.catch_warnings():
-        # at a in {0, 1} reverse_path canonicalizes the direction and says
-        # so; inside a routine battery run that advisory is expected noise
-        warnings.simplefilter("ignore", UserWarning)
-        twice = reverse_path(reverse_path(path))
-    same = twice.values.shape == path.values.shape and \
-        bool(np.all(twice.values == path.values))
+    try:
+        path = DiscretePath(0, values, params)
+        same = np.array_equal(reverse_path(reverse_path(path)).values,
+                              path.values)
+    except ValueError:  # the values break the one-step bound
+        same = False
     report.check("reversal_involution", 0.0 if same else 1.0, 0.5,
                  "reversing a path twice restores it exactly")
 
@@ -451,10 +449,14 @@ def _replicate_values(shape: ShapeFunction, length: float, times,
     knots = _analysis._jump_chain(shape.a, length, count, rng)
     if shape.direction is Direction.REVERSED:
         knots = _analysis._reversed_knots(shape.a, length, knots)
-    owner = np.repeat(np.arange(count), len(times))
-    values = _analysis._levels(shape.a, shape.direction, knots,
-                               np.tile(times, count), owner=owner)
-    return values.reshape(count, len(times)).T
+    offsets, at, _ = knots
+    starts = offsets[:-1]
+    # each window's last knot at or before t: its knots at or before t,
+    # counted from its start
+    k = [starts + np.add.reduceat(at <= t, starts, dtype=np.intp) - 1
+         for t in times]
+    return _analysis._levels(shape.a, shape.direction, knots,
+                             np.array(times)[:, None], np.array(k))
 
 
 def _continuous_battery(shape: ShapeFunction, epsilon: float,
@@ -486,9 +488,7 @@ def _continuous_battery(shape: ShapeFunction, epsilon: float,
     ks = ks_one_sample(first, frechet_cdf, level)
     report.check("continuous_marginal_ks", ks.statistic, ks.threshold,
                  "unit Frechet marginal of the continuous process")
-    chain_pairs = _stationary_windows(a_eff, 2, reps, rng.substream(3))
-    if reversed_dir:
-        chain_pairs = chain_pairs[:, ::-1]
+    chain_pairs = _windows(a_eff, 2, reps, rng.substream(3), reversed_dir)
     ks = ks_two_sample(np.minimum(first, second),
                        chain_pairs.min(axis=1), level)
     report.check("skeleton_pair_min_two_sample", ks.statistic, ks.threshold,

@@ -13,7 +13,6 @@ unit Frechet, and the events form a Poisson process of rate -log a.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -102,8 +101,7 @@ class CadlagPath:
         # the left limits at each event and at the window end: reversed
         # growth is largest there, and may overflow
         with np.errstate(over="ignore"):
-            reached = _levels(a, self.direction, knots,
-                              np.append(times[1:], t1), left=True)
+            _, reached = _left_limits(a, self.direction, knots, t1)
         if not np.all(np.isfinite(reached)):
             raise ValueError("path values must stay finite between events "
                              "and up to the window end")
@@ -133,27 +131,18 @@ def path_value(path: CadlagPath, t: float) -> float:
     return float(_levels(path.a, path.direction, path._knots, t))
 
 
-def _levels(a: float, direction: Direction, knots, query, left: bool = False,
-            owner=None):
+def _levels(a: float, direction: Direction, knots, query, k=None):
     """Path values at query times, read off flat knot arrays (offsets,
     times, levels), window i's knots at [offsets[i], offsets[i + 1]) with
-    its anchor first: each query moves the level of the last knot at or
-    before it (strictly before it with left=True: a left limit) by a^+-dt.
-    One path takes a float or an array; in a batch, owner gives each
-    query's window, and times are searched by the exact key (window, rank
-    among all times), never by a float shift that could merge two times.
-    The ufunc np.power keeps a float and an array bitwise equal, which
-    Python's ** and numpy scalar ** (both libm) do not.
+    its anchor first: each query moves the level of knot k by a^+-dt.  k
+    defaults to the last knot at or before each query, which is searched
+    only in one path's knots; a batch passes k.  The ufunc np.power keeps
+    a float and an array bitwise equal, which Python's ** and numpy scalar
+    ** (both libm) do not.
     """
-    offsets, times, levels = knots
-    keys, at = times, query
-    if owner is not None:
-        grid, rank = np.unique(np.concatenate([times, query]),
-                               return_inverse=True)
-        window = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-        keys = np.concatenate([window, owner]) * grid.size + rank
-        keys, at = keys[:times.size], keys[times.size:]
-    k = keys.searchsorted(at, "left" if left else "right") - 1
+    _, times, levels = knots
+    if k is None:
+        k = times.searchsorted(query, "right") - 1
     dt = query - times[k]
     if direction is Direction.REVERSED:
         dt = -dt
@@ -188,22 +177,27 @@ def _jump_chain(a: float, length: float, count: int, rng: RngState):
     return np.array(offsets), np.array(times), np.array(levels)
 
 
+def _left_limits(a: float, direction: Direction, knots, end):
+    """Each knot's next time, the next knot of its window or end, and the
+    path's left limit there: the knot's level moved on to that time."""
+    offsets, times, _ = knots
+    following = np.roll(times, -1)
+    following[offsets[1:] - 1] = end
+    return following, _levels(a, direction, knots, following,
+                              np.arange(times.size))
+
+
 def _reversed_knots(a: float, length: float, knots):
     """Knots of each window's time reversal t -> length - t: the anchor is
     the forward value at length, and the events are the forward ones in
     reverse order at the forward left limits, so the reversal stays
-    cadlag, grows at rate a^-1 and jumps down."""
+    cadlag, grows at rate a^-1 and jumps down.  Slot j of window [s, e)
+    reads forward knot s + e - 1 - j at its next time."""
     offsets, times, _ = knots
-    starts = offsets[:-1]
-    window = np.repeat(np.arange(starts.size), np.diff(offsets))
-    # each slot reads its mirrored forward knot, an anchor slot the window
-    # end, where the left limit is the value
-    source = (starts + offsets[1:])[window] - np.arange(times.size)
-    source[starts] = starts
-    query = times[source]
-    query[starts] = length
-    return offsets, length - query, _levels(a, Direction.FORWARD, knots,
-                                            query, left=True, owner=window)
+    window = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    source = (offsets[:-1] + offsets[1:] - 1)[window] - np.arange(times.size)
+    following, limits = _left_limits(a, Direction.FORWARD, knots, length)
+    return offsets, length - following[source], limits[source]
 
 
 def _window_path(a: float, direction: Direction, length: float,
@@ -216,6 +210,8 @@ def _window_path(a: float, direction: Direction, length: float,
             "independent values at every real time; use the discrete chain")
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
+    # a = 1 is its own reversal: MaxARParams says so and reads forward
+    direction = MaxARParams(a, direction).direction
     seed = (rng.seed, rng.stream)
     knots = _jump_chain(a, length, 1, rng)
     if direction is Direction.REVERSED:
@@ -244,12 +240,9 @@ def simulate_moving_max_reversed(a: float, length: float,
 
     Simulates the forward window and maps t to length - t taking left
     limits, which keeps the result cadlag: segments grow at rate a^-1 and
-    events jump down to the forward pre-jump level.
+    events jump down to the forward pre-jump level.  a = 1 is its own
+    reversal and returns the forward path, with MaxARParams' warning.
     """
-    if float(a) == 1.0:
-        warnings.warn("reversing the constant member returns the forward "
-                      "path", stacklevel=2)
-        return simulate_moving_max(a, length, rng)
     return _window_path(a, Direction.REVERSED, length, rng)
 
 

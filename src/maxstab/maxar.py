@@ -57,6 +57,15 @@ class MaxARParams:
             direction = Direction.FORWARD
         object.__setattr__(self, "direction", direction)
 
+    def reversed(self) -> MaxARParams:
+        """The chain read backwards: the other direction, or self at a in
+        {0, 1}, which are their own time reversal."""
+        if self.a in (0.0, 1.0):
+            return self
+        return MaxARParams(self.a, Direction.REVERSED
+                           if self.direction is Direction.FORWARD
+                           else Direction.FORWARD)
+
 
 @dataclass(frozen=True)
 class StationaryLaw:
@@ -260,13 +269,9 @@ def _draw_path(params: MaxARParams, n, rng: RngState,
 
 
 def reverse_path(path: DiscretePath) -> DiscretePath:
-    """Same window read backwards, with the direction flag flipped."""
-    if path.params.direction is Direction.FORWARD:
-        flipped = MaxARParams(path.params.a, Direction.REVERSED)
-    else:
-        flipped = MaxARParams(path.params.a, Direction.FORWARD)
-    return _owned_path(path.start_index, path.values[::-1], flipped,
-                       path.seed)
+    """Same window read backwards, with the reversed params."""
+    return _owned_path(path.start_index, path.values[::-1],
+                       path.params.reversed(), path.seed)
 
 
 def simulate_reversed(params: MaxARParams, n: int, rng: RngState,
@@ -277,11 +282,10 @@ def simulate_reversed(params: MaxARParams, n: int, rng: RngState,
     because stationarity makes the reversed window a stationary Markov path
     for the dual kernel; the values are bitwise those of
     ``reverse_path(simulate_forward(...))`` on the same stream, built as one
-    path.  For a in {0, 1} the law is symmetric and the result is the
-    canonical forward path.  n is checked as in :func:`simulate_forward`.
+    path.  Only params.a is read; a in {0, 1} is symmetric and gives the
+    forward path.  n is checked as in :func:`simulate_forward`.
     """
-    canonical = MaxARParams(params.a, params.direction)
-    return _draw_path(canonical, n, rng, start_index)
+    return _draw_path(MaxARParams(params.a).reversed(), n, rng, start_index)
 
 
 def kernel_cdf(params: MaxARParams, x: float, y: float) -> float:
@@ -326,9 +330,7 @@ def kernel_sample_many(params: MaxARParams, current: np.ndarray,
     a = params.a
     u = rng.uniform(size=current.size).reshape(current.shape)
     if params.direction is Direction.FORWARD:
-        if a == 0.0:
-            return -1.0 / np.log(u)
-        with np.errstate(divide="ignore", over="ignore"):  # tiny a: no atom
+        with np.errstate(divide="ignore", over="ignore"):  # small a: no atom
             atom = np.exp(-(1.0 - a) / (a * current))
         continuous = -(1.0 - a) / np.log(u)
         return np.where(u <= atom, a * current, continuous)
@@ -374,7 +376,7 @@ def equilibrium_check(a: float, n: int, rng: RngState,
     if not 0.0 < a < 1.0:
         raise ValueError("the two-sided comparison needs a strictly inside (0, 1)")
     params = MaxARParams(a, Direction.FORWARD)
-    reversed_params = MaxARParams(a, Direction.REVERSED)
+    reversed_params = params.reversed()
     report = EmpiricalReport(params={"a": a, "n": n, "grid": list(grid),
                                      "tolerance": tolerance})
     report.seeds.append((rng.seed, rng.stream))

@@ -516,3 +516,24 @@ class TestRunBattery:
         report = run_battery(MaxARParams(0.5), RngState(111))
         assert report.all_passed is False
         assert any("stationary_marginal" in c.name for c in report.failures)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_wrong_path_scan_fails_the_edge_checks(self, direction,
+                                                   monkeypatch):
+        """A path scan that breaks the one-step bound is recorded as a
+        failed ratio edge and a failed involution, not raised."""
+        honest = maxstab.analysis._stationary_windows
+
+        def dropping(a, width, count, rng):
+            x = honest(a, width, count, rng)
+            if count == 1:
+                x[0, width // 2] *= 1e-3
+            return x
+
+        monkeypatch.setattr(maxstab.analysis, "_stationary_windows", dropping)
+        report = run_battery(MaxARParams(0.5, direction), RngState(111),
+                             BatterySizes().scaled(1000))
+        edge = "ratio_lower_edge" if direction is Direction.FORWARD \
+            else "ratio_upper_edge"
+        assert {c.name for c in report.failures} == {edge,
+                                                     "reversal_involution"}

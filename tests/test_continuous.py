@@ -23,7 +23,8 @@ from maxstab import (
     simulate_moving_max,
     simulate_moving_max_reversed,
 )
-from maxstab.continuous import _JUMP_SLACK, _jump_chain, _levels, \
+from maxstab.analysis import _replicate_values
+from maxstab.continuous import _JUMP_SLACK, _jump_chain, _left_limits, \
     _reversed_knots
 from maxstab.distributions import frechet_sample
 
@@ -505,24 +506,28 @@ class TestKnotArrays:
             else simulate_moving_max_reversed
         rng = RngState(92, 5)
         paths = [sim(a, length, rng) for _ in range(count)]
-        inner = np.random.default_rng(3).uniform(0.0, length, size=(count, 3))
-        right, left = [], []
+        following, limits = _left_limits(a, direction, knots, length)
         for i, path in enumerate(paths):
             own = times[offsets[i]:offsets[i + 1]]
             # the knots are the path's own, bit for bit
             assert own.tolist() == [0.0] + [t for t, _ in path.events]
-            # one ulp below an event still reads the knot before it
-            below = np.nextafter(own[1:], 0.0)
-            right += [(i, t) for t in [0.0, *inner[i], *own, *below, length]]
-            left += [(i, t) for t in [*own[1:], *inner[i], length]]
-        for queries, is_left in ((right, False), (left, True)):
-            owner = np.array([i for i, _ in queries])
-            at = np.array([t for _, t in queries])
-            got = _levels(a, direction, knots, at, left=is_left, owner=owner)
-            want = [loop_levels(paths[i], t, is_left) for i, t in queries]
-            assert got.tolist() == want
-            if not is_left:
-                assert want == [path_value(paths[i], t) for i, t in queries]
+            # each knot's left limit is read at the next event, and the
+            # last one's at the window end
+            ends = [*own[1:], length]
+            assert following[offsets[i]:offsets[i + 1]].tolist() == ends
+            assert limits[offsets[i]:offsets[i + 1]].tolist() \
+                == [loop_levels(path, t, left=True) for t in ends]
+        # the batch read at times shared by every window: the inner times,
+        # every event of every window and one ulp below it, and both ends
+        inner = np.random.default_rng(3).uniform(0.0, length, size=3)
+        events = times[times > 0.0]
+        shared = [0.0, *inner, *events, *np.nextafter(events, 0.0), length]
+        got = _replicate_values(ShapeFunction(a, direction), length, shared,
+                                count, RngState(92, 5))
+        for row, t in zip(got, shared):
+            want = [loop_levels(path, t) for path in paths]
+            assert row.tolist() == want
+            assert want == [path_value(path, t) for path in paths]
 
     @pytest.mark.parametrize("a,length", [(0.5, 7.0), (0.1, 20.0)])
     def test_reversal_is_the_loop_reversal(self, a, length):

@@ -25,6 +25,7 @@ from maxstab import (
     kernel_cdf,
     kernel_sample,
     kernel_sample_many,
+    frechet_sample,
     ks_one_sample,
     reverse_path,
     simulate_forward,
@@ -190,6 +191,16 @@ class TestMaxARParams:
             with pytest.warns(UserWarning):
                 p = MaxARParams(a, Direction.REVERSED)
             assert p.direction is Direction.FORWARD
+
+    def test_reversed_flips_direction(self):
+        assert FWD.reversed() == REV
+        assert REV.reversed() == FWD
+
+    @pytest.mark.filterwarnings("error")
+    def test_symmetric_members_are_their_own_reversal(self):
+        for a in (0.0, 1.0):
+            params = MaxARParams(a)
+            assert params.reversed() is params
 
 
 class TestDiscretePath:
@@ -494,6 +505,26 @@ class TestSimulateReversed:
             (via.start_index, via.params, via.seed)
         assert rng_rev.uniform() == rng_fwd.uniform()
 
+    def test_reads_only_a(self):
+        """Forward params still draw the reversed chain: the forward draw
+        on the same stream read backwards."""
+        rev = simulate_reversed(FWD, 300, RngState(15))
+        via = reverse_path(simulate_forward(FWD, 300, RngState(15)))
+        assert rev.params == REV
+        assert rev.values.tobytes() == via.values.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_symmetric_members_give_the_forward_path(self, a):
+        """a in {0, 1} is its own reversal: the draw is the forward path
+        and the reversals say so without a warning."""
+        params = MaxARParams(a)
+        fwd = simulate_forward(params, 300, RngState(16))
+        rev = simulate_reversed(params, 300, RngState(16))
+        assert rev.params == params
+        assert rev.values.tobytes() == fwd.values.tobytes()
+        assert reverse_path(fwd).params == params
+
     def test_wrong_scan_fails_the_reversed_bound(self, monkeypatch):
         """The reversed path checks the scan's values once: a forward drop
         below a times the previous value is a reversed rise above 1/a."""
@@ -611,6 +642,16 @@ class TestKernelSample:
         if params.direction is Direction.REVERSED:
             atoms = int((block == y / params.a).sum())
             assert 0 < atoms < n
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_iid_block_is_a_frechet_sample(self, seed):
+        """At a = 0 the forward kernel forgets the current values: a block
+        is the stream's unit Frechet sample, bit for bit."""
+        n = 5000
+        block = kernel_sample_many(MaxARParams(0.0), np.geomspace(1e-3, 1e3, n),
+                                   RngState(seed))
+        assert block.tobytes() == frechet_sample(RngState(seed),
+                                                 size=n).tobytes()
 
     @pytest.mark.parametrize("params", [FWD, REV])
     def test_empirical_cdf_on_grid(self, params):
