@@ -20,11 +20,11 @@ _EXPORTS = {
         "IdentificationError", "UnclassifiableDataError",
         "AmbiguousRatioError", "BatterySizes", "ks_critical_value",
         "ks_one_sample", "ks_two_sample", "ratio_support", "identify",
-        "run_battery"),
+        "run_battery", "CheckResult", "EmpiricalReport", "independence_test",
+        "equilibrium_check"),
     "conditional": (
         "ConditionalQuery", "ConditionalFactors", "McConditionalEstimate",
-        "conditional_factors", "conditional_cdf", "conditional_cdf_mc",
-        "independence_test"),
+        "conditional_factors", "conditional_cdf", "conditional_cdf_mc"),
     "continuous": (
         "ShapeFunction", "CadlagPath", "simulate_moving_max",
         "simulate_moving_max_reversed", "path_value", "sample_grid"),
@@ -33,9 +33,7 @@ _EXPORTS = {
     "maxar": (
         "Direction", "MaxARParams", "DiscretePath", "StationaryLaw",
         "STATIONARY", "simulate_forward", "simulate_reversed", "reverse_path",
-        "kernel_cdf", "kernel_sample", "kernel_sample_many", "bivariate_cdf",
-        "equilibrium_check"),
-    "report": ("CheckResult", "EmpiricalReport"),
+        "kernel_cdf", "kernel_sample", "kernel_sample_many", "bivariate_cdf"),
     "serialize": (
         "format_float", "discrete_csv_text", "parse_discrete_csv",
         "discrete_json_text", "parse_discrete_json", "continuous_csv_text",

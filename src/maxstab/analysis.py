@@ -1,20 +1,24 @@
 """Statistical verification and identification for simulated paths.
 
 The battery rechecks every closed-form identity of the family against
-simulation with explicit thresholds; ``identify`` recovers the dependence
-parameter and time direction of a path from the support and atoms of its
-consecutive-value ratios.  Ratio-based identification is meaningful only
-within this process family: the one-step ratio support [a, inf) (forward)
-or (0, 1/a] (reversed) with an atom of mass a at the finite edge is what
-the decision rules rely on.
+simulation with explicit thresholds, and records each check, with the
+seeds and parameters behind it, in an :class:`EmpiricalReport`;
+``equilibrium_check`` and ``independence_test`` report the same way.
+``identify`` recovers the dependence parameter and time direction of a
+path from the support and atoms of its consecutive-value ratios.
+Ratio-based identification is meaningful only within this process family:
+the one-step ratio support [a, inf) (forward) or (0, 1/a] (reversed) with
+an atom of mass a at the finite edge is what the decision rules rely on.
 """
 
 from __future__ import annotations
 
-import importlib
+import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,29 +26,95 @@ import numpy as np
 from . import _EXPORTS
 from .distributions import RngState, _check_positive, \
     _check_positive_array, _integer, _quantiles, frechet_cdf, frechet_sample
-from .maxar import Direction, DiscretePath, MaxARParams, \
-    _pair_cdf_errors, _stationary_windows, kernel_cdf, kernel_sample_many, \
+from .maxar import Direction, DiscretePath, MaxARParams, _RATIO_SLACK, \
+    _stationary_windows, bivariate_cdf, kernel_cdf, kernel_sample_many, \
     reverse_path
-from .report import EmpiricalReport
+
+# continuous is imported inside the functions that run its battery, so
+# that only a process verifying the continuous process loads it.
 
 __all__ = list(_EXPORTS["analysis"])
 
-# Names from conditional and continuous resolve on first use, through
-# __getattr__, and are called as _analysis.<name>: a process loads each
-# module only when it runs it, and a name patched onto this module is the
-# one called.
-_analysis = sys.modules[__name__]
-_LAZY = {"independence_test": "conditional", **dict.fromkeys((
-    "ShapeFunction", "_jump_chain", "_levels", "_reversed_knots",
-    "_window_path", "sample_grid"), "continuous")}
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
 
 
-def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__package__}.{_LAZY[name]}")
-    value = globals()[name] = getattr(module, name)
-    return value
+@dataclass(frozen=True)
+class CheckResult:
+    """One named check with its observed value and decision threshold.
+
+    ``passed`` is None when the check was not applicable to the input (for
+    example a degeneracy test on constant data); such checks do not count
+    against :meth:`EmpiricalReport.all_passed`.
+    """
+
+    name: str
+    value: float
+    threshold: float
+    passed: bool | None
+    note: str = ""
+
+
+@dataclass
+class EmpiricalReport:
+    """Collection of check results plus the seeds and parameters that
+    produced them, serializable to a stable JSON document."""
+
+    checks: list[CheckResult] = field(default_factory=list)
+    seeds: list[tuple[int, int]] = field(default_factory=list)
+    params: dict = field(default_factory=dict)
+
+    def add(self, name: str, value: float, threshold: float,
+            passed: bool | None, note: str = "") -> CheckResult:
+        result = CheckResult(name, float(value), float(threshold), passed, note)
+        self.checks.append(result)
+        return result
+
+    def check(self, name: str, value: float, threshold: float, note: str,
+              relation: str = "<") -> CheckResult:
+        """Record a decided check that passes when value ``relation``
+        threshold holds, both taken as floats, so a NaN value fails under
+        every relation (``<``, ``<=`` or ``>=``)."""
+        value, threshold = float(value), float(threshold)
+        return self.add(name, value, threshold,
+                        _RELATIONS[relation](value, threshold), note)
+
+    @property
+    def all_passed(self) -> bool:
+        return all(c.passed is not False for c in self.checks)
+
+    @property
+    def failures(self) -> list[CheckResult]:
+        return [c for c in self.checks if c.passed is False]
+
+    def to_dict(self) -> dict:
+        return {
+            "checks": [
+                {
+                    "name": c.name,
+                    "value": c.value,
+                    "threshold": c.threshold,
+                    "pass": c.passed,
+                    "provenance": c.note,
+                }
+                for c in self.checks
+            ],
+            "seeds": [list(s) for s in self.seeds],
+            "params": dict(self.params),
+        }
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EmpiricalReport":
+        report = cls(
+            seeds=[tuple(s) for s in data.get("seeds", [])],
+            params=dict(data.get("params", {})),
+        )
+        for c in data.get("checks", []):
+            report.add(c["name"], c["value"], c["threshold"], c["pass"],
+                       c.get("provenance", ""))
+        return report
 
 
 class IdentificationError(ValueError):
@@ -178,6 +248,117 @@ def ratio_support(path, rel_tol: float = 1e-9) -> RatioSupportEstimate:
                                 location, count / ratios.size, ratios.size)
 
 
+def _grid_labels(x: np.ndarray, grid: int) -> np.ndarray:
+    """Bin label of each value on the quantile grid: label <= k exactly
+    when x <= q_k, ties included."""
+    qs = np.arange(1, grid + 1) / (grid + 1.0)
+    return np.searchsorted(_quantiles(x, qs), x, side="left")
+
+
+def _joint_grid_statistic(u: np.ndarray, v: np.ndarray, grid: int) -> float:
+    """Sup over a quantile grid of |joint empirical CDF - product of
+    empirical marginals|.  A pure rank statistic for continuous data.
+
+    The joint and marginal CDF counts are the cumulative sums of the
+    (grid+1)^2 table of bin-label pairs."""
+    size = grid + 1
+    cells = _grid_labels(u, grid) * size + _grid_labels(v, grid)
+    table = np.bincount(cells, minlength=size * size).reshape(size, size)
+    cdf = table.cumsum(axis=0).cumsum(axis=1)
+    n = u.size
+    product = np.outer(cdf[:grid, grid] / n, cdf[grid, :grid] / n)
+    return float(np.abs(cdf[:grid, :grid] / n - product).max())
+
+
+_NULL_BLOCK = 2000
+_GRID, _N_NULL = 20, 2000  # the independence test's grid size and null tables
+
+
+def _null_statistics(n: int, grid: int, n_null: int) -> np.ndarray:
+    """n_null draws of the grid statistic for n i.i.d. independent pairs.
+
+    The statistic is a function of the table of bin-label pairs.  Under
+    independence with continuous marginals both label vectors have the
+    bin counts of n distinct values, and their pairing is a uniform
+    permutation, so the table is uniform among the tables with those
+    margins.  A null table is drawn row by row, each row a multivariate
+    hypergeometric draw from the column counts still unassigned, taken one
+    cell at a time.  Only the grid x grid corner enters the statistic, so
+    the last row and column are never drawn.  The draws use a fixed
+    internal generator, so they depend on (n, grid, n_null) alone.
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(0x9E3779B97F4A7C15)))
+    margin = np.bincount(_grid_labels(np.arange(n, dtype=np.float64), grid),
+                         minlength=grid + 1)
+    marginal = margin[:grid].cumsum() / n
+    product = np.outer(marginal, marginal)
+    stats = np.empty(n_null)
+    for first in range(0, n_null, _NULL_BLOCK):
+        block = min(_NULL_BLOCK, n_null - first)
+        # one column per draw: col_left[j] is column j's unassigned count
+        col_left = np.repeat(margin[:, None], block, axis=1)
+        col_used = np.zeros((grid, block), dtype=np.int64)
+        worst = np.zeros(block)
+        for r in range(grid):
+            row_left = np.full(block, margin[r])
+            # columns right of j are untouched while column j is drawn
+            rest = col_left[::-1].cumsum(axis=0)[::-1]
+            for j in range(grid):
+                cell = gen.hypergeometric(col_left[j], rest[j + 1], row_left)
+                col_left[j] -= cell
+                col_used[j] += cell
+                row_left -= cell
+            col_left[grid] -= row_left
+            joint = col_used.cumsum(axis=0) / n
+            np.maximum(worst, np.abs(joint - product[r][:, None]).max(axis=0),
+                       out=worst)
+        stats[first:first + block] = worst
+    return stats
+
+
+@lru_cache(maxsize=32)
+def _null_quantile(n: int, grid: int, n_null: int, level: float) -> float:
+    """Null quantile of the grid statistic, computed once per process for
+    each (n, grid, n_null, level)."""
+    return float(_quantiles(_null_statistics(n, grid, n_null), 1.0 - level))
+
+
+def independence_test(pairs, level: float = 0.01) -> EmpiricalReport:
+    """Test whether the two coordinates of i.i.d. pairs are independent.
+
+    Compares the joint empirical CDF with the product of the marginal
+    empirical CDFs on a quantile grid and calibrates the sup distance
+    against its null law.  The statistic depends only on the table of
+    bin-label pairs, and for continuous data the null law of that table is
+    exact: uniform among the tables with the margins of n distinct values.
+    The threshold is the (1 - level) quantile of 2000 such tables, on a
+    grid of 20 quantiles.  Constant coordinates make the test inapplicable
+    and are flagged rather than decided.
+    """
+    arr = np.asarray(pairs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("pairs must be an (n, 2) array")
+    if arr.shape[0] < 1000:
+        raise ValueError("need at least 1000 pairs")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("pairs must be finite")
+    if not (0.0 < level < 0.5):
+        raise ValueError("level must lie in (0, 0.5)")
+    u, v = arr[:, 0], arr[:, 1]
+    report = EmpiricalReport(params={"n": int(arr.shape[0]), "level": level,
+                                     "grid": _GRID, "n_null": _N_NULL})
+    if u.min() == u.max() or v.min() == v.max():
+        report.add("independence_sup_distance", math.nan, math.nan, None,
+                   "not applicable: a coordinate is constant")
+        return report
+    stat = _joint_grid_statistic(u, v, _GRID)
+    threshold = _null_quantile(arr.shape[0], _GRID, _N_NULL, level)
+    report.check("independence_sup_distance", stat, threshold,
+                 "joint empirical CDF vs product of marginals on a rank grid",
+                 "<=")
+    return report
+
+
 @dataclass(frozen=True)
 class IdentificationResult:
     params: MaxARParams
@@ -220,7 +401,7 @@ def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> Identification
                 "no ratio atom found and too few values to assess "
                 "independence (need at least 2000)")
         pairs = values[:2 * (n // 2)].reshape(-1, 2)  # disjoint consecutive
-        verdict = _analysis.independence_test(pairs, level=level)
+        verdict = independence_test(pairs, level=level)
         if verdict.checks[0].passed is not True:
             raise UnclassifiableDataError(
                 "no ratio atom and the independence test rejected; the path "
@@ -255,6 +436,47 @@ def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> Identification
     raise UnclassifiableDataError(
         "the only ratio atom sits at one; the path does not match any "
         "member of the family")
+
+
+def _pair_cdf_errors(params: MaxARParams, starts: np.ndarray,
+                     nexts: np.ndarray, grid) -> dict:
+    """{(u, v): |empirical - closed-form joint CDF|} of the pairs
+    (starts, nexts) at every point of grid x grid."""
+    return {(u, v): abs(float(np.mean((starts <= u) & (nexts <= v)))
+                        - bivariate_cdf(params, u, v))
+            for u in grid for v in grid}
+
+
+def equilibrium_check(a: float, n: int, rng: RngState,
+                      grid=(0.5, 1.0, 2.0), tolerance: float = 0.01) -> EmpiricalReport:
+    """Compare empirical joint CDFs of consecutive pairs, in both time
+    directions, against the closed-form bivariate CDF on a grid.
+
+    Independent stationary pairs are used for each direction so the
+    empirical CDF error bound sqrt(1/4n) applies exactly.
+    """
+    n = _integer(n, "n must be an integer of at least 1000", 1000)
+    if not 0.0 < a < 1.0:
+        raise ValueError("the two-sided comparison needs a strictly inside (0, 1)")
+    params = MaxARParams(a, Direction.FORWARD)
+    reversed_params = params.reversed()
+    report = EmpiricalReport(params={"a": a, "n": n, "grid": list(grid),
+                                     "tolerance": tolerance})
+    report.seeds.append((rng.seed, rng.stream))
+
+    fwd_x, fwd_y = _stationary_windows(a, 2, n, rng).T
+    # independent draw through the dual kernel: start from the stationary
+    # law and step backwards; detailed balance says the pair must have the
+    # forward joint law with the coordinates swapped
+    rev_start = frechet_sample(rng, size=n)
+    rev_next = kernel_sample_many(reversed_params, rev_start, rng)
+    backward = _pair_cdf_errors(reversed_params, rev_start, rev_next, grid)
+    for (u, v), err in _pair_cdf_errors(params, fwd_x, fwd_y, grid).items():
+        report.check(f"forward_pair_cdf_{u}_{v}", err, tolerance,
+                     "closed-form joint CDF of consecutive stationary values")
+        report.check(f"reversed_pair_cdf_{u}_{v}", backward[u, v], tolerance,
+                     "detailed-balance identity linking the two kernels")
+    return report
 
 
 # the smallest size each battery check can run on: a KS test needs
@@ -332,10 +554,11 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
     if a > 0.0:
         if reversed_dir:
             report.check("ratio_upper_edge", ratios.max(),
-                         (1.0 / a) * (1.0 + 1e-9),
+                         (1.0 / a) * (1.0 + _RATIO_SLACK),
                          "reversed one-step ratios never exceed 1/a", "<=")
         else:
-            report.check("ratio_lower_edge", ratios.min(), a * (1.0 - 1e-9),
+            report.check("ratio_lower_edge", ratios.min(),
+                         a * (1.0 - _RATIO_SLACK),
                          "forward one-step ratios never fall below a", ">=")
 
     if 0.0 < a < 1.0:
@@ -353,8 +576,8 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         sampled = kernel_sample_many(forward, starts, sub)
         edges = _quantiles(starts, np.arange(1, _KERNEL_BINS) / _KERNEL_BINS)
         bins = np.searchsorted(edges, starts)
-        for b in range(_KERNEL_BINS):
-            mask = bins == b
+        masks = [bins == b for b in range(_KERNEL_BINS)]
+        for b, mask in enumerate(masks):
             ks = ks_two_sample(nexts[mask], sampled[mask], level)
             report.check(f"kernel_sample_two_sample_bin{b}", ks.statistic,
                          ks.threshold, "recursion step vs inverse-CDF kernel "
@@ -362,8 +585,7 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         lo_edges = np.concatenate([[0.0], edges])
         hi_edges = np.concatenate([edges, [math.inf]])
         y_grid = _quantiles(nexts, np.arange(1, 10) / 10.0)
-        for b in range(_KERNEL_BINS):
-            mask = bins == b
+        for b, mask in enumerate(masks):
             n_bin = int(mask.sum())
             p_lo = math.exp(-1.0 / lo_edges[b]) if lo_edges[b] > 0 else 0.0
             p_hi = math.exp(-1.0 / hi_edges[b]) if hi_edges[b] < math.inf else 1.0
@@ -442,35 +664,19 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                  "reversing a path twice restores it exactly")
 
 
-def _replicate_values(shape: ShapeFunction, length: float, times,
-                      count: int, rng: RngState) -> np.ndarray:
-    """Values at the given times of count independent windows on
-    [0, length], read off one batch of knots; one row per time."""
-    knots = _analysis._jump_chain(shape.a, length, count, rng)
-    if shape.direction is Direction.REVERSED:
-        knots = _analysis._reversed_knots(shape.a, length, knots)
-    offsets, at, _ = knots
-    starts = offsets[:-1]
-    # each window's last knot at or before t: its knots at or before t,
-    # counted from its start
-    k = [starts + np.add.reduceat(at <= t, starts, dtype=np.intp) - 1
-         for t in times]
-    return _analysis._levels(shape.a, shape.direction, knots,
-                             np.array(times)[:, None], np.array(k))
-
-
 def _continuous_battery(shape: ShapeFunction, epsilon: float,
                         sizes: BatterySizes, rng: RngState,
                         report: EmpiricalReport) -> None:
+    from .continuous import _replicate_values, _window_path, sample_grid
+
     a = shape.a
     reversed_dir = shape.direction is Direction.REVERSED
     a_eff = a ** epsilon
     level = 0.001
 
     length = sizes.skeleton_points * epsilon
-    path = _analysis._window_path(a, shape.direction, length,
-                                  rng.substream(1))
-    skeleton = _analysis.sample_grid(path, epsilon)
+    path = _window_path(a, shape.direction, length, rng.substream(1))
+    skeleton = sample_grid(path, epsilon)
     ratios = skeleton.ratios()
     if reversed_dir:
         edge = float(ratios.max())
@@ -519,11 +725,11 @@ def run_battery(spec, rng: RngState, sizes: BatterySizes | None = None,
     """
     sizes = sizes or BatterySizes()
     discrete = isinstance(spec, MaxARParams)
-    if not (discrete or isinstance(spec, _analysis.ShapeFunction)):
-        raise TypeError("spec must be MaxARParams or ShapeFunction")
-    params = {"kind": "discrete", "a": spec.a,
-              "direction": spec.direction.value, "sizes": vars(sizes)}
     if not discrete:
+        from .continuous import ShapeFunction
+
+        if not isinstance(spec, ShapeFunction):
+            raise TypeError("spec must be MaxARParams or ShapeFunction")
         _check_positive("epsilon", epsilon)
         # a subnormal or zero per-step decay leaves the skeleton edge no
         # target, and its reciprocal overflows or divides by zero
@@ -531,6 +737,9 @@ def run_battery(spec, rng: RngState, sizes: BatterySizes | None = None,
             raise ValueError(f"a**epsilon = {spec.a ** epsilon!r} at "
                              f"a={spec.a!r}, epsilon={epsilon!r} is not a "
                              "normal float")
+    params = {"kind": "discrete", "a": spec.a,
+              "direction": spec.direction.value, "sizes": vars(sizes)}
+    if not discrete:
         params.update(kind="continuous", epsilon=epsilon)
     report = EmpiricalReport(seeds=[(rng.seed, rng.stream)], params=params)
     if discrete:

@@ -24,22 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_positive, _check_unit, \
-    _integer, _quantiles
-from .report import EmpiricalReport
-
-# spectral is imported inside the functions that sum or draw its rows, so
-# that a process running only the independence test does not load it.
+from .distributions import _INDEX_RULE, RngState, _check_positive, \
+    _check_unit, _integer
+from .spectral import GeometricMixing, _decay_profile, _onset_rows
 
 __all__ = list(_EXPORTS["conditional"])
-
-_INDEX_RULE = "indices must be integers"
-
 
 @dataclass(frozen=True)
 class ConditionalQuery:
@@ -100,8 +93,6 @@ def conditional_factors(query: ConditionalQuery, a: float) -> ConditionalFactors
     sums over all integer onsets are the weighted sums of the terms of the
     decay rows at the distinct query times, a = 0 and a = 1 included.
     """
-    from .spectral import _onset_rows
-
     a = _check_unit("a", a)
     ts, zs = _query_arrays(query)
     weights, rows = _onset_rows(a, ts)
@@ -133,8 +124,6 @@ def _spectral_matrix(a: float, times: np.ndarray, n: int, rng: RngState,
                      mixing) -> np.ndarray:
     """n spectral realizations evaluated at the given times, as an
     (n, len(times)) array.  Randomness is the onset index only."""
-    from .spectral import GeometricMixing, _decay_profile
-
     if a == 1.0:
         return np.ones((n, times.size))
     if mixing is None:
@@ -176,114 +165,3 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
         indicator_moment=ind_mean, excess_moment=exc_mean,
         indicator_stderr=math.sqrt(ind_var / n),
         excess_stderr=math.sqrt(exc_var / n), n=n)
-
-
-def _grid_labels(x: np.ndarray, grid: int) -> np.ndarray:
-    """Bin label of each value on the quantile grid: label <= k exactly
-    when x <= q_k, ties included."""
-    qs = np.arange(1, grid + 1) / (grid + 1.0)
-    return np.searchsorted(_quantiles(x, qs), x, side="left")
-
-
-def _joint_grid_statistic(u: np.ndarray, v: np.ndarray, grid: int) -> float:
-    """Sup over a quantile grid of |joint empirical CDF - product of
-    empirical marginals|.  A pure rank statistic for continuous data.
-
-    The joint and marginal CDF counts are the cumulative sums of the
-    (grid+1)^2 table of bin-label pairs."""
-    size = grid + 1
-    cells = _grid_labels(u, grid) * size + _grid_labels(v, grid)
-    table = np.bincount(cells, minlength=size * size).reshape(size, size)
-    cdf = table.cumsum(axis=0).cumsum(axis=1)
-    n = u.size
-    product = np.outer(cdf[:grid, grid] / n, cdf[grid, :grid] / n)
-    return float(np.abs(cdf[:grid, :grid] / n - product).max())
-
-
-_NULL_BLOCK = 2000
-_GRID, _N_NULL = 20, 2000  # the independence test's grid size and null tables
-
-
-def _null_statistics(n: int, grid: int, n_null: int) -> np.ndarray:
-    """n_null draws of the grid statistic for n i.i.d. independent pairs.
-
-    The statistic is a function of the table of bin-label pairs.  Under
-    independence with continuous marginals both label vectors have the
-    bin counts of n distinct values, and their pairing is a uniform
-    permutation, so the table is uniform among the tables with those
-    margins.  A null table is drawn row by row, each row a multivariate
-    hypergeometric draw from the column counts still unassigned, taken one
-    cell at a time.  Only the grid x grid corner enters the statistic, so
-    the last row and column are never drawn.  The draws use a fixed
-    internal generator, so they depend on (n, grid, n_null) alone.
-    """
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(0x9E3779B97F4A7C15)))
-    margin = np.bincount(_grid_labels(np.arange(n, dtype=np.float64), grid),
-                         minlength=grid + 1)
-    marginal = margin[:grid].cumsum() / n
-    product = np.outer(marginal, marginal)
-    stats = np.empty(n_null)
-    for first in range(0, n_null, _NULL_BLOCK):
-        block = min(_NULL_BLOCK, n_null - first)
-        # one column per draw: col_left[j] is column j's unassigned count
-        col_left = np.repeat(margin[:, None], block, axis=1)
-        col_used = np.zeros((grid, block), dtype=np.int64)
-        worst = np.zeros(block)
-        for r in range(grid):
-            row_left = np.full(block, margin[r])
-            # columns right of j are untouched while column j is drawn
-            rest = col_left[::-1].cumsum(axis=0)[::-1]
-            for j in range(grid):
-                cell = gen.hypergeometric(col_left[j], rest[j + 1], row_left)
-                col_left[j] -= cell
-                col_used[j] += cell
-                row_left -= cell
-            col_left[grid] -= row_left
-            joint = col_used.cumsum(axis=0) / n
-            np.maximum(worst, np.abs(joint - product[r][:, None]).max(axis=0),
-                       out=worst)
-        stats[first:first + block] = worst
-    return stats
-
-
-@lru_cache(maxsize=32)
-def _null_quantile(n: int, grid: int, n_null: int, level: float) -> float:
-    """Null quantile of the grid statistic, computed once per process for
-    each (n, grid, n_null, level)."""
-    return float(_quantiles(_null_statistics(n, grid, n_null), 1.0 - level))
-
-
-def independence_test(pairs, level: float = 0.01) -> EmpiricalReport:
-    """Test whether the two coordinates of i.i.d. pairs are independent.
-
-    Compares the joint empirical CDF with the product of the marginal
-    empirical CDFs on a quantile grid and calibrates the sup distance
-    against its null law.  The statistic depends only on the table of
-    bin-label pairs, and for continuous data the null law of that table is
-    exact: uniform among the tables with the margins of n distinct values.
-    The threshold is the (1 - level) quantile of 2000 such tables, on a
-    grid of 20 quantiles.  Constant coordinates make the test inapplicable
-    and are flagged rather than decided.
-    """
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("pairs must be an (n, 2) array")
-    if arr.shape[0] < 1000:
-        raise ValueError("need at least 1000 pairs")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("pairs must be finite")
-    if not (0.0 < level < 0.5):
-        raise ValueError("level must lie in (0, 0.5)")
-    u, v = arr[:, 0], arr[:, 1]
-    report = EmpiricalReport(params={"n": int(arr.shape[0]), "level": level,
-                                     "grid": _GRID, "n_null": _N_NULL})
-    if u.min() == u.max() or v.min() == v.max():
-        report.add("independence_sup_distance", math.nan, math.nan, None,
-                   "not applicable: a coordinate is constant")
-        return report
-    stat = _joint_grid_statistic(u, v, _GRID)
-    threshold = _null_quantile(arr.shape[0], _GRID, _N_NULL, level)
-    report.check("independence_sup_distance", stat, threshold,
-                 "joint empirical CDF vs product of marginals on a rank grid",
-                 "<=")
-    return report

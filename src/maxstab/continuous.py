@@ -200,6 +200,23 @@ def _reversed_knots(a: float, length: float, knots):
     return offsets, length - following[source], limits[source]
 
 
+def _replicate_values(shape: ShapeFunction, length: float, times,
+                      count: int, rng: RngState) -> np.ndarray:
+    """Values at the given times of count independent windows on
+    [0, length], read off one batch of knots; one row per time."""
+    knots = _jump_chain(shape.a, length, count, rng)
+    if shape.direction is Direction.REVERSED:
+        knots = _reversed_knots(shape.a, length, knots)
+    offsets, at, _ = knots
+    starts = offsets[:-1]
+    # each window's last knot at or before t: its knots at or before t,
+    # counted from its start
+    k = [starts + np.add.reduceat(at <= t, starts, dtype=np.intp) - 1
+         for t in times]
+    return _levels(shape.a, shape.direction, knots,
+                   np.array(times)[:, None], np.array(k))
+
+
 def _window_path(a: float, direction: Direction, length: float,
                  rng: RngState) -> CadlagPath:
     a = float(a)

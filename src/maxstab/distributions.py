@@ -41,6 +41,9 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
+_INDEX_RULE = "indices must be integers"
+
+
 def _integer(value, rule: str, least: int | None = None,
              below: int | None = None) -> int:
     """value as an int when it equals one (a Python or numpy integer or an

@@ -22,7 +22,6 @@ from . import _EXPORTS
 from .distributions import RngState, _check_positive, \
     _check_positive_array, _check_unit, _integer, frechet_cdf, \
     frechet_quantile, frechet_sample
-from .report import EmpiricalReport
 
 __all__ = list(_EXPORTS["maxar"])
 
@@ -52,7 +51,7 @@ class MaxARParams:
             warnings.warn(
                 "reversed direction with a in {0, 1} equals the forward chain; "
                 "canonicalizing to forward",
-                stacklevel=2,
+                stacklevel=3,
             )
             direction = Direction.FORWARD
         object.__setattr__(self, "direction", direction)
@@ -353,44 +352,3 @@ def bivariate_cdf(params: MaxARParams, x: float, y: float) -> float:
     if params.direction is Direction.REVERSED:
         x, y = y, x
     return math.exp(-max(1.0 / x, a / y) - (1.0 - a) / y)
-
-
-def _pair_cdf_errors(params: MaxARParams, starts: np.ndarray,
-                     nexts: np.ndarray, grid) -> dict:
-    """{(u, v): |empirical - closed-form joint CDF|} of the pairs
-    (starts, nexts) at every point of grid x grid."""
-    return {(u, v): abs(float(np.mean((starts <= u) & (nexts <= v)))
-                        - bivariate_cdf(params, u, v))
-            for u in grid for v in grid}
-
-
-def equilibrium_check(a: float, n: int, rng: RngState,
-                      grid=(0.5, 1.0, 2.0), tolerance: float = 0.01) -> EmpiricalReport:
-    """Compare empirical joint CDFs of consecutive pairs, in both time
-    directions, against the closed-form bivariate CDF on a grid.
-
-    Independent stationary pairs are used for each direction so the
-    empirical CDF error bound sqrt(1/4n) applies exactly.
-    """
-    n = _integer(n, "n must be an integer of at least 1000", 1000)
-    if not 0.0 < a < 1.0:
-        raise ValueError("the two-sided comparison needs a strictly inside (0, 1)")
-    params = MaxARParams(a, Direction.FORWARD)
-    reversed_params = params.reversed()
-    report = EmpiricalReport(params={"a": a, "n": n, "grid": list(grid),
-                                     "tolerance": tolerance})
-    report.seeds.append((rng.seed, rng.stream))
-
-    fwd_x, fwd_y = _stationary_windows(a, 2, n, rng).T
-    # independent draw through the dual kernel: start from the stationary
-    # law and step backwards; detailed balance says the pair must have the
-    # forward joint law with the coordinates swapped
-    rev_start = frechet_sample(rng, size=n)
-    rev_next = kernel_sample_many(reversed_params, rev_start, rng)
-    backward = _pair_cdf_errors(reversed_params, rev_start, rev_next, grid)
-    for (u, v), err in _pair_cdf_errors(params, fwd_x, fwd_y, grid).items():
-        report.check(f"forward_pair_cdf_{u}_{v}", err, tolerance,
-                     "closed-form joint CDF of consecutive stationary values")
-        report.check(f"reversed_pair_cdf_{u}_{v}", backward[u, v], tolerance,
-                     "detailed-balance identity linking the two kernels")
-    return report

@@ -26,8 +26,8 @@ from enum import Enum
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_positive, \
-    _check_positive_array, _check_unit
+from .distributions import _INDEX_RULE, RngState, _check_positive, \
+    _check_positive_array, _check_unit, _integer
 
 __all__ = list(_EXPORTS["spectral"])
 
@@ -52,14 +52,14 @@ class IndexedPath:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "start", int(self.start))
+        object.__setattr__(self, "start", _integer(self.start, _INDEX_RULE))
 
     @property
     def times(self) -> np.ndarray:
         return self.start + np.arange(self.values.size)
 
     def value_at(self, t: int) -> float:
-        k = int(t) - self.start
+        k = _integer(t, _INDEX_RULE) - self.start
         if not 0 <= k < self.values.size:
             raise ValueError(f"index {t} outside [{self.start}, "
                              f"{self.start + self.values.size - 1}]")
@@ -68,7 +68,7 @@ class IndexedPath:
 
 def shift(path: IndexedPath, s: int) -> IndexedPath:
     """Time shift: the result g satisfies g(t) = path(t + s)."""
-    return IndexedPath(path.start - int(s), path.values)
+    return IndexedPath(path.start - _integer(s, _INDEX_RULE), path.values)
 
 
 class _Mixing:
@@ -128,7 +128,7 @@ class FiniteMixing(_Mixing):
     weights: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        items = [(int(n), float(w)) for n, w in
+        items = [(_integer(n, _INDEX_RULE), float(w)) for n, w in
                  (self.weights.items() if isinstance(self.weights, dict)
                   else self.weights)]
         if not items:
@@ -182,7 +182,8 @@ class SpectralSampler:
     mixing: GeometricMixing | FiniteMixing | None = None
 
     def __post_init__(self):
-        lo, hi = (int(self.window[0]), int(self.window[1]))
+        lo, hi = (_integer(self.window[0], _INDEX_RULE),
+                  _integer(self.window[1], _INDEX_RULE))
         if lo > hi:
             raise ValueError("window must be a nonempty integer interval")
         object.__setattr__(self, "window", (lo, hi))
@@ -286,9 +287,10 @@ def spectral_mean(sampler: SpectralSampler, t: int) -> float:
     construction uses as the marginal Frechet scale at t.
     """
     lo, hi = sampler.window
-    if not lo <= int(t) <= hi:
+    t = _integer(t, _INDEX_RULE)
+    if not lo <= t <= hi:
         raise ValueError(f"t={t} outside the sampler window {sampler.window}")
-    return float(_window_means(sampler)[int(t) - lo])
+    return float(_window_means(sampler)[t - lo])
 
 
 def spectral_bound(sampler: SpectralSampler) -> float:
@@ -381,7 +383,8 @@ class ExponentFunctional:
         a = _check_unit("a", self.a)
         object.__setattr__(self, "a", a)
         if self.shifts is not None:
-            shifts = tuple(sorted(int(n) for n in self.shifts))
+            shifts = tuple(sorted(_integer(n, _INDEX_RULE)
+                                  for n in self.shifts))
             if not shifts:
                 raise ValueError("shifts must be nonempty when given")
             if a == 1.0:
@@ -393,7 +396,7 @@ def _check_points(points) -> tuple[np.ndarray, np.ndarray]:
     pts = list(points)
     if not pts:
         raise ValueError("points must be nonempty")
-    t = np.array([int(p[0]) for p in pts], dtype=np.int64)
+    t = np.array([_integer(p[0], _INDEX_RULE) for p in pts], dtype=np.int64)
     z = _check_positive_array("levels", [float(p[1]) for p in pts])
     return t, z
 
@@ -483,6 +486,8 @@ def dehaan_max_stable(sampler: SpectralSampler, bound: float,
     construction, whatever the block sizes.
     """
     _check_positive("bound", bound)
+    max_points = _integer(max_points,
+                          "max_points must be a nonnegative integer", 0)
     _check_charged(sampler)
     lo = sampler.window[0]
     constant = sampler.kind is SamplerKind.CONSTANT

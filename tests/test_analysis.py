@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import maxstab.analysis
+import maxstab.continuous
 from maxstab import (
     AmbiguousRatioError,
     BatterySizes,
@@ -494,8 +495,9 @@ class TestRunBattery:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before refusing")
 
-        for name in ("_jump_chain", "_window_path", "_stationary_windows"):
-            monkeypatch.setattr(maxstab.analysis, name, no_draw)
+        for name in ("_jump_chain", "_window_path"):
+            monkeypatch.setattr(maxstab.continuous, name, no_draw)
+        monkeypatch.setattr(maxstab.analysis, "_stationary_windows", no_draw)
         with pytest.raises(ValueError, match=r"a\*\*epsilon = 0\.0 at "
                            r"a=1e-300, epsilon=1\.1 is not a normal float"):
             run_battery(ShapeFunction(1e-300, direction), RngState(23),

@@ -27,7 +27,7 @@ from maxstab import (
     ks_two_sample,
     simulate_forward,
 )
-from maxstab.conditional import _joint_grid_statistic, _null_statistics
+from maxstab.analysis import _joint_grid_statistic, _null_statistics
 
 
 def indicator_grid_statistic(u: np.ndarray, v: np.ndarray, grid: int) -> float:

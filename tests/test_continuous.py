@@ -23,9 +23,8 @@ from maxstab import (
     simulate_moving_max,
     simulate_moving_max_reversed,
 )
-from maxstab.analysis import _replicate_values
 from maxstab.continuous import _JUMP_SLACK, _jump_chain, _left_limits, \
-    _reversed_knots
+    _replicate_values, _reversed_knots
 from maxstab.distributions import frechet_sample
 
 

@@ -192,6 +192,11 @@ class TestMaxARParams:
                 p = MaxARParams(a, Direction.REVERSED)
             assert p.direction is Direction.FORWARD
 
+    def test_canonicalization_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            MaxARParams(1.0, Direction.REVERSED)
+        assert [w.filename for w in record] == [__file__]
+
     def test_reversed_flips_direction(self):
         assert FWD.reversed() == REV
         assert REV.reversed() == FWD

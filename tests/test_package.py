@@ -4,8 +4,8 @@ modules' own."""
 import maxstab
 
 MODULES = (maxstab.analysis, maxstab.conditional, maxstab.continuous,
-           maxstab.distributions, maxstab.maxar, maxstab.report,
-           maxstab.serialize, maxstab.spectral)
+           maxstab.distributions, maxstab.maxar, maxstab.serialize,
+           maxstab.spectral)
 
 
 def test_all_is_union_of_module_lists():

@@ -471,6 +471,37 @@ class TestShift:
             IndexedPath(0, [1.0]).value_at(1)
 
 
+# Each integer index the spectral layer takes, read back through what the
+# index decides.
+INDEX_INPUTS = {
+    "start": lambda t: IndexedPath(t, [1.0]).start,
+    "value_at": lambda t: IndexedPath(2, [5.0]).value_at(t),
+    "shift": lambda t: shift(IndexedPath(0, [1.0]), t).start,
+    "window": lambda t: SpectralSampler.decay(0.5, (0, t)).window,
+    "mixing": lambda t: FiniteMixing({0: 1.0, t: 1.0}).support,
+    "shifts": lambda t: ExponentFunctional(0.5, shifts=(0, t)).shifts,
+    "points": lambda t: exponent_rectangle(ExponentFunctional(0.5),
+                                           [(0, 1.0), (t, 1.0)]),
+    "mean": lambda t: spectral_mean(
+        SpectralSampler.decay(0.5, (0, 3), mixing=UNIFORM5), t),
+}
+
+
+class TestIndices:
+    """Indices are integers: a fraction or an infinity is refused, never
+    truncated, and an integral float is taken as its int."""
+
+    @pytest.mark.parametrize("bad", [1.5, math.inf])
+    @pytest.mark.parametrize("name", list(INDEX_INPUTS))
+    def test_refuses_a_non_integer(self, name, bad):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            INDEX_INPUTS[name](bad)
+
+    @pytest.mark.parametrize("name", list(INDEX_INPUTS))
+    def test_integral_float_is_its_int(self, name):
+        assert repr(INDEX_INPUTS[name](2.0)) == repr(INDEX_INPUTS[name](2))
+
+
 class TestExponentRectangle:
     @pytest.mark.parametrize("a", [0.0, 0.4, 1.0])
     def test_single_point(self, a):
@@ -635,6 +666,18 @@ class TestDehaanMaxStable:
         assert "1 points drawn" in message
         assert f"last floor {floor!r}" in message
         assert "bound 1.0" in message
+
+    @pytest.mark.parametrize("bad", [2.5, math.inf, -1])
+    def test_max_points_must_be_a_nonnegative_integer(self, bad):
+        sampler = SpectralSampler.constant((0, 1))
+        with pytest.raises(ValueError, match="max_points must be a "
+                           "nonnegative integer"):
+            dehaan_max_stable(sampler, 1.0, RngState(1), max_points=bad)
+
+    def test_max_points_zero_draws_nothing(self):
+        sampler = SpectralSampler.constant((0, 1))
+        with pytest.raises(RuntimeError, match="0 points drawn"):
+            dehaan_max_stable(sampler, 1.0, RngState(1), max_points=0)
 
     def test_bound_validation(self):
         sampler = SpectralSampler.constant((0, 1))
