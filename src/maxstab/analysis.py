@@ -248,34 +248,33 @@ def ratio_support(path, rel_tol: float = 1e-9) -> RatioSupportEstimate:
                                 location, count / ratios.size, ratios.size)
 
 
-def _grid_labels(x: np.ndarray, grid: int) -> np.ndarray:
+_GRID, _N_NULL = 20, 2000  # the independence test's grid size and null tables
+
+
+def _grid_labels(x: np.ndarray) -> np.ndarray:
     """Bin label of each value on the quantile grid: label <= k exactly
     when x <= q_k, ties included."""
-    qs = np.arange(1, grid + 1) / (grid + 1.0)
+    qs = np.arange(1, _GRID + 1) / (_GRID + 1.0)
     return np.searchsorted(_quantiles(x, qs), x, side="left")
 
 
-def _joint_grid_statistic(u: np.ndarray, v: np.ndarray, grid: int) -> float:
+def _joint_grid_statistic(u: np.ndarray, v: np.ndarray) -> float:
     """Sup over a quantile grid of |joint empirical CDF - product of
     empirical marginals|.  A pure rank statistic for continuous data.
 
     The joint and marginal CDF counts are the cumulative sums of the
-    (grid+1)^2 table of bin-label pairs."""
-    size = grid + 1
-    cells = _grid_labels(u, grid) * size + _grid_labels(v, grid)
+    (_GRID+1)^2 table of bin-label pairs."""
+    size = _GRID + 1
+    cells = _grid_labels(u) * size + _grid_labels(v)
     table = np.bincount(cells, minlength=size * size).reshape(size, size)
     cdf = table.cumsum(axis=0).cumsum(axis=1)
     n = u.size
-    product = np.outer(cdf[:grid, grid] / n, cdf[grid, :grid] / n)
-    return float(np.abs(cdf[:grid, :grid] / n - product).max())
+    product = np.outer(cdf[:_GRID, _GRID] / n, cdf[_GRID, :_GRID] / n)
+    return float(np.abs(cdf[:_GRID, :_GRID] / n - product).max())
 
 
-_NULL_BLOCK = 2000
-_GRID, _N_NULL = 20, 2000  # the independence test's grid size and null tables
-
-
-def _null_statistics(n: int, grid: int, n_null: int) -> np.ndarray:
-    """n_null draws of the grid statistic for n i.i.d. independent pairs.
+def _null_statistics(n: int) -> np.ndarray:
+    """_N_NULL draws of the grid statistic for n i.i.d. independent pairs.
 
     The statistic is a function of the table of bin-label pairs.  Under
     independence with continuous marginals both label vectors have the
@@ -283,44 +282,40 @@ def _null_statistics(n: int, grid: int, n_null: int) -> np.ndarray:
     permutation, so the table is uniform among the tables with those
     margins.  A null table is drawn row by row, each row a multivariate
     hypergeometric draw from the column counts still unassigned, taken one
-    cell at a time.  Only the grid x grid corner enters the statistic, so
+    cell at a time.  Only the _GRID x _GRID corner enters the statistic, so
     the last row and column are never drawn.  The draws use a fixed
-    internal generator, so they depend on (n, grid, n_null) alone.
+    internal generator, so they depend on n alone.
     """
     gen = np.random.Generator(np.random.Philox(key=np.uint64(0x9E3779B97F4A7C15)))
-    margin = np.bincount(_grid_labels(np.arange(n, dtype=np.float64), grid),
-                         minlength=grid + 1)
-    marginal = margin[:grid].cumsum() / n
+    margin = np.bincount(_grid_labels(np.arange(n, dtype=np.float64)),
+                         minlength=_GRID + 1)
+    marginal = margin[:_GRID].cumsum() / n
     product = np.outer(marginal, marginal)
-    stats = np.empty(n_null)
-    for first in range(0, n_null, _NULL_BLOCK):
-        block = min(_NULL_BLOCK, n_null - first)
-        # one column per draw: col_left[j] is column j's unassigned count
-        col_left = np.repeat(margin[:, None], block, axis=1)
-        col_used = np.zeros((grid, block), dtype=np.int64)
-        worst = np.zeros(block)
-        for r in range(grid):
-            row_left = np.full(block, margin[r])
-            # columns right of j are untouched while column j is drawn
-            rest = col_left[::-1].cumsum(axis=0)[::-1]
-            for j in range(grid):
-                cell = gen.hypergeometric(col_left[j], rest[j + 1], row_left)
-                col_left[j] -= cell
-                col_used[j] += cell
-                row_left -= cell
-            col_left[grid] -= row_left
-            joint = col_used.cumsum(axis=0) / n
-            np.maximum(worst, np.abs(joint - product[r][:, None]).max(axis=0),
-                       out=worst)
-        stats[first:first + block] = worst
-    return stats
+    # one column per draw: col_left[j] is column j's unassigned count
+    col_left = np.repeat(margin[:, None], _N_NULL, axis=1)
+    col_used = np.zeros((_GRID, _N_NULL), dtype=np.int64)
+    worst = np.zeros(_N_NULL)
+    for r in range(_GRID):
+        row_left = np.full(_N_NULL, margin[r])
+        # columns right of j are untouched while column j is drawn
+        rest = col_left[::-1].cumsum(axis=0)[::-1]
+        for j in range(_GRID):
+            cell = gen.hypergeometric(col_left[j], rest[j + 1], row_left)
+            col_left[j] -= cell
+            col_used[j] += cell
+            row_left -= cell
+        col_left[_GRID] -= row_left
+        joint = col_used.cumsum(axis=0) / n
+        np.maximum(worst, np.abs(joint - product[r][:, None]).max(axis=0),
+                   out=worst)
+    return worst
 
 
 @lru_cache(maxsize=32)
-def _null_quantile(n: int, grid: int, n_null: int, level: float) -> float:
+def _null_quantile(n: int, level: float) -> float:
     """Null quantile of the grid statistic, computed once per process for
-    each (n, grid, n_null, level)."""
-    return float(_quantiles(_null_statistics(n, grid, n_null), 1.0 - level))
+    each (n, level)."""
+    return float(_quantiles(_null_statistics(n), 1.0 - level))
 
 
 def independence_test(pairs, level: float = 0.01) -> EmpiricalReport:
@@ -351,8 +346,8 @@ def independence_test(pairs, level: float = 0.01) -> EmpiricalReport:
         report.add("independence_sup_distance", math.nan, math.nan, None,
                    "not applicable: a coordinate is constant")
         return report
-    stat = _joint_grid_statistic(u, v, _GRID)
-    threshold = _null_quantile(arr.shape[0], _GRID, _N_NULL, level)
+    stat = _joint_grid_statistic(u, v)
+    threshold = _null_quantile(arr.shape[0], level)
     report.check("independence_sup_distance", stat, threshold,
                  "joint empirical CDF vs product of marginals on a rank grid",
                  "<=")

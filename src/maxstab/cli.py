@@ -106,7 +106,7 @@ def main():
 @_format_option
 def cmd_simulate_discrete(a, direction, n, seed, out_path, fmt):
     """Draw a stationary window of the discrete chain and write it out."""
-    params = _guard(_cli.MaxARParams, a, _cli.Direction(direction))
+    params = _guard(_cli.MaxARParams, a, direction)
     rng = _guard(_cli.RngState, seed)
     simulate = _cli.simulate_forward \
         if params.direction is _cli.Direction.FORWARD \
@@ -152,7 +152,7 @@ def cmd_simulate_continuous(a, direction, window, seed, out_path, fmt):
 @click.option("--y", type=float, required=True, help="Next value bound.")
 def cmd_kernel_cdf(a, direction, x, y):
     """Print the one-step transition CDF to 15 significant digits."""
-    params = _guard(_cli.MaxARParams, a, _cli.Direction(direction))
+    params = _guard(_cli.MaxARParams, a, direction)
     value = _guard(_cli.kernel_cdf, params, x, y)
     click.echo(f"{value:.15g}")
 
@@ -265,9 +265,9 @@ def cmd_verify(a, direction, continuous, epsilon, n, seed, out_path):
     sizes = _cli.BatterySizes() if n is None \
         else _guard(_cli.BatterySizes().scaled, n)
     if continuous:
-        spec = _guard(_cli.ShapeFunction, a, _cli.Direction(direction))
+        spec = _guard(_cli.ShapeFunction, a, direction)
     else:
-        spec = _guard(_cli.MaxARParams, a, _cli.Direction(direction))
+        spec = _guard(_cli.MaxARParams, a, direction)
     report = _guard(_cli.run_battery, spec, rng, sizes, epsilon=epsilon)
     for c in report.checks:
         status = "SKIP" if c.passed is None else \

@@ -46,14 +46,13 @@ class ConditionalQuery:
         t0 = _integer(self.conditioning[0], _INDEX_RULE)
         z0 = _check_positive("conditioning level", self.conditioning[1])
         object.__setattr__(self, "conditioning", (t0, z0))
-        targets = tuple((_integer(t, _INDEX_RULE), float(z))
+        targets = tuple((_integer(t, _INDEX_RULE),
+                         _check_positive("target levels", z))
                         for t, z in self.targets)
         if not targets:
             raise ValueError("at least one target is required")
         if len({t for t, _ in targets}) != len(targets):
             raise ValueError("target indices must be distinct")
-        for _, z in targets:
-            _check_positive("target levels", z)
         object.__setattr__(self, "targets", targets)
 
 

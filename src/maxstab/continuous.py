@@ -62,7 +62,8 @@ class CadlagPath:
     moves deterministically (decay a^dt forward, growth a^-dt reversed) and
     each event (time, new_value) resets the level, jumping up in the
     forward direction and down in the reversed one.  Only max-achieving
-    events are stored, so consecutive levels always genuinely jump.
+    events are stored, so consecutive levels always genuinely jump.  a = 1
+    is the constant path: it has no events and always reads forward.
     """
 
     a: float
@@ -77,7 +78,6 @@ class CadlagPath:
         if not (0.0 < a <= 1.0):
             raise ValueError("a must lie in (0, 1]")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "direction", Direction(self.direction))
         t0, t1 = (float(self.window[0]), float(self.window[1]))
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
             raise ValueError("window must be a nondegenerate finite interval")
@@ -85,7 +85,11 @@ class CadlagPath:
         object.__setattr__(self, "anchor_value", _check_positive(
             "anchor_value", self.anchor_value))
         events = tuple((float(tt), float(vv)) for tt, vv in self.events)
+        if a == 1.0 and events:
+            raise ValueError("a = 1 is the constant path and has no events")
         object.__setattr__(self, "events", events)
+        object.__setattr__(self, "direction",
+                           MaxARParams(a, self.direction).direction)
         # the knots, the window start with the anchor and then each event,
         # as contiguous read-only rows: every path value is read off these
         rows = np.fromiter(chain((t0, self.anchor_value), *events),
@@ -227,8 +231,6 @@ def _window_path(a: float, direction: Direction, length: float,
             "independent values at every real time; use the discrete chain")
     if not 0.0 < a <= 1.0:
         raise ValueError("a must lie in (0, 1]")
-    # a = 1 is its own reversal: MaxARParams says so and reads forward
-    direction = MaxARParams(a, direction).direction
     seed = (rng.seed, rng.stream)
     knots = _jump_chain(a, length, 1, rng)
     if direction is Direction.REVERSED:

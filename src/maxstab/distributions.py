@@ -130,11 +130,11 @@ class RngState:
         """Uniform draw(s) in the open interval (0, 1).
 
         A scalar is read straight from the buffer, which keeps the
-        one-at-a-time samplers' per-draw cost low.  A block is a new array
-        that the caller owns.  One that runs a full buffer past what is
-        buffered is drawn for the caller directly, with no copy, and leaves
-        the buffer empty; the generator is sequential, so the stream is the
-        same either way.  Either way the state keeps no reference to a
+        one-at-a-time samplers' per-draw cost low.  A block is read ahead
+        as :meth:`_peek` reads it, refilling the buffer first if it is
+        short.  A block that is the whole buffer is handed to the caller
+        with no copy, and the state starts an empty buffer; any other
+        block is copied out.  Either way the state keeps no reference to a
         block it returns.  A size that is not a nonnegative integer (an
         integral float is one) raises ValueError.
         """
@@ -143,17 +143,12 @@ class RngState:
                 self._refill(1)
             self._pos += 1
             return float(self._buf[self._pos - 1])
-        n = _integer(size, "size must be a nonnegative integer", 0)
-        need = n - (self._buf.size - self._pos)
-        if need >= _BUFFER_SIZE:
-            fresh = _uniforms(self._bitgen.random_raw(need))
-            left = self._buf[self._pos:]
-            self._buf = np.empty(0, dtype=np.float64)
-            self._pos = 0
-            return np.concatenate([left, fresh]) if left.size else fresh
-        out = self._peek(n)
-        self._pos += n
-        return out.copy()
+        block = self._peek(size)
+        if block.size < self._buf.size:
+            self._pos += block.size
+            return block.copy()
+        block, self._buf, self._pos = self._buf, np.empty(0), 0
+        return block
 
     def _peek(self, size: int) -> np.ndarray:
         """View of the next ``size`` uniforms, which stay unconsumed.

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .distributions import _check_key
-from .maxar import Direction, DiscretePath, MaxARParams
+from .maxar import DiscretePath, MaxARParams
 
 # continuous is imported only by the two functions that evaluate or build
 # a continuous path, so discrete paths never load it.
@@ -132,10 +132,9 @@ def parse_discrete_json(text: str) -> DiscretePath:
     doc = json.loads(text)
     if doc.get("kind") != "discrete-path":
         raise ValueError("field 'kind': expected 'discrete-path'")
-    params = MaxARParams(float(doc["a"]), Direction(doc["direction"]))
-    return DiscretePath(doc["start_index"],
-                        np.asarray(doc["values"], dtype=np.float64),
-                        params, _parse_seed(doc.get("seed")))
+    return DiscretePath(doc["start_index"], doc["values"],
+                        MaxARParams(doc["a"], doc["direction"]),
+                        _parse_seed(doc.get("seed")))
 
 
 def continuous_csv_text(path: CadlagPath) -> str:
@@ -197,9 +196,6 @@ def parse_continuous_json(text: str) -> CadlagPath:
     doc = json.loads(text)
     if doc.get("kind") != "continuous-path":
         raise ValueError("field 'kind': expected 'continuous-path'")
-    return CadlagPath(
-        float(doc["a"]), Direction(doc["direction"]),
-        (float(doc["window"][0]), float(doc["window"][1])),
-        float(doc["anchor_value"]),
-        tuple((float(t), float(v)) for t, v in doc["events"]),
-        _parse_seed(doc.get("seed")))
+    return CadlagPath(doc["a"], doc["direction"], doc["window"],
+                      doc["anchor_value"], doc["events"],
+                      _parse_seed(doc.get("seed")))

@@ -76,8 +76,13 @@ class _Mixing:
 
     def pmf(self, n):
         """Mass at the integer n (a float) or at each integer of an array,
-        both by the same array path, so they agree bit for bit."""
-        masses = self._masses(np.atleast_1d(np.asarray(n, dtype=np.int64)))
+        both by the same array path, so they agree bit for bit.  An index
+        that _integer refuses raises ValueError."""
+        arr = np.asarray(n)
+        if arr.dtype.kind not in "iu":
+            for k in arr.ravel().tolist():
+                _integer(k, _INDEX_RULE)
+        masses = self._masses(np.atleast_1d(np.asarray(arr, dtype=np.int64)))
         return float(masses[0]) if np.ndim(n) == 0 else masses
 
     def sample(self, rng: RngState, size: int | None = None):
@@ -358,8 +363,6 @@ def cone_member(path, spec: ConeSpec) -> bool:
     if spec.kind is SamplerKind.CONSTANT:
         return float(values.min()) >= (1.0 - tol) * peak
     onset = int(np.argmax(active))
-    if active[:onset].any():
-        return False
     expected = values[onset] * spec.a ** np.arange(values.size - onset)
     rest = values[onset:]
     return bool(np.all(np.abs(rest - expected) <= tol * expected))

@@ -336,6 +336,24 @@ class TestIdentify:
         with pytest.raises(ValueError):
             identify(np.ones(99))
 
+    @pytest.mark.parametrize("n", [100, 1999])
+    def test_short_atomless_path_unclassifiable(self, monkeypatch, n):
+        """Below 2000 values a path with no atom cannot be tested for
+        independence, so it is refused before the test runs."""
+        monkeypatch.setattr(maxstab.analysis, "independence_test", None)
+        values = simulate_forward(MaxARParams(0.0), n, RngState(105)).values
+        with pytest.raises(UnclassifiableDataError, match="too few values"):
+            identify(values)
+
+    def test_reversed_atom_with_a_ratio_beyond_it_ambiguous(self):
+        """One ratio above 1/a is impossible for the reversed chain whose
+        atom sits at 1/a."""
+        values = simulate_reversed(MaxARParams(0.5, Direction.REVERSED),
+                                   4000, RngState(106)).values.copy()
+        values[2001] = 3.0 * values[2000]
+        with pytest.raises(AmbiguousRatioError, match="beyond it"):
+            identify(values)
+
     @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("reversed_dir", [False, True])
     def test_recovery_smoke(self, a, reversed_dir):

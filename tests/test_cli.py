@@ -315,6 +315,26 @@ class TestConditional:
         assert result.exit_code == 0
         assert result.output == "0.606530659712633\n"
 
+    @pytest.mark.parametrize("doc,field", [
+        ([[0, 1.0], [[1, 1.0]], 0.5], "query must be a JSON object"),
+        ({"conditioning": [0], "targets": [[1, 1.0]], "a": 0.5},
+         "query field 'conditioning'"),
+        ({"conditioning": 0, "targets": [[1, 1.0]], "a": 0.5},
+         "query field 'conditioning'"),
+        ({"conditioning": [0, 1.0], "targets": [], "a": 0.5},
+         "query field 'targets'"),
+        ({"conditioning": [0, 1.0], "targets": [[1, 1.0]], "a": 1.5},
+         "query field 'a'"),
+        ({"conditioning": [0, 1.0], "targets": [[1, 1.0]], "a": "x"},
+         "query field 'a'"),
+    ])
+    def test_malformed_query_exits_2(self, runner, tmp_path, doc, field):
+        result = runner.invoke(main, ["conditional", "--query",
+                                      write_query(tmp_path, doc)])
+        assert result.exit_code == 2
+        assert field in result.stderr
+        assert result.stdout == ""
+
     def test_bad_target_entry_exits_2(self, runner, tmp_path):
         query = write_query(tmp_path, {"conditioning": [0, 1.0],
                                        "targets": [[1, 1.0, 9]], "a": 0.5})

@@ -438,16 +438,16 @@ class TestGridStatistic:
         if decimals is not None:
             pairs = np.round(pairs, decimals)
         u, v = pairs[:, 0], pairs[:, 1]
-        assert _joint_grid_statistic(u, v, 20) == \
+        assert _joint_grid_statistic(u, v) == \
             indicator_grid_statistic(u, v, 20)
 
     def test_table_null_matches_simulated_pairs(self):
         """Fixed-margin null tables give the statistic the law it has on
         i.i.d. uniform pairs (two-sample KS, 2000 draws each, 2000 pairs)."""
         n = 2000
-        tables = _null_statistics(n, 20, 2000)
+        tables = _null_statistics(n)
         rng = RngState(60)
-        direct = [_joint_grid_statistic(*rng.uniform(size=2 * n).reshape(2, n), 20)
+        direct = [_joint_grid_statistic(*rng.uniform(size=2 * n).reshape(2, n))
                   for _ in range(2000)]
         ks = ks_two_sample(tables, direct)
         assert ks.passed, ks

@@ -2,6 +2,7 @@
 simulation, cadlag path semantics, time reversal, and grid skeletons."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,26 @@ class TestCadlagPath:
         path = CadlagPath(0.5, Direction.FORWARD, (0.0, 3.0), 1.0,
                           ((1.0, 5.0), (2.0, 4.0)))
         assert np.array_equal(path.event_times, [1.0, 2.0])
+
+    @pytest.mark.parametrize("direction,event", [
+        ("forward", (1.0, 2.5)), ("reversed", (1.0, 0.5))])
+    def test_constant_member_has_no_events(self, direction, event):
+        """a = 1 never jumps, so an event is refused in either direction,
+        before the reversed direction is canonicalized with a warning."""
+        with pytest.raises(ValueError, match="a = 1 .* has no events"):
+            CadlagPath(1.0, direction, (0.0, 2.0), 1.5, (event,))
+
+    def test_constant_member_reads_forward_with_one_warning(self):
+        """A reversed a = 1 path, built or drawn, reads forward, and each
+        warns exactly once."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            built = CadlagPath(1.0, "reversed", (0.0, 2.0), 1.5, ())
+            assert len(caught) == 1
+            drawn = simulate_moving_max_reversed(1.0, 2.0, RngState(67))
+            assert len(caught) == 2
+        assert built.direction is drawn.direction is Direction.FORWARD
+        assert sample_grid(built, 0.5).values.tolist() == [1.5] * 5
 
 
 class TestPathValue:

@@ -223,6 +223,11 @@ class TestDiscretePath:
         with pytest.raises(ValueError):
             DiscretePath(0, [1.0, 0.0], FWD)
 
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]]])
+    def test_rejects_values_that_are_not_a_nonempty_row(self, values):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            DiscretePath(0, values, FWD)
+
     @pytest.mark.parametrize("params", [FWD, REV])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0,
                                      -0.0, -2.0])
@@ -781,6 +786,11 @@ class TestEquilibrium:
     def test_requires_large_sample(self):
         with pytest.raises(ValueError):
             equilibrium_check(0.5, 999, RngState(1))
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, math.nan])
+    def test_requires_a_strictly_inside_the_unit_interval(self, a):
+        with pytest.raises(ValueError, match="strictly inside"):
+            equilibrium_check(a, 2000, RngState(1))
 
     @pytest.mark.parametrize("n", [1000.5, math.nan, math.inf, "2000", None])
     def test_refuses_n_that_is_not_an_integer(self, n):

@@ -221,6 +221,12 @@ class TestContinuousCsv:
         with pytest.raises(ValueError, match="anchor"):
             parse_continuous_csv(text)
 
+    @pytest.mark.parametrize("text", ["time,value,is_event\n",
+                                      "time,value,is_event\n0,1,0\n"])
+    def test_needs_anchor_and_closing_rows(self, text):
+        with pytest.raises(ValueError, match="anchor and closing rows"):
+            parse_continuous_csv(text)
+
 
 class TestContinuousJson:
     def test_round_trip(self, continuous_path):
@@ -241,6 +247,15 @@ class TestContinuousJson:
     def test_kind_checked(self):
         with pytest.raises(ValueError, match="kind"):
             parse_continuous_json('{"kind": "discrete-path"}')
+
+    @pytest.mark.parametrize("direction", ["forward", "reversed"])
+    def test_constant_member_with_an_event_is_refused(self, direction):
+        """The parser takes CadlagPath's a = 1 rule: no events."""
+        doc = {"kind": "continuous-path", "a": 1.0, "direction": direction,
+               "window": [0.0, 2.0], "anchor_value": 1.5, "seed": None,
+               "events": [[1.0, 2.5 if direction == "forward" else 0.5]]}
+        with pytest.raises(ValueError, match="has no events"):
+            parse_continuous_json(json.dumps(doc))
 
     def test_reparsed_path_validates(self, continuous_path):
         """The parsed document goes through full path validation, so a

@@ -451,6 +451,12 @@ class TestConeMember:
         with pytest.raises(ValueError):
             ConeSpec(SamplerKind.CONSTANT, a=0.5)
 
+    @pytest.mark.parametrize("tolerance", [0.0, 1.0, math.nan])
+    def test_tolerance_lies_strictly_inside_the_unit_interval(self,
+                                                              tolerance):
+        with pytest.raises(ValueError, match="tolerance must lie in"):
+            ConeSpec(SamplerKind.DIRAC, tolerance=tolerance)
+
 
 class TestShift:
     def test_shift_semantics(self):
@@ -470,6 +476,14 @@ class TestShift:
         with pytest.raises(ValueError):
             IndexedPath(0, [1.0]).value_at(1)
 
+    def test_times_start_at_start(self):
+        assert IndexedPath(3, [1, 2]).times.tolist() == [3, 4]
+
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]]])
+    def test_refuses_values_that_are_not_a_nonempty_row(self, values):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            IndexedPath(0, values)
+
 
 # Each integer index the spectral layer takes, read back through what the
 # index decides.
@@ -484,6 +498,8 @@ INDEX_INPUTS = {
                                            [(0, 1.0), (t, 1.0)]),
     "mean": lambda t: spectral_mean(
         SpectralSampler.decay(0.5, (0, 3), mixing=UNIFORM5), t),
+    "geometric_pmf": lambda t: GeometricMixing().pmf(t),
+    "finite_pmf": lambda t: FiniteMixing({0: 1.0, 1: 1.0, 2: 2.0}).pmf(t),
 }
 
 
@@ -500,6 +516,24 @@ class TestIndices:
     @pytest.mark.parametrize("name", list(INDEX_INPUTS))
     def test_integral_float_is_its_int(self, name):
         assert repr(INDEX_INPUTS[name](2.0)) == repr(INDEX_INPUTS[name](2))
+
+    @pytest.mark.parametrize("bad", [0.7, math.nan, "1",
+                                     np.array([0.0, 1.5]), [0, 1.5]])
+    @pytest.mark.parametrize("mixing", [GeometricMixing(),
+                                        FiniteMixing({0: 1.0, 1: 1.0})])
+    def test_pmf_refuses_what_it_once_truncated(self, mixing, bad):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            mixing.pmf(bad)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8,
+                                       np.float64])
+    def test_pmf_of_an_integer_array(self, dtype):
+        """Every integer array, and an integral float one, gives the
+        masses of its ints bit for bit."""
+        mixing = GeometricMixing(0.3)
+        masses = mixing.pmf(np.array([[0, 1], [2, 3]], dtype=dtype))
+        assert masses.shape == (2, 2)
+        assert masses.ravel().tolist() == [mixing.pmf(n) for n in range(4)]
 
 
 class TestExponentRectangle:
@@ -585,6 +619,10 @@ class TestExponentRectangle:
             ExponentFunctional(1.0, shifts=(0, 1))
         with pytest.raises(ValueError):
             ExponentFunctional(1.5)
+
+    def test_refuses_empty_shifts(self):
+        with pytest.raises(ValueError, match="shifts must be nonempty"):
+            ExponentFunctional(0.5, shifts=())
 
 
 class TestDehaanMaxStable:
