@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .distributions import _INDEX_RULE, RngState, _check_positive, \
-    _check_unit, _integer
+    _check_unit, _integer, _pairs
 from .spectral import GeometricMixing, _decay_profile, _onset_rows
 
 __all__ = list(_EXPORTS["conditional"])
@@ -43,12 +43,13 @@ class ConditionalQuery:
     targets: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        t0 = _integer(self.conditioning[0], _INDEX_RULE)
-        z0 = _check_positive("conditioning level", self.conditioning[1])
-        object.__setattr__(self, "conditioning", (t0, z0))
+        t0, z0 = _pairs("conditioning", [self.conditioning])[0]
+        object.__setattr__(self, "conditioning", (
+            _integer(t0, _INDEX_RULE),
+            _check_positive("conditioning level", z0)))
         targets = tuple((_integer(t, _INDEX_RULE),
                          _check_positive("target levels", z))
-                        for t, z in self.targets)
+                        for t, z in _pairs("each target", self.targets))
         if not targets:
             raise ValueError("at least one target is required")
         if len({t for t, _ in targets}) != len(targets):

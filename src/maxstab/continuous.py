@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .distributions import RngState, _check_positive, \
-    _check_positive_array, frechet_sample
+    _check_positive_array, _pairs, frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, _owned_path
 
 __all__ = list(_EXPORTS["continuous"])
@@ -78,13 +78,14 @@ class CadlagPath:
         if not (0.0 < a <= 1.0):
             raise ValueError("a must lie in (0, 1]")
         object.__setattr__(self, "a", a)
-        t0, t1 = (float(self.window[0]), float(self.window[1]))
+        t0, t1 = map(float, _pairs("window", [self.window])[0])
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
             raise ValueError("window must be a nondegenerate finite interval")
         object.__setattr__(self, "window", (t0, t1))
         object.__setattr__(self, "anchor_value", _check_positive(
             "anchor_value", self.anchor_value))
-        events = tuple((float(tt), float(vv)) for tt, vv in self.events)
+        events = tuple((float(tt), float(vv)) for tt, vv in
+                       _pairs("each event", self.events))
         if a == 1.0 and events:
             raise ValueError("a = 1 is the constant path and has no events")
         object.__setattr__(self, "events", events)

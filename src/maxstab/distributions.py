@@ -6,7 +6,7 @@ inverse-transform, so the number of uniforms consumed by an operation is a
 deterministic function of its arguments.
 
 Uniforms are built from Philox's 64-bit words by integer operations and one
-exact subtraction, inside the block the generator returns: the top 52 bits
+exact subtraction, in the stream's buffer as the words arrive: the top 52 bits
 k of a word become the mantissa of the double 1 + k/2**52, and subtracting
 1 - 2**-53 leaves (k + 1/2)/2**52.  Both operands lie within a factor of
 two of each other, so by Sterbenz's lemma the difference is exact, and the
@@ -16,6 +16,7 @@ bits do not depend on any rounding mode, libm or SIMD path.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -27,21 +28,54 @@ _RAW_SHIFT = np.uint64(12)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the exponent field of 1.0
 _ONE_MINUS_HALF_ULP = 1.0 - 2.0**-53
 _BUFFER_SIZE = 512
+_CHUNK_WORDS = 1 << 14  # words per random_raw call of a refill: 128 KB
+_SPLIT_WORDS = 1 << 17  # values from which a draw runs in halves (_both)
 
 
-def _uniforms(raw: np.ndarray) -> np.ndarray:
+def _uniforms(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The uniforms (k + 1/2) / 2**52 of raw uint64 words, k their top 52
-    bits, built in raw's own memory as the module docstring says; raw is
-    overwritten and its float64 view returned.  Every y = 1 + k/2**52 has
+    bits, built in out's memory (raw's by default) as the module docstring
+    says and returned as its float64 view.  Every y = 1 + k/2**52 has
     1 - 2**-53 in [y/2, 2y], which is what Sterbenz's lemma needs."""
-    raw >>= _RAW_SHIFT
-    raw |= _ONE_BITS
-    u = raw.view(np.float64)
+    bits = np.right_shift(raw, _RAW_SHIFT, out=raw if out is None else out)
+    bits |= _ONE_BITS
+    u = bits.view(np.float64)
     u -= _ONE_MINUS_HALF_ULP
     return u
 
 
-_INDEX_RULE = "indices must be integers"
+def _fill(bitgen, out: np.ndarray) -> None:
+    """Fill the uint64 array out with uniforms of bitgen's next words."""
+    for lo in range(0, out.size, _CHUNK_WORDS):
+        part = out[lo:lo + _CHUNK_WORDS]
+        _uniforms(bitgen.random_raw(part.size), part)
+
+
+_POOL = []  # the helper thread's executor, made by the first split
+if hasattr(os, "register_at_fork"):  # a forked child lacks the thread
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
+def _both(first, second):
+    """(first(), second()), run at once on the calling thread and one
+    helper thread, or in turn with one usable CPU; second is not running
+    when this returns or raises.  For the halves of a large block, whose
+    numpy calls release the GIL; they must not write the same memory."""
+    if not _POOL:
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+            else range(os.cpu_count() or 1)
+        if len(cpus) < 2:
+            return first(), second()
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL.append(ThreadPoolExecutor(1))
+    later = _POOL[0].submit(second)
+    try:
+        return first(), later.result()
+    finally:
+        later.exception()  # waits for second when first raised
+
+
+_INDEX_RULE = "indices must be integers within int64"
 
 
 def _integer(value, rule: str, least: int | None = None,
@@ -49,6 +83,8 @@ def _integer(value, rule: str, least: int | None = None,
     """value as an int when it equals one (a Python or numpy integer or an
     integral float) in [least, below); any other value, NaN, inf, strings
     and None included, raises ValueError saying ``rule`` and the value."""
+    if rule is _INDEX_RULE:  # indices enter int64 arithmetic
+        least, below = -2**63, 2**63
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -58,6 +94,19 @@ def _integer(value, rule: str, least: int | None = None,
             or (below is not None and number >= below):
         raise ValueError(f"{rule}, got {value!r}")
     return number
+
+
+def _pairs(name: str, items) -> tuple:
+    """items as a tuple of pairs; an item of another length, or of none,
+    raises ValueError naming the field.  ``map(len)`` reads the lengths
+    in C, so a long list of pairs costs little."""
+    items = tuple(items)
+    try:
+        if set(map(len, items)) <= {2}:
+            return items
+    except TypeError:  # an item with no length
+        pass
+    raise ValueError(f"{name} must be a pair")
 
 
 def _check_key(value) -> int:
@@ -96,7 +145,7 @@ class RngState:
     Uniforms are the centered values (k + 1/2) / 2**52 built from the top 52
     bits of each 64-bit output; they are exactly representable and lie
     strictly inside (0, 1), so log and reciprocal transforms are always safe.
-    Each is made in place in the generator's output block as the double
+    Each is made in the stream's buffer, from a chunk of words, as the double
     1 + k/2**52, set by integer shift and or, minus 1 - 2**-53: an exact
     subtraction by Sterbenz's lemma, so the bits are the same on every
     platform.
@@ -121,10 +170,26 @@ class RngState:
         return RngState(self.seed, index)
 
     def _refill(self, need: int) -> None:
-        fresh = _uniforms(self._bitgen.random_raw(max(need, _BUFFER_SIZE)))
+        """Append at least need fresh uniforms to the unread ones.  A
+        large refill draws the words Philox holds and whole blocks of four
+        here, and the rest at once from a clone advanced past them, whose
+        state the generator then takes."""
         left = self._buf[self._pos:]
-        self._buf = np.concatenate([left, fresh]) if left.size else fresh
-        self._pos = 0
+        buf = np.empty(left.size + max(need, _BUFFER_SIZE))
+        buf[:left.size] = left
+        raw = buf.view(np.uint64)[left.size:]
+        if raw.size < _SPLIT_WORDS:
+            _fill(self._bitgen, raw)
+        else:
+            state = self._bitgen.state
+            held = 4 - state["buffer_pos"]
+            first = raw.size // 2 - (raw.size // 2 - held) % 4
+            clone = np.random.Philox(**state["state"]).advance(
+                (first - held) // 4)
+            _both(lambda: _fill(self._bitgen, raw[:first]),
+                  lambda: _fill(clone, raw[first:]))
+            self._bitgen.state = clone.state
+        self._buf, self._pos = buf, 0
 
     def uniform(self, size: int | None = None):
         """Uniform draw(s) in the open interval (0, 1).
@@ -210,7 +275,8 @@ def frechet_cdf(y, scale: float = 1.0):
     """
     c = _check_positive("scale", scale)
     arr = _check_positive_array("y", y)
-    out = np.exp(-c / arr)
+    with np.errstate(over="ignore"):  # y near 0: c / y is inf, the CDF 0
+        out = np.exp(-c / arr)
     if np.isscalar(y) or arr.ndim == 0:
         return float(out)
     return out

@@ -15,13 +15,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_positive, \
-    _check_positive_array, _check_unit, _integer, frechet_cdf, \
-    frechet_quantile, frechet_sample
+from .distributions import _SPLIT_WORDS, RngState, _both, \
+    _check_positive, _check_positive_array, _check_unit, _integer, \
+    frechet_cdf, frechet_quantile, frechet_sample
 
 __all__ = list(_EXPORTS["maxar"])
 
@@ -142,6 +143,14 @@ def _owned_path(start_index, values: np.ndarray, params: MaxARParams,
     return path
 
 
+def _halves(size: int, work) -> tuple:
+    """(work(0, size),), or from ``_SPLIT_WORDS`` values on work on the
+    two halves of [0, size), run at once."""
+    if size < _SPLIT_WORDS:
+        return (work(0, size),)
+    return _both(partial(work, 0, size // 2), partial(work, size // 2, size))
+
+
 def _check_path(path: DiscretePath) -> None:
     """Check a path's start index and values, and make the values
     read-only.
@@ -157,29 +166,45 @@ def _check_path(path: DiscretePath) -> None:
     values = path.values
     if values.ndim != 1 or values.size == 0:
         raise ValueError("values must be a nonempty 1-d array")
+    lows, highs = zip(*_halves(values.size, lambda lo, hi: (
+        values[lo:hi].min(), values[lo:hi].max())))
     # a NaN makes the min NaN, which fails the comparison
-    if not (values.min() > 0 and values.max() < np.inf):
+    if not (np.min(lows) > 0 and np.max(highs) < np.inf):
         raise ValueError("path values must be finite and positive")
     values.flags.writeable = False
     a = path.params.a
     if values.size == 1 or a == 0.0:
         return
     forward = path.params.direction is Direction.FORWARD
-    pairs = values.size - 1
-    scratch = np.empty(min(pairs, _BLOCK_VALUES))
-    extreme = a if forward else 1.0 / a
-    for lo in range(0, pairs, _BLOCK_VALUES):
-        hi = min(lo + _BLOCK_VALUES, pairs)
-        ratios = np.divide(values[lo + 1:hi + 1], values[lo:hi],
-                           out=scratch[:hi - lo])
-        extreme = min(extreme, ratios.min()) if forward \
-            else max(extreme, ratios.max())
+
+    def ratio_extreme(first: int, last: int):  # over pairs [first, last)
+        scratch = np.empty(min(last - first, _BLOCK_VALUES))
+        extreme = a if forward else 1.0 / a
+        for lo in range(first, last, _BLOCK_VALUES):
+            hi = min(lo + _BLOCK_VALUES, last)
+            ratios = np.divide(values[lo + 1:hi + 1], values[lo:hi],
+                               out=scratch[:hi - lo])
+            extreme = min(extreme, ratios.min()) if forward \
+                else max(extreme, ratios.max())
+        return extreme
+    extremes = _halves(values.size - 1, ratio_extreme)
+    extreme = min(extremes) if forward else max(extremes)
     if forward and extreme < a * (1.0 - _RATIO_SLACK):
         raise ValueError("forward path violates the one-step lower bound "
                          f"min ratio {extreme!r} < a = {a!r}")
     if not forward and extreme > (1.0 / a) * (1.0 + _RATIO_SLACK):
         raise ValueError("reversed path violates the one-step upper bound "
                          f"max ratio {extreme!r} > 1/a = {1.0 / a!r}")
+
+
+def _pass(x, p: float, bottom: int, top: int, source, shift: int, scratch):
+    """Rows t of x in [bottom, top) take max(x[t], p * source[t - shift]),
+    from the top row down, a block of scratch's rows at a time."""
+    for hi in range(top, bottom, -len(scratch)):
+        lo = max(bottom, hi - len(scratch))
+        shifted = np.multiply(source[lo - shift:hi - shift], p,
+                              out=scratch[:hi - lo])
+        np.maximum(x[lo:hi], shifted, out=x[lo:hi])
 
 
 def _stationary_windows(a: float, width: int, count: int,
@@ -211,29 +236,47 @@ def _stationary_windows(a: float, width: int, count: int,
     No block of the same pass has written those rows yet, since only the
     rows from top up have been done, so every block reads the values of
     the previous pass, as the whole-array pass does, and the result is
-    bitwise the same.  A
-    draw holds the block of uniforms, turned into the path in place, and
-    one scratch block of at most ``_BLOCK_VALUES`` values (256 KB), or
-    one row where a row is longer.
+    bitwise the same.
+
+    From ``_SPLIT_WORDS`` values on, the innovations are made on two
+    halves of the block at once, and so is each pass with step below
+    mid = width // 2: rows [step, mid) and [mid, width).  The upper half
+    reads rows [mid - step, mid), which the lower half writes, from a
+    copy taken before the pass.  A draw holds the block of uniforms,
+    turned into the path in place, two scratch blocks of at most
+    ``_BLOCK_VALUES`` values (256 KB) or one row each, and the
+    min(step, mid)-row edge copy of a split pass.
     """
-    # row t holds the uniforms of time t across the replicates
-    x = rng.uniform(size=width * count).reshape(width, count)
-    np.log(x, out=x)
-    np.divide(-1.0, x[0], out=x[0])
-    np.divide(-(1.0 - a), x[1:], out=x[1:])
-    hi, lo = x.max(), x.min()
+    flat = rng.uniform(size=width * count)
+
+    def innovations(first: int, last: int):
+        part = flat[first:last]  # its first start values are in row 0
+        start = min(max(count - first, 0), last - first)
+        np.log(part, out=part)
+        np.divide(-1.0, part[:start], out=part[:start])
+        np.divide(-(1.0 - a), part[start:], out=part[start:])
+        return part.max(), part.min()
+
+    highs, lows = zip(*_halves(flat.size, innovations))
+    hi, lo = max(highs), min(lows)
+    # row t holds the values of time t across the replicates
+    x = flat.reshape(width, count)
     rows = max(1, _BLOCK_VALUES // count)
-    scratch = np.empty((min(rows, width - 1), count))
+    scratch = np.empty((2, min(rows, width - 1), count))
+    mid = width // 2 if flat.size >= _SPLIT_WORDS else 0
     step = 1
     while step < width:
         p = a ** step
         if p * hi < lo:
             break
-        for top in range(width, step, -rows):
-            bottom = max(step, top - rows)
-            shifted = np.multiply(x[bottom - step:top - step], p,
-                                  out=scratch[:top - bottom])
-            np.maximum(x[bottom:top], shifted, out=x[bottom:top])
+        if step < mid:  # the upper half reads rows the lower one writes
+            edge = x[mid - step:mid].copy()
+            _both(partial(_pass, x, p, step, mid, x, step, scratch[0]),
+                  lambda: (_pass(x, p, mid + step, width, x, step, scratch[1]),
+                           _pass(x, p, mid, mid + step, edge, mid,
+                                 scratch[1])))
+        else:
+            _pass(x, p, step, width, x, step, scratch[0])
         step *= 2
     return x.T
 

@@ -77,9 +77,9 @@ class _Mixing:
     def pmf(self, n):
         """Mass at the integer n (a float) or at each integer of an array,
         both by the same array path, so they agree bit for bit.  An index
-        that _integer refuses raises ValueError."""
+        that _integer refuses, a uint64 one included, raises ValueError."""
         arr = np.asarray(n)
-        if arr.dtype.kind not in "iu":
+        if arr.dtype.kind != "i":
             for k in arr.ravel().tolist():
                 _integer(k, _INDEX_RULE)
         masses = self._masses(np.atleast_1d(np.asarray(arr, dtype=np.int64)))
@@ -107,7 +107,8 @@ class GeometricMixing(_Mixing):
         return (1.0 - self.ratio) / (1.0 + self.ratio)
 
     def _masses(self, n: np.ndarray) -> np.ndarray:
-        return self.center_mass * self.ratio ** np.abs(n)
+        # |n| as a float, the exponent power takes, so |-2**63| is no wrap
+        return self.center_mass * self.ratio ** np.abs(n, dtype=np.float64)
 
     def _quantile(self, u: np.ndarray) -> np.ndarray:
         """The integer each uniform in the 1-d array ``u`` maps to; the
@@ -443,11 +444,16 @@ def exponent_rectangle(functional: ExponentFunctional, points) -> float:
     """
     t, z = _check_points(points)
     a = functional.a
+    # a level near 0 overflows its quotients to the limit inf
     if functional.shifts is not None:
         shapes = (1.0 - a) * _decay_profile(a, t, functional.shifts)
-        return float((shapes / z).max(axis=1).sum())
+        with np.errstate(over="ignore"):
+            return float((shapes / z).max(axis=1).sum())
     weights, rows = _onset_rows(a, t)
-    return float(weights @ (rows / z).max(axis=1))
+    with np.errstate(over="ignore"):
+        terms = (rows / z).max(axis=1)
+    terms[weights == 0.0] = 0.0  # a = 1: weight 0 must not meet an inf
+    return float(weights @ terms)
 
 
 # Points per block of the de Haan sampler: the first block is small, since

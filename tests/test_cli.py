@@ -570,7 +570,8 @@ PACKAGE_MODULES = {"maxstab." + m for m in (
 
 
 class TestFreshProcessLoads:
-    """A fresh process loads only the package modules its work runs."""
+    """A fresh process loads only the package modules its work runs, and
+    no thread pool below the sizes where a draw splits."""
 
     def test_import_loads_no_submodule(self):
         result = run_fresh("import sys, maxstab; print(*sorted(m for m in "
@@ -604,7 +605,7 @@ class TestFreshProcessLoads:
           "--out", "{tmp}/d.csv"],
          {"maxstab.maxar", "maxstab.serialize"},
          {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral",
-          "maxstab.continuous"}),
+          "maxstab.continuous", "concurrent.futures"}),
         (["simulate-continuous", "--a", "0.5", "--window", "5",
           "--out", "{tmp}/c.json"],
          {"maxstab.continuous", "maxstab.serialize"},
@@ -615,19 +616,19 @@ class TestFreshProcessLoads:
         (["identify", "--in", "{tmp}/atom.csv"],
          {"maxstab.analysis", "maxstab.serialize"},
          {"maxstab.conditional", "maxstab.spectral", "maxstab.continuous",
-          "numpy.ma"}),
+          "numpy.ma", "concurrent.futures"}),
         (["identify", "--in", "{tmp}/iid.csv"],
          {"maxstab.analysis"},
          {"maxstab.conditional", "maxstab.spectral", "maxstab.continuous",
-          "numpy.ma"}),
+          "numpy.ma", "concurrent.futures"}),
         (["verify", "--a", "0.5", "--n", "2000"],
          {"maxstab.analysis"},
          {"maxstab.spectral", "maxstab.conditional", "maxstab.continuous",
-          "numpy.ma"}),
+          "numpy.ma", "concurrent.futures"}),
         (["verify", "--a", "0.5", "--continuous", "--n", "2000"],
          {"maxstab.analysis", "maxstab.continuous"},
          {"maxstab.spectral", "maxstab.conditional", "numpy.ma",
-          "numpy.polynomial"}),
+          "numpy.polynomial", "concurrent.futures"}),
     ], ids=["help", "kernel-cdf", "simulate-discrete", "simulate-continuous",
             "conditional", "identify-atom", "identify-independent", "verify",
             "verify-continuous"])

@@ -155,6 +155,19 @@ class TestConditionalQuery:
         with pytest.raises(ValueError, match="indices must be integers"):
             ConditionalQuery(conditioning, targets)
 
+    @pytest.mark.parametrize("conditioning,targets,field", [
+        ((0,), ((1, 1.0),), "conditioning"),
+        ((0, 1.0, 2.0), ((1, 1.0),), "conditioning"),
+        (0, ((1, 1.0),), "conditioning"),
+        ((0, 1.0), ((1, 1.0), (2,)), "each target"),
+        ((0, 1.0), ((1, 1.0, 3.0),), "each target"),
+        ((0, 1.0), (1,), "each target"),
+    ])
+    def test_refuses_pairs_of_another_length(self, conditioning, targets,
+                                             field):
+        with pytest.raises(ValueError, match=f"^{field} must be a pair$"):
+            ConditionalQuery(conditioning, targets)
+
     def test_accepts_integral_indices_as_int(self):
         q = ConditionalQuery((np.int64(-2), 1.0),
                              ((np.float64(3.0), 2.0), (1e3, 1.5)))

@@ -161,6 +161,17 @@ class TestCadlagPath:
             CadlagPath(0.5, Direction.REVERSED, (0.0, 2.0), 1.0,
                        ((1.0, 3.0),))
 
+    @pytest.mark.parametrize("window,events,field", [
+        ((0.0,), (), "window"),
+        ((0.0, 1.0, 5.0), (), "window"),
+        (1.0, (), "window"),
+        ((0.0, 2.0), ((1.0,),), "each event"),
+        ((0.0, 2.0), ((1.0, 3.0, 4.0),), "each event"),
+    ])
+    def test_refuses_pairs_of_another_length(self, window, events, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a pair$"):
+            CadlagPath(0.5, Direction.FORWARD, window, 1.0, events)
+
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
             CadlagPath(0.5, Direction.FORWARD, (1.0, 1.0), 1.0, ())

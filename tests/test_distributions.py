@@ -1,6 +1,7 @@
 """Tests for the heavy-tailed marginal law and the seeded generator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,13 @@ class TestFrechetCdf:
             frechet_cdf(0.0)
         with pytest.raises(ValueError):
             frechet_cdf(-3.0)
+
+    def test_tiny_argument_is_the_limit_without_a_warning(self):
+        """y = 1e-320 makes scale / y overflow on its way to the CDF 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frechet_cdf(1e-320) == 0.0
+            assert frechet_cdf([1e-320, 1.0]).tolist() == [0.0, E_INV]
 
     def test_tends_to_one(self):
         assert frechet_cdf(1e12) == pytest.approx(1.0, abs=1e-11)

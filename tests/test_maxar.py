@@ -5,7 +5,16 @@ Closed-form transition and pair formulas are checked against independent
 numerical quadrature, and the samplers are checked against the closed forms.
 """
 
+import hashlib
 import math
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +41,7 @@ from maxstab import (
     simulate_reversed,
 )
 import maxstab.maxar
+from maxstab.distributions import _BUFFER_SIZE, _SPLIT_WORDS, _both
 from maxstab.maxar import _BLOCK_VALUES, _stationary_windows
 
 FWD = MaxARParams(0.5, Direction.FORWARD)
@@ -39,6 +49,8 @@ REV = MaxARParams(0.5, Direction.REVERSED)
 
 E_HALF = 0.6065306597126334
 ROWS = _BLOCK_VALUES  # rows of one scan block of a single window
+SPLIT = _SPLIT_WORDS  # values from which a draw runs in two halves
+PROBE = 4  # uniforms read after a draw to pin the stream position
 
 
 def forward_kernel_quadrature(a: float, x: float, y: float) -> float:
@@ -101,10 +113,21 @@ def forward_loop(a: float, u: np.ndarray) -> np.ndarray:
     return values
 
 
-def full_scan(a: float, width: int, count: int, rng: RngState) -> np.ndarray:
-    """Reference prefix scan that always runs all ceil(log2 width) passes:
-    the scan of ``_stationary_windows`` without its early stop."""
-    x = rng.uniform(size=width * count).reshape(width, count)
+def philox_uniforms(seed: int, stream: int, skip: int, n: int) -> np.ndarray:
+    """Uniforms skip to skip + n of the stream, on one thread: Philox's
+    raw words from the start, each word's top 52 bits k as
+    (k + 1/2) / 2**52, which is exact in float64."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(skip + n)[skip:]
+    return ((raw >> np.uint64(12)).astype(np.float64) + 0.5) / 2.0**52
+
+
+def full_scan(a: float, width: int, count: int, u: np.ndarray) -> np.ndarray:
+    """Reference prefix scan of the uniforms u that always runs all
+    ceil(log2 width) passes, each over the whole array on one thread: the
+    scan of ``_stationary_windows`` without its early stop and its
+    split."""
+    x = u.copy().reshape(width, count)
     np.log(x, out=x)
     np.divide(-1.0, x[0], out=x[0])
     np.divide(-(1.0 - a), x[1:], out=x[1:])
@@ -424,7 +447,8 @@ class TestStationaryWindows:
     def test_early_stop_is_bitwise_the_full_scan(self, a, width, count):
         rng = RngState(35, width)
         windows = _stationary_windows(a, width, count, rng)
-        expected = full_scan(a, width, count, RngState(35, width))
+        expected = full_scan(a, width, count,
+                             philox_uniforms(35, width, 0, width * count))
         assert np.array_equal(windows, expected)
         fresh = RngState(35, width)
         fresh.uniform(size=width * count)
@@ -476,6 +500,161 @@ class TestStationaryWindows:
         fresh = RngState(34)
         assert path.values.tolist() == [-1.0 / np.log(fresh.uniform(size=1))[0]]
         assert rng.uniform() == fresh.uniform()
+
+
+def split_case(a: float, width: int, count: int, used: int,
+               scalars: bool = False) -> bool:
+    """Whether width * count stationary values, drawn after a prefix of
+    the stream, and the uniforms after them are those of the one-thread
+    oracle.  The prefix is a block of ``_BUFFER_SIZE + used`` uniforms,
+    which leaves Philox holding 4 - used of its last four words and the
+    stream's buffer empty, or with scalars ``used`` single uniforms, which
+    leave ``_BUFFER_SIZE - used`` uniforms in the buffer."""
+    seed, stream = 41, used
+    rng = RngState(seed, stream)
+    skip = used if scalars else _BUFFER_SIZE + used
+    if scalars:
+        for _ in range(used):
+            rng.uniform()
+    else:
+        rng.uniform(size=skip)
+    if count == 1:
+        got = simulate_forward(MaxARParams(a), width, rng).values[None, :]
+    else:
+        got = _stationary_windows(a, width, count, rng)
+    u = philox_uniforms(seed, stream, skip, width * count + PROBE)
+    expected = full_scan(a, width, count, u[:-PROBE])
+    return np.array_equal(got, expected) \
+        and np.array_equal(rng.uniform(size=PROBE), u[-PROBE:])
+
+
+class TestSplitDraws:
+    """From ``_SPLIT_WORDS`` values on, a draw's stages run in two halves
+    at once: the refill of the stream's buffer, the innovations, each scan
+    pass short of the half row, and the path check.  The values and the
+    stream position stay those of one thread."""
+
+    @pytest.mark.parametrize("scalars", [False, True])
+    @pytest.mark.parametrize("used", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1])
+    @pytest.mark.parametrize("a", [0.0, 0.05, 0.95, 1.0])
+    def test_draw_is_the_one_thread_scan(self, a, n, used, scalars):
+        """a = 1 runs every pass, the last ones past the half row."""
+        assert split_case(a, n, 1, used, scalars)
+
+    @pytest.mark.parametrize("width,count", [
+        (SPLIT // 3 + 1, 3), (2 * ROWS + 1, 5), (4, SPLIT // 4),
+        (5, SPLIT // 4)])
+    @pytest.mark.parametrize("a", [0.05, 0.95, 1.0])
+    def test_windows_are_the_one_thread_scan(self, a, width, count):
+        """Many windows drawn together split on rows; at width 4 and 5
+        only the first pass is short of the half row."""
+        assert split_case(a, width, count, 2)
+
+    @pytest.mark.parametrize("used", [0, 1, 2, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_split_refill_after_buffered_uniforms(self, used, extra):
+        """A block that needs about ``_SPLIT_WORDS`` fresh words beyond
+        the ones the buffer still holds."""
+        rng = RngState(42, used)
+        for _ in range(used):
+            rng.uniform()
+        size = (_BUFFER_SIZE - used) % _BUFFER_SIZE + SPLIT + extra
+        u = philox_uniforms(42, used, used, size + PROBE)
+        assert np.array_equal(rng.uniform(size=size), u[:-PROBE])
+        assert np.array_equal(rng.uniform(size=PROBE), u[-PROBE:])
+
+    @pytest.mark.parametrize("params", [FWD, REV])
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_long_path_check_sees_both_halves(self, params, offset):
+        """A ratio beyond the bound, or a NaN, on either side of the half
+        is refused."""
+        values = np.ones(SPLIT + 2)
+        half = (values.size - 1) // 2 + offset
+        values[half + 1:] = 0.3 if params is FWD else 3.0
+        with pytest.raises(ValueError, match="violates"):
+            DiscretePath(0, values, params)
+        values = np.ones(SPLIT + 2)
+        values[values.size // 2 + offset] = math.nan
+        with pytest.raises(ValueError, match="finite and positive"):
+            DiscretePath(0, values, params)
+
+    def test_both_returns_both_results_and_raises_after_second(self):
+        """An error in either half reaches the caller, and only once the
+        other half is done (with one usable CPU, second never starts)."""
+        steps = []
+
+        def fails():
+            raise KeyError("half")
+
+        def slow():
+            steps.append("start")
+            time.sleep(0.05)
+            steps.append("end")
+            return 2
+
+        assert _both(lambda: 1, slow) == (1, 2)
+        steps.clear()
+        with pytest.raises(KeyError):
+            _both(fails, slow)
+        assert steps in ([], ["start", "end"])
+        with pytest.raises(KeyError):
+            _both(lambda: 1, fails)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_the_parents_values(self):
+        """A child forked after a large draw has no helper thread of its
+        own; its large draws start one and equal the parent's."""
+        params, n = MaxARParams(0.5), 1_000_000
+        simulate_forward(params, n, RngState(43))
+        expected = simulate_forward(params, n, RngState(44)).values
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 on warns of a fork with threads running
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                values = simulate_forward(params, n, RngState(44)).values
+                os.write(write, hashlib.sha256(values.tobytes()).digest())
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready = select.select([read], [], [], 60)[0]
+            digest = os.read(read, 32) if ready else b""
+        finally:
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+        assert ready, "the forked child's draw did not finish in 60 s"
+        assert digest == hashlib.sha256(expected.tobytes()).digest()
+
+    @pytest.mark.parametrize("disabled", [
+        None, "AVX512_SPR AVX512_ICL X86_V4",
+        "AVX512_SPR AVX512_ICL X86_V4 X86_V3"])
+    def test_split_adds_no_host_dependence(self, disabled):
+        """With numpy's wider SIMD paths switched off, the split still
+        equals the one-thread oracle computed by the same numpy."""
+        tests = Path(__file__).resolve().parent
+        src = Path(maxstab.maxar.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), str(tests),
+                          os.environ.get("PYTHONPATH")])))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        code = ("import test_maxar as t\n"
+                "print(all(t.split_case(a, t.SPLIT + 1, 1, used)\n"
+                "          for a in (0.05, 0.95, 1.0) for used in range(4))\n"
+                "      and t.split_case(0.5, t.SPLIT // 3 + 1, 3, 0))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=300)
+        if "cannot disable" in result.stderr:
+            pytest.skip(f"this numpy has no {disabled} to switch off")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True\n"
 
 
 class TestSimulateReversed:

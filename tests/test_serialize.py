@@ -257,6 +257,17 @@ class TestContinuousJson:
         with pytest.raises(ValueError, match="has no events"):
             parse_continuous_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field,value", [
+        ("window", [0.0, 2.0, 5.0]), ("events", [[1.0]])])
+    def test_pair_of_another_length_is_refused(self, field, value):
+        """A window or event of three numbers was taken with the third
+        dropped, and one of one number raised IndexError."""
+        doc = {"kind": "continuous-path", "a": 0.5, "direction": "forward",
+               "window": [0.0, 2.0], "anchor_value": 1.5, "seed": None,
+               "events": [[1.0, 2.5]], field: value}
+        with pytest.raises(ValueError, match="must be a pair"):
+            parse_continuous_json(json.dumps(doc))
+
     def test_reparsed_path_validates(self, continuous_path):
         """The parsed document goes through full path validation, so a
         tampered event level is caught."""

@@ -513,6 +513,17 @@ class TestIndices:
         with pytest.raises(ValueError, match="indices must be integers"):
             INDEX_INPUTS[name](bad)
 
+    @pytest.mark.parametrize("bad", [2**63, -2**63 - 1, 2**70])
+    @pytest.mark.parametrize("name", list(INDEX_INPUTS))
+    def test_refuses_an_integer_beyond_int64(self, name, bad):
+        with pytest.raises(ValueError, match="integers within int64"):
+            INDEX_INPUTS[name](bad)
+
+    @pytest.mark.parametrize("edge", [2**63 - 1, -2**63])
+    def test_int64_edges_are_indices(self, edge):
+        assert IndexedPath(edge, [1.0]).times.tolist() == [edge]
+        assert GeometricMixing().pmf(edge) == 0.0
+
     @pytest.mark.parametrize("name", list(INDEX_INPUTS))
     def test_integral_float_is_its_int(self, name):
         assert repr(INDEX_INPUTS[name](2.0)) == repr(INDEX_INPUTS[name](2))
@@ -537,6 +548,20 @@ class TestIndices:
 
 
 class TestExponentRectangle:
+    @pytest.mark.parametrize("points", [[(0, 1e-320)],
+                                        [(0, 1.0), (1, 1e-320)],
+                                        [(0, 1e-320), (3, 2.0)]])
+    @pytest.mark.parametrize("func", [ExponentFunctional(0.0),
+                                      ExponentFunctional(0.4),
+                                      ExponentFunctional(1.0),
+                                      ExponentFunctional(0.4, (0, 1))])
+    def test_tiny_level_is_the_limit_without_a_warning(self, func, points):
+        """A level of 1e-320 overflows its share of the exponent, which
+        is then infinite: the probability of staying below it is 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exponent_rectangle(func, points) == math.inf
+
     @pytest.mark.parametrize("a", [0.0, 0.4, 1.0])
     def test_single_point(self, a):
         func = ExponentFunctional(a)
