@@ -1,11 +1,11 @@
-"""Golden digests of the random layer: every uniform and every max-AR
-path, bit for bit.
+"""Golden digests of the random layer: every uniform, every max-AR path
+and every continuous jump chain, bit for bit.
 
 Each digest is the SHA-256 of the float64 bytes a fixed sequence of draws
 returns, followed after every draw by the next uniforms of the stream, so
 the stream position is pinned too.  A change to how uniforms are built,
-buffered or consumed, or to how the stationary scan evaluates a path,
-fails here even when every statistical test still passes.
+buffered or consumed, to how the stationary scan evaluates a path, or
+to how the jump chain draws its knots, fails here even when every statistical test still passes.
 
 The digests are regenerated only by a change that means to move bits, and
 that change says so in CHANGES.md.
@@ -24,6 +24,7 @@ from maxstab import (
     simulate_forward,
     simulate_reversed,
 )
+from maxstab.continuous import _jump_chain, _reversed_knots
 from maxstab.distributions import _uniforms
 from maxstab.maxar import _stationary_windows
 
@@ -37,6 +38,11 @@ PROBE = 4  # uniforms read after each draw to pin the stream position
 WINDOW_SHAPES = [(2, 5000), (3, 5000), (600, 7)]
 LONG_AS = [0.05, 0.5, 0.95]
 LONG_N = 1_000_000
+# the jump chain's a, and its draws in turn, (count, length): single
+# windows from 0.1 to 600 long and batches of 1000
+CHAIN_AS = [0.1, 0.5, 0.9, 1.0]
+CHAIN_DRAWS = [(1, 0.1), (1000, 0.1), (1, 1.0), (1000, 5.0), (1, 20.0),
+               (1000, 20.0), (1, 300.0), (1, 600.0)]
 
 UNIFORM_DIGESTS = {
     (0, 0):
@@ -87,6 +93,13 @@ LONG_DIGESTS = {
     0.05: "546d8e35a8da612fac1d1fd918b67379119957f094d90814bb989618cceab077",
     0.5: "c501f40f5672373ff70950a4a071cca770dcf59f43f147f0b03e8ff9db16014c",
     0.95: "6e35f5813300c5ed30c71e4ee9b1dd9a7ecd828ecd21c986530bfab3ba9ce866",
+}
+
+CHAIN_DIGESTS = {
+    0.1: "e1d01616ee68e8e603e71ec8cc100b93f4bca204a986e2d79dae9537a95980fc",
+    0.5: "739b7058351e174e605ed91ffce850ef05317176fab3d061b7202917e5a5da11",
+    0.9: "52c77a46640b1e2cfdc517c19e948666080b22f50665ffc8d7177843abe9d843",
+    1.0: "ef294c2c8181d0a92bbc107905b7ea18d23b5a1289d4c9662f738f7bed1ddb96",
 }
 
 
@@ -169,3 +182,19 @@ def test_windows(width, count):
 def test_long_paths(a):
     """A forward and a reversed 1e6 draw: many scan blocks per pass."""
     assert long_digest(a) == LONG_DIGESTS[a]
+
+
+def chain_digest(a: float) -> str:
+    rng = RngState(43, CHAIN_AS.index(a))
+    arrays = []
+    for count, length in CHAIN_DRAWS:
+        knots = _jump_chain(a, length, count, rng)
+        arrays += [*knots, *_reversed_knots(a, length, knots)[1:],
+                   rng.uniform(size=PROBE)]
+    return _digest(arrays)
+
+
+@pytest.mark.parametrize("a", CHAIN_AS)
+def test_jump_chains(a):
+    """Forward knots and their time reversal, one window and batches."""
+    assert chain_digest(a) == CHAIN_DIGESTS[a]
