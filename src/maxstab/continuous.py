@@ -19,8 +19,8 @@ from itertools import chain
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_positive, \
-    _check_positive_array, _pairs, frechet_sample
+from .distributions import RngState, _check_positive, _pairs, \
+    frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, _owned_path
 
 __all__ = list(_EXPORTS["continuous"])
@@ -52,6 +52,9 @@ class ShapeFunction:
 
 
 _JUMP_SLACK = 1e-9
+_MAX_EVENTS = 10**7  # the most events a jump chain may be expected to make
+_MAX_POINTS = 10**7  # the most points a sample_grid skeleton may hold
+_BLOCK_PAIRS = 1 << 16  # the most (U, E) pairs the chain reads ahead at once
 
 
 @dataclass(frozen=True)
@@ -82,40 +85,42 @@ class CadlagPath:
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
             raise ValueError("window must be a nondegenerate finite interval")
         object.__setattr__(self, "window", (t0, t1))
-        object.__setattr__(self, "anchor_value", _check_positive(
-            "anchor_value", self.anchor_value))
-        events = tuple((float(tt), float(vv)) for tt, vv in
-                       _pairs("each event", self.events))
-        if a == 1.0 and events:
+        anchor = _check_positive("anchor_value", self.anchor_value)
+        object.__setattr__(self, "anchor_value", anchor)
+        # each event converted once, its times and its values in turn
+        columns = tuple(zip(*_pairs("each event", self.events))) or ((), ())
+        times, levels = (tuple(map(float, column)) for column in columns)
+        if a == 1.0 and times:
             raise ValueError("a = 1 is the constant path and has no events")
-        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "events", tuple(zip(times, levels)))
         object.__setattr__(self, "direction",
                            MaxARParams(a, self.direction).direction)
         # the knots, the window start with the anchor and then each event,
         # as contiguous read-only rows: every path value is read off these
-        rows = np.fromiter(chain((t0, self.anchor_value), *events),
-                           np.float64).reshape(-1, 2).T.copy()
+        rows = np.fromiter(chain((t0,), times, (anchor,), levels),
+                           np.float64, 2 * len(times) + 2).reshape(2, -1)
         rows.flags.writeable = False
         times, levels = rows
-        # NaN fails every comparison and is refused with the rest
-        if not (np.all(times[1:] > times[:-1]) and times[-1] < t1):
-            raise ValueError("event times must increase strictly inside "
-                             "the window")
-        _check_positive_array("event values", levels)
         knots = (np.array([0, times.size]), times, levels)
-        # the left limits at each event and at the window end: reversed
-        # growth is largest there, and may overflow
-        with np.errstate(over="ignore"):
-            _, reached = _left_limits(a, self.direction, knots, t1)
-        if not np.all(np.isfinite(reached)):
-            raise ValueError("path values must stay finite between events "
-                             "and up to the window end")
-        reached = reached[:-1]
-        if self.direction is Direction.FORWARD:
-            if not np.all(levels[1:] > reached * (1.0 - _JUMP_SLACK)):
-                raise ValueError("forward events must jump upward")
-        elif not np.all(levels[1:] < reached * (1.0 + _JUMP_SLACK)):
-            raise ValueError("reversed events must jump downward")
+        # each knot's next time and the left limit there: reversed growth
+        # is largest there, and may overflow, or meet an infinite level
+        with np.errstate(over="ignore", invalid="ignore"):
+            following, reached = _left_limits(a, self.direction, knots, t1)
+        forward = self.direction is Direction.FORWARD
+        jumps = levels[1:] > reached[:-1] * (1.0 - _JUMP_SLACK) if forward \
+            else levels[1:] < reached[:-1] * (1.0 + _JUMP_SLACK)
+        # NaN fails every comparison and is refused with the rest
+        for valid, message in (
+                (times < following, "event times must increase strictly "
+                                    "inside the window"),
+                ((levels > 0.0) & (levels < math.inf),
+                 "event values must be finite and positive"),
+                (reached < math.inf, "path values must stay finite between "
+                                     "events and up to the window end"),
+                (jumps, "forward events must jump upward" if forward
+                 else "reversed events must jump downward")):
+            if not valid.all():
+                raise ValueError(message)
         object.__setattr__(self, "_knots", knots)
 
     @property
@@ -162,34 +167,56 @@ def _jump_chain(a: float, length: float, count: int, rng: RngState):
     z s, waits an exponential time of that mean for its next jump and then
     rises by the factor 1/U; mapped back to t, that is the event time and
     level below, so every step is an exact transition.  a = 1 never jumps.
+
+    A window's uniforms pair up as (anchor or U, E), read ahead in blocks
+    sized from the expected event count, which is refused above
+    _MAX_EVENTS; -log(U) is taken once per block, and only the pairs the
+    chain used are consumed.
     """
     rate = -math.log(a)
-    exponential, uniform, log1p = rng.exponential, rng.uniform, math.log1p
-    offsets, times, levels = [0], [], []
-    for _ in range(count):
-        t, z = 0.0, frechet_sample(rng)
-        times.append(t)
-        levels.append(z)
-        while rate:
-            step = z * exponential()
-            t += log1p(step) / rate
-            if t >= length:
+    if not rate:
+        return np.arange(count + 1), np.zeros(count), \
+            frechet_sample(rng, size=count)
+    log1p = math.log1p
+    starts, times, levels = [], [], []
+    t = length  # no window is open: the next pair opens one
+    # windows not yet closed, the one still open included
+    while left := count - len(starts) + (t < length):
+        events = left * length * rate
+        if not events <= _MAX_EVENTS:
+            raise ValueError(
+                f"the jump chain expects {events:.8g} events, more than "
+                f"{_MAX_EVENTS:,}; draw a shorter window or fewer")
+        block = rng._peek(2 * min(
+            int(left + events + 4.0 * math.sqrt(events)) + 8, _BLOCK_PAIRS))
+        logs = -np.log(block)
+        read = len(times)
+        for u, head, e in zip(block[::2].tolist(), logs[::2].tolist(),
+                              logs[1::2].tolist()):
+            if t < length:
+                z = z / ((1.0 + step) * u)
+            elif len(starts) < count:
+                t, z = 0.0, 1.0 / head
+                starts.append(len(times))
+            else:
                 break
-            z = z / ((1.0 + step) * uniform())
             times.append(t)
             levels.append(z)
-        offsets.append(len(times))
-    return np.array(offsets), np.array(times), np.array(levels)
+            step = z * e
+            t += log1p(step) / rate
+        rng.uniform(2 * (len(times) - read))
+    starts.append(len(times))
+    return np.array(starts), np.array(times), np.array(levels)
 
 
 def _left_limits(a: float, direction: Direction, knots, end):
     """Each knot's next time, the next knot of its window or end, and the
     path's left limit there: the knot's level moved on to that time."""
     offsets, times, _ = knots
-    following = np.roll(times, -1)
+    following = np.append(times[1:], end)
     following[offsets[1:] - 1] = end
-    return following, _levels(a, direction, knots, following,
-                              np.arange(times.size))
+    # k = ... reads every knot's own time and level, with no index array
+    return following, _levels(a, direction, knots, following, ...)
 
 
 def _reversed_knots(a: float, length: float, knots):
@@ -278,7 +305,11 @@ def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
     t0, t1 = path.window
     if not (0.0 < epsilon <= t1 - t0):
         raise ValueError("epsilon must lie in (0, window length]")
-    count = int(math.floor((t1 - t0) / epsilon + 1e-9)) + 1
+    steps = (t1 - t0) / epsilon + 1e-9
+    if not steps < _MAX_POINTS:
+        raise ValueError(f"epsilon={epsilon!r} gives {steps + 1:.8g} grid "
+                         f"points, more than {_MAX_POINTS:,}")
+    count = int(steps) + 1
     grid = t0 + epsilon * np.arange(count)
     grid[-1] = min(grid[-1], t1)
     params = MaxARParams(path.a ** epsilon, path.direction)

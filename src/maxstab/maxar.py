@@ -76,7 +76,10 @@ class StationaryLaw:
 
     def pdf(self, x):
         arr = np.asarray(x, dtype=np.float64)
-        out = frechet_cdf(arr, 1.0) / arr**2
+        cdf = frechet_cdf(arr, 1.0)
+        # x**2 may underflow under a CDF of 0, or overflow: the limit is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.where(cdf > 0.0, cdf / arr**2, 0.0)
         return float(out) if arr.ndim == 0 else out
 
     def quantile(self, p):

@@ -609,7 +609,8 @@ class TestFreshProcessLoads:
         (["simulate-continuous", "--a", "0.5", "--window", "5",
           "--out", "{tmp}/c.json"],
          {"maxstab.continuous", "maxstab.serialize"},
-         {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral"}),
+         {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral",
+          "concurrent.futures"}),
         (["conditional", "--query", "{tmp}/query.json", "--mc", "1000"],
          {"maxstab.conditional", "maxstab.spectral"},
          {"maxstab.analysis", "maxstab.continuous", "numpy.ma"}),

@@ -2,6 +2,7 @@
 simulation, cadlag path semantics, time reversal, and grid skeletons."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,9 +25,12 @@ from maxstab import (
     simulate_moving_max,
     simulate_moving_max_reversed,
 )
+from maxstab import continuous, distributions
 from maxstab.continuous import _JUMP_SLACK, _jump_chain, _left_limits, \
     _replicate_values, _reversed_knots
 from maxstab.distributions import frechet_sample
+
+PROBE = 4  # uniforms read after a chain to pin the stream position
 
 
 def replicate_values(a: float, length: float, at: float, count: int,
@@ -53,6 +57,21 @@ def loop_chain(a: float, length: float, rng: RngState):
             return anchor, events
         z = z / ((1.0 + step) * rng.uniform())
         events.append((t, z))
+
+
+def assert_chain_is_loop(a: float, length: float, count: int,
+                         rng: RngState, ref: RngState) -> None:
+    """_jump_chain on rng draws, window by window, the knots loop_chain
+    draws on ref, and leaves both streams at the same position."""
+    offsets, times, levels = _jump_chain(a, length, count, rng)
+    assert offsets.size == count + 1
+    for i in range(count):
+        anchor, events = loop_chain(a, length, ref)
+        knots = slice(offsets[i], offsets[i + 1])
+        assert times[knots].tolist() == [0.0] + [t for t, _ in events]
+        assert levels[knots].tolist() == [anchor] + [v for _, v in events]
+    assert rng.uniform(size=PROBE).tolist() \
+        == ref.uniform(size=PROBE).tolist()
 
 
 def loop_levels(path: CadlagPath, t: float, left: bool = False) -> float:
@@ -384,6 +403,24 @@ class TestJumpChain:
         assert abs(len(path.events) - mean) <= 5.0 * math.sqrt(mean)
 
 
+    def test_refuses_a_chain_past_the_event_cap(self):
+        """The expected event count -count L log a is known before the
+        draw: above the cap the chain is refused at once, naming it, and
+        reads no uniform."""
+        for draw, expected in (
+                (lambda rng: simulate_moving_max(0.5, 1e300, rng),
+                 "6.9314718e+299"),
+                (lambda rng: simulate_moving_max_reversed(0.5, 1e300, rng),
+                 "6.9314718e+299"),
+                (lambda rng: _jump_chain(0.5, 1e4, 10**4, rng),
+                 "69314718")):
+            rng = RngState(81)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expects {expected} events, more than 10,000,000")):
+                draw(rng)
+            assert rng.uniform() == RngState(81).uniform()
+
+
 class TestSimulateMovingMaxReversed:
     def test_direction_and_growth(self):
         path = simulate_moving_max_reversed(0.5, 3.0, RngState(66))
@@ -465,6 +502,15 @@ class TestSampleGrid:
             with pytest.raises(ValueError):
                 sample_grid(path, bad)
 
+    def test_refuses_a_grid_past_the_point_cap(self):
+        path = simulate_moving_max(0.5, 10.0, RngState(74))
+        for epsilon, points in ((1e-9, "1e+10"), (1e-300, "1e+301"),
+                                (1e-6, "10000001")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"epsilon={epsilon!r} gives {points} grid points, "
+                    "more than 10,000,000")):
+                sample_grid(path, epsilon)
+
     def test_minimum_ratio_attains_decay(self):
         """On a long window some grid step holds no arrival, so the lowest
         consecutive skeleton ratio equals the decay factor exactly."""
@@ -514,6 +560,42 @@ class TestKnotArrays:
             assert path.anchor_value == anchor
             assert path.events == tuple(events)
         assert rng.uniform() == ref.uniform() == public.uniform()
+
+    @pytest.mark.parametrize("a,length,count", [(0.5, 600.0, 3),
+                                                (0.1, 300.0, 3),
+                                                (0.5, 0.1, 300)])
+    @pytest.mark.parametrize("skip", [0, 1, 2, 3])
+    def test_chain_reads_the_loop_uniforms(self, a, length, count, skip):
+        """Long windows, and chains that start inside a partly read buffer,
+        read and consume exactly the one-at-a-time chain's uniforms."""
+        rng, ref = RngState(96, skip), RngState(96, skip)
+        for _ in range(skip):
+            assert rng.uniform() == ref.uniform()
+        assert_chain_is_loop(a, length, count, rng, ref)
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    @pytest.mark.parametrize("a,length,count", [(0.5, 20.0, 5),
+                                                (0.1, 0.3, 40)])
+    def test_read_ahead_shortfall_continues(self, monkeypatch, pairs, a,
+                                            length, count):
+        """Blocks of a few pairs fall short of every draw: the chain
+        carries its time and level into the next block, bit for bit."""
+        monkeypatch.setattr(continuous, "_BLOCK_PAIRS", pairs)
+        assert_chain_is_loop(a, length, count, RngState(97, pairs),
+                             RngState(97, pairs))
+
+    def test_large_read_ahead_splits_its_refill(self, monkeypatch):
+        """A chain expected to read more than a split's worth of uniforms
+        fills its first block in two halves."""
+        halves = []
+
+        def both(first, second):
+            halves.append(1)
+            return first(), second()
+
+        monkeypatch.setattr(distributions, "_both", both)
+        assert_chain_is_loop(0.5, 2e5, 1, RngState(98), RngState(98))
+        assert halves
 
     def test_constant_member_draws_anchors_only(self):
         rng = RngState(91)

@@ -190,6 +190,14 @@ class TestStationaryLaw:
         assert STATIONARY.pdf(2.0) == pytest.approx(math.exp(-0.5) / 4.0,
                                                     rel=1e-15)
 
+    def test_pdf_tails_are_zero_without_warning(self):
+        """x**2 underflows under a CDF of 0 and overflows past 1e154: the
+        density's limit 0.0 is returned, with no numpy warning."""
+        for x in (1e-200, 5e-324, 1e200, 1e300):
+            assert STATIONARY.pdf(x) == 0.0
+        assert STATIONARY.pdf(np.array([1e-200, 1.0])).tolist() \
+            == [0.0, math.exp(-1.0)]
+
     def test_pdf_rejects_nonpositive_argument(self):
         for bad in (-1.0, 0.0, math.nan):
             with pytest.raises(ValueError):
