@@ -276,7 +276,8 @@ def simulate_moving_max(a: float, length: float, rng: RngState) -> CadlagPath:
     runs as a Markov jump chain, with no stopping rule, whose events form a
     Poisson process of rate -log a.  a = 1 is the constant member of the
     family; a = 0 has no continuous-time counterpart (independent values at
-    every real time admit no measurable cadlag version) and is rejected.
+    every real time admit no measurable cadlag version) and is rejected, as
+    is a window expected to make more than 10,000,000 events.
     """
     return _window_path(a, Direction.FORWARD, length, rng)
 
@@ -299,7 +300,8 @@ def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
     The skeleton of the moving-maximum process is exactly the stationary
     max-AR(1) chain with parameter a**epsilon, in the matching direction;
     the returned path carries those parameters.  A grid point landing on
-    the window end uses the left-limit value there.
+    the window end uses the left-limit value there.  A grid of more than
+    10,000,000 points is refused.
     """
     epsilon = float(epsilon)
     t0, t1 = path.window

@@ -402,7 +402,6 @@ class TestJumpChain:
         mean = -length * math.log(a)
         assert abs(len(path.events) - mean) <= 5.0 * math.sqrt(mean)
 
-
     def test_refuses_a_chain_past_the_event_cap(self):
         """The expected event count -count L log a is known before the
         draw: above the cap the chain is refused at once, naming it, and
