@@ -16,10 +16,9 @@ __version__ = "0.1.0"
 # module.
 _EXPORTS = {
     "analysis": (
-        "KsResult", "RatioSupportEstimate", "IdentificationResult",
-        "IdentificationError", "UnclassifiableDataError",
-        "AmbiguousRatioError", "BatterySizes", "ks_critical_value",
-        "ks_one_sample", "ks_two_sample", "ratio_support", "identify",
+        "KsResult", "IdentificationResult", "IdentificationError",
+        "UnclassifiableDataError", "AmbiguousRatioError", "BatterySizes",
+        "ks_critical_value", "ks_one_sample", "ks_two_sample", "identify",
         "run_battery", "CheckResult", "EmpiricalReport", "independence_test",
         "equilibrium_check"),
     "conditional": (
@@ -31,9 +30,9 @@ _EXPORTS = {
     "distributions": (
         "RngState", "frechet_cdf", "frechet_quantile", "frechet_sample"),
     "maxar": (
-        "Direction", "MaxARParams", "DiscretePath", "StationaryLaw",
-        "STATIONARY", "simulate_forward", "simulate_reversed", "reverse_path",
-        "kernel_cdf", "kernel_sample", "kernel_sample_many", "bivariate_cdf"),
+        "Direction", "MaxARParams", "DiscretePath", "simulate_forward",
+        "simulate_reversed", "reverse_path", "kernel_cdf",
+        "kernel_sample_many", "bivariate_cdf"),
     "serialize": (
         "format_float", "discrete_csv_text", "parse_discrete_csv",
         "discrete_json_text", "parse_discrete_json", "continuous_csv_text",
@@ -41,10 +40,9 @@ _EXPORTS = {
         "parse_continuous_json"),
     "spectral": (
         "IndexedPath", "GeometricMixing", "FiniteMixing", "SamplerKind",
-        "SpectralSampler", "ConeSpec", "SpectralBoundError",
-        "sample_spectral", "spectral_mean", "spectral_bound", "cone_member",
-        "ExponentFunctional", "exponent_rectangle", "dehaan_max_stable",
-        "shift"),
+        "SpectralSampler", "SpectralBoundError", "spectral_mean",
+        "spectral_bound", "ExponentFunctional", "exponent_rectangle",
+        "dehaan_max_stable"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

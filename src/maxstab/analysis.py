@@ -25,7 +25,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .distributions import RngState, _check_positive, \
-    _check_positive_array, _integer, _quantiles, frechet_cdf, frechet_sample
+    _check_positive_array, _check_unit, _integer, _quantiles, frechet_cdf, \
+    frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, _RATIO_SLACK, \
     _stationary_windows, bivariate_cdf, kernel_cdf, kernel_sample_many, \
     reverse_path
@@ -218,36 +219,6 @@ def _ratio_clusters(ratios: np.ndarray, rel_tol: float):
     return list(zip(medians[rank].tolist(), counts[rank].tolist()))
 
 
-@dataclass(frozen=True)
-class RatioSupportEstimate:
-    """Observed support and dominant atom of consecutive-value ratios."""
-
-    min_ratio: float
-    max_ratio: float
-    atom_location: float | None
-    atom_mass: float
-    n_ratios: int
-
-
-def ratio_support(path, rel_tol: float = 1e-9) -> RatioSupportEstimate:
-    """Estimate the ratio support and its atom from a path.
-
-    The atom is the largest cluster of ratios that agree to rel_tol.  On
-    simulated paths the ratios at the atom equal a only to within a few
-    ulp, so the rel_tol clustering, not exact float equality, is what
-    finds it; clusters need at least three members (_ATOM_MIN_COUNT) to
-    count as an atom.
-    """
-    values = _as_values(path)
-    if values.size < 2:
-        raise ValueError("need at least two values")
-    ratios = values[1:] / values[:-1]
-    clusters = _ratio_clusters(ratios, rel_tol)
-    location, count = clusters[0] if clusters else (None, 0)
-    return RatioSupportEstimate(float(ratios.min()), float(ratios.max()),
-                                location, count / ratios.size, ratios.size)
-
-
 _GRID, _N_NULL = 20, 2000  # the independence test's grid size and null tables
 
 
@@ -374,6 +345,7 @@ def identify(path, rel_tol: float = 1e-9, level: float = 0.01) -> Identification
     Raises UnclassifiableDataError or AmbiguousRatioError when the
     evidence supports no member or two members.
     """
+    rel_tol = _check_unit("rel_tol", rel_tol)
     values = _as_values(path)
     n = values.size
     if n < 100:
@@ -453,6 +425,9 @@ def equilibrium_check(a: float, n: int, rng: RngState,
     n = _integer(n, "n must be an integer of at least 1000", 1000)
     if not 0.0 < a < 1.0:
         raise ValueError("the two-sided comparison needs a strictly inside (0, 1)")
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError("grid must be nonempty")
     params = MaxARParams(a, Direction.FORWARD)
     reversed_params = params.reversed()
     report = EmpiricalReport(params={"a": a, "n": n, "grid": list(grid),

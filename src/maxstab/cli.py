@@ -30,9 +30,6 @@ def __getattr__(name):
     return getattr(maxstab, name)
 
 
-EXIT_OK = 0
-EXIT_IO = 1
-EXIT_USAGE = 2
 EXIT_UNCLASSIFIABLE = 3
 EXIT_VERIFICATION = 4
 

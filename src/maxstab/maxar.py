@@ -21,8 +21,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .distributions import _SPLIT_WORDS, RngState, _both, \
-    _check_positive, _check_positive_array, _check_unit, _integer, \
-    frechet_cdf, frechet_quantile, frechet_sample
+    _check_positive, _check_positive_array, _check_unit, _integer
 
 __all__ = list(_EXPORTS["maxar"])
 
@@ -66,30 +65,6 @@ class MaxARParams:
                            if self.direction is Direction.FORWARD
                            else Direction.FORWARD)
 
-
-@dataclass(frozen=True)
-class StationaryLaw:
-    """Stationary marginal of every chain in the family: unit Frechet."""
-
-    def cdf(self, x):
-        return frechet_cdf(x, 1.0)
-
-    def pdf(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        cdf = frechet_cdf(arr, 1.0)
-        # x**2 may underflow under a CDF of 0, or overflow: the limit is 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.where(cdf > 0.0, cdf / arr**2, 0.0)
-        return float(out) if arr.ndim == 0 else out
-
-    def quantile(self, p):
-        return frechet_quantile(p, 1.0)
-
-    def sample(self, rng: RngState, size: int | None = None):
-        return frechet_sample(rng, 1.0, size)
-
-
-STATIONARY = StationaryLaw()
 
 _RATIO_SLACK = 1e-9
 # values per block of the scan's passes and of the path checks: 256 KB of
@@ -355,22 +330,14 @@ def kernel_cdf(params: MaxARParams, x: float, y: float) -> float:
     return (1.0 - a) * math.exp(a / y - 1.0 / x)
 
 
-def kernel_sample(params: MaxARParams, current: float, rng: RngState) -> float:
-    """Draw the next value of the chain by inverting the transition CDF.
-
-    A single uniform decides both the atom and the continuous branch, so the
-    draw count is one regardless of the outcome.  The draw goes through
-    :func:`kernel_sample_many`, so one-at-a-time and block draws on the same
-    stream are bitwise equal.
-    """
-    current = _check_positive("current", current)
-    return float(kernel_sample_many(params, np.array([current]), rng)[0])
-
-
 def kernel_sample_many(params: MaxARParams, current: np.ndarray,
                        rng: RngState) -> np.ndarray:
-    """Vectorized :func:`kernel_sample`: one uniform per entry, same
-    inverse-transform map applied elementwise."""
+    """Draw the next value of the chain from each current value by
+    inverting the transition CDF.
+
+    One uniform per entry decides both the atom and the continuous branch,
+    so the draw count is one regardless of the outcome.
+    """
     current = _check_positive_array("current values", current)
     a = params.a
     u = rng.uniform(size=current.size).reshape(current.shape)

@@ -66,11 +66,6 @@ class IndexedPath:
         return float(self.values[k])
 
 
-def shift(path: IndexedPath, s: int) -> IndexedPath:
-    """Time shift: the result g satisfies g(t) = path(t + s)."""
-    return IndexedPath(path.start - _integer(s, _INDEX_RULE), path.values)
-
-
 class _Mixing:
     """pmf and sampler of a mixing law, read off its array maps."""
 
@@ -178,6 +173,9 @@ class SamplerKind(str, Enum):
     DECAY = "decay"
 
 
+_MAX_TABLE = 10**7  # the most values a sampler's row table may hold
+
+
 @dataclass(frozen=True)
 class SpectralSampler:
     """Description of a spectral process on an inclusive integer window."""
@@ -192,6 +190,14 @@ class SpectralSampler:
                   _integer(self.window[1], _INDEX_RULE))
         if lo > hi:
             raise ValueError("window must be a nonempty integer interval")
+        # a finite mixing's support table holds one window row per onset
+        size = (hi - lo + 1) * (len(self.mixing.weights) if isinstance(
+            self.mixing, FiniteMixing) else 1)
+        if size > _MAX_TABLE:
+            raise ValueError(
+                f"the sampler's table would hold {size:,} values, more than "
+                f"{_MAX_TABLE:,}; use a narrower window or a smaller mixing "
+                "support")
         object.__setattr__(self, "window", (lo, hi))
         kind = SamplerKind(self.kind)
         object.__setattr__(self, "kind", kind)
@@ -225,19 +231,6 @@ class SpectralSampler:
     @property
     def length(self) -> int:
         return self.window[1] - self.window[0] + 1
-
-
-def sample_spectral(sampler: SpectralSampler, rng: RngState) -> IndexedPath:
-    """One realization of the spectral process on the sampler's window.
-
-    For the decay kind values are built by cascaded multiplication from the
-    onset, so the one-step relation Y(t+1) = a * Y(t) holds as an exact
-    floating-point identity wherever Y(t) > 0.
-    """
-    lo = sampler.window[0]
-    if sampler.kind is SamplerKind.CONSTANT:
-        return IndexedPath(lo, np.ones(sampler.length))
-    return IndexedPath(lo, _spectral_rows(sampler, [sampler.mixing.sample(rng)])[0])
 
 
 def _spectral_rows(sampler: SpectralSampler, onsets) -> np.ndarray:
@@ -317,56 +310,6 @@ def spectral_bound(sampler: SpectralSampler) -> float:
     if sampler.kind is SamplerKind.DECAY and sampler.a >= mixing.ratio:
         return math.inf
     return float(_spectral_rows(sampler, sampler.window).max(initial=0.0))
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """Membership test specification for the three shape cones.
-
-    dirac: at most one active coordinate.  constant: all coordinates equal.
-    decay: zero before some onset, then exact geometric decay at rate a.
-    All comparisons are relative to the path maximum, so membership is
-    invariant under positive scaling.
-    """
-
-    kind: SamplerKind
-    a: float | None = None
-    tolerance: float = 1e-9
-
-    def __post_init__(self):
-        kind = SamplerKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError("tolerance must lie in (0, 1)")
-        if kind is SamplerKind.DECAY:
-            if self.a is None or not (0.0 < float(self.a) < 1.0):
-                raise ValueError("decay cone needs a strictly inside (0, 1)")
-            object.__setattr__(self, "a", float(self.a))
-        elif self.a is not None:
-            raise ValueError(f"{kind.value} cone takes no decay parameter")
-
-
-def cone_member(path, spec: ConeSpec) -> bool:
-    """Whether a finite path belongs to the given shape cone.
-
-    The zero path is a member of every cone (it is the apex of each).
-    """
-    if not isinstance(path, IndexedPath):
-        path = IndexedPath(0, path)
-    values = path.values
-    peak = float(values.max())
-    if peak == 0.0:
-        return True
-    tol = spec.tolerance
-    active = values > tol * peak
-    if spec.kind is SamplerKind.DIRAC:
-        return int(active.sum()) <= 1
-    if spec.kind is SamplerKind.CONSTANT:
-        return float(values.min()) >= (1.0 - tol) * peak
-    onset = int(np.argmax(active))
-    expected = values[onset] * spec.a ** np.arange(values.size - onset)
-    rest = values[onset:]
-    return bool(np.all(np.abs(rest - expected) <= tol * expected))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from maxstab import (
     IdentificationError,
     MaxARParams,
     RngState,
-    STATIONARY,
     ShapeFunction,
     UnclassifiableDataError,
     frechet_cdf,
@@ -27,7 +26,6 @@ from maxstab import (
     ks_critical_value,
     ks_one_sample,
     ks_two_sample,
-    ratio_support,
     run_battery,
     simulate_forward,
     simulate_reversed,
@@ -36,7 +34,7 @@ from maxstab import (
 
 def pair_minima(a: float, n: int, rng: RngState) -> np.ndarray:
     """Minima of n independent stationary transitions."""
-    first = STATIONARY.sample(rng, size=n)
+    first = frechet_sample(rng, size=n)
     second = kernel_sample_many(MaxARParams(a), first, rng)
     return np.minimum(first, second)
 
@@ -148,52 +146,14 @@ class TestKsTwoSample:
         n = 10000
         mins_a = pair_minima(0.5, n, RngState(89))
         mins_b = pair_minima(0.9, n, RngState(90))
-        marg_a = STATIONARY.sample(RngState(91), size=n)
-        marg_b = STATIONARY.sample(RngState(92), size=n)
+        marg_a = frechet_sample(RngState(91), size=n)
+        marg_b = frechet_sample(RngState(92), size=n)
         assert ks_two_sample(marg_a, marg_b).passed
         res = ks_two_sample(mins_a, mins_b)
         assert not res.passed
         gap = pair_min_gap(0.5, 0.9)
         assert gap == pytest.approx(0.1137, abs=1e-3)
         assert res.statistic == pytest.approx(gap, abs=0.03)
-
-
-class TestRatioSupport:
-    def test_forward_chain(self):
-        path = simulate_forward(MaxARParams(0.5), 10000, RngState(93))
-        est = ratio_support(path)
-        assert est.min_ratio == pytest.approx(0.5, rel=1e-9)
-        assert est.atom_location == pytest.approx(0.5, rel=1e-9)
-        assert abs(est.atom_mass - 0.5) < 0.02
-        assert est.n_ratios == 9999
-
-    def test_reversed_chain(self):
-        path = simulate_reversed(MaxARParams(0.5, Direction.REVERSED),
-                                 10000, RngState(94))
-        est = ratio_support(path)
-        assert est.max_ratio == pytest.approx(2.0, rel=1e-9)
-        assert est.atom_location == pytest.approx(2.0, rel=1e-9)
-        assert abs(est.atom_mass - 0.5) < 0.02
-
-    def test_constant_chain(self):
-        path = simulate_forward(MaxARParams(1.0), 500, RngState(95))
-        est = ratio_support(path)
-        assert est.min_ratio == est.max_ratio == 1.0
-        assert est.atom_mass == pytest.approx(1.0)
-
-    def test_iid_chain_has_no_atom(self):
-        path = simulate_forward(MaxARParams(0.0), 10000, RngState(96))
-        est = ratio_support(path)
-        assert est.atom_location is None
-        assert est.atom_mass == 0.0
-
-    def test_accepts_plain_arrays(self):
-        est = ratio_support(np.array([1.0, 2.0, 1.0, 2.0]))
-        assert est.n_ratios == 3
-
-    def test_rejects_short_input(self):
-        with pytest.raises(ValueError):
-            ratio_support(np.array([1.0]))
 
 
 def median_clusters(ratios: np.ndarray, rel_tol: float):
@@ -335,6 +295,14 @@ class TestIdentify:
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
             identify(np.ones(99))
+
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -1.0, 1.5])
+    def test_refuses_rel_tol_outside_the_unit_interval(self, rel_tol):
+        """A tolerance of inf once merged every ratio into one atom and gave
+        a = 1; NaN or a negative one found no atom and said unclassifiable."""
+        path = simulate_forward(MaxARParams(0.5), 3000, RngState(1))
+        with pytest.raises(ValueError, match=r"rel_tol must lie in \[0, 1\]"):
+            identify(path, rel_tol=rel_tol)
 
     @pytest.mark.parametrize("n", [100, 1999])
     def test_short_atomless_path_unclassifiable(self, monkeypatch, n):

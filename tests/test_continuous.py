@@ -14,7 +14,6 @@ from maxstab import (
     Direction,
     MaxARParams,
     RngState,
-    STATIONARY,
     ShapeFunction,
     frechet_cdf,
     kernel_sample_many,
@@ -528,7 +527,7 @@ class TestSampleGrid:
             path = simulate_moving_max(0.5, 2 * eps, RngState(76, r))
             cont[r] = (path_value(path, 0.0), path_value(path, eps))
         rng = RngState(77)
-        first = STATIONARY.sample(rng, size=reps)
+        first = frechet_sample(rng, size=reps)
         second = kernel_sample_many(MaxARParams(a_eff), first, rng)
         res = ks_two_sample(cont[:, 0], first, level=0.01)
         assert res.passed, res

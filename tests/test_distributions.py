@@ -30,10 +30,9 @@ class TestFrechetCdf:
         assert frechet_cdf(2.0, 0.5) == pytest.approx(0.7788007830714049, rel=1e-15)
 
     def test_rejects_nonpositive_argument(self):
-        with pytest.raises(ValueError):
-            frechet_cdf(0.0)
-        with pytest.raises(ValueError):
-            frechet_cdf(-3.0)
+        for bad in (0.0, -3.0, math.nan):
+            with pytest.raises(ValueError):
+                frechet_cdf(bad)
 
     def test_tiny_argument_is_the_limit_without_a_warning(self):
         """y = 1e-320 makes scale / y overflow on its way to the CDF 0."""

@@ -22,7 +22,6 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from maxstab import (
-    STATIONARY,
     Direction,
     DiscretePath,
     MaxARParams,
@@ -32,7 +31,6 @@ from maxstab import (
     frechet_cdf,
     independence_test,
     kernel_cdf,
-    kernel_sample,
     kernel_sample_many,
     frechet_sample,
     ks_one_sample,
@@ -96,7 +94,7 @@ def bivariate_series(a: float, x: float, y: float, depth: int = 800) -> float:
 def stationary_pairs(a: float, n: int, rng: RngState):
     """n independent stationary transitions, vectorized."""
     params = MaxARParams(a, Direction.FORWARD)
-    first = STATIONARY.sample(rng, size=n)
+    first = frechet_sample(rng, size=n)
     second = kernel_sample_many(params, first, rng)
     return first, second
 
@@ -171,37 +169,6 @@ def transition_cdf(params: MaxARParams, current: float, level: float) -> float:
     if params.direction is Direction.FORWARD:
         return kernel_cdf(params, current, level)
     return kernel_cdf(params, level, current)
-
-
-class TestStationaryLaw:
-    def test_cdf_is_unit_frechet(self):
-        assert STATIONARY.cdf(2.0) == frechet_cdf(2.0)
-        y = np.array([0.5, 1.0, 4.0])
-        assert np.array_equal(STATIONARY.cdf(y), frechet_cdf(y))
-
-    def test_cdf_rejects_nonpositive_argument(self):
-        for bad in (-1.0, 0.0, math.nan):
-            with pytest.raises(ValueError):
-                STATIONARY.cdf(bad)
-
-    def test_pdf_is_unit_frechet_density(self):
-        y = np.array([0.5, 1.0, 4.0])
-        assert np.array_equal(STATIONARY.pdf(y), np.exp(-1.0 / y) / y**2)
-        assert STATIONARY.pdf(2.0) == pytest.approx(math.exp(-0.5) / 4.0,
-                                                    rel=1e-15)
-
-    def test_pdf_tails_are_zero_without_warning(self):
-        """x**2 underflows under a CDF of 0 and overflows past 1e154: the
-        density's limit 0.0 is returned, with no numpy warning."""
-        for x in (1e-200, 5e-324, 1e200, 1e300):
-            assert STATIONARY.pdf(x) == 0.0
-        assert STATIONARY.pdf(np.array([1e-200, 1.0])).tolist() \
-            == [0.0, math.exp(-1.0)]
-
-    def test_pdf_rejects_nonpositive_argument(self):
-        for bad in (-1.0, 0.0, math.nan):
-            with pytest.raises(ValueError):
-                STATIONARY.pdf(bad)
 
 
 class TestMaxARParams:
@@ -392,7 +359,7 @@ class TestSimulateForward:
         """Each coordinate of a stationary transition is unit Frechet."""
         params = MaxARParams(a)
         rng = RngState(7)
-        first = STATIONARY.sample(rng, size=10000)
+        first = frechet_sample(rng, size=10000)
         second = kernel_sample_many(params, first, rng)
         third = kernel_sample_many(params, second, rng)
         for column in (first, second, third):
@@ -681,7 +648,7 @@ class TestSimulateReversed:
 
     def test_window_marginals(self):
         rng = RngState(10)
-        first = STATIONARY.sample(rng, size=10000)
+        first = frechet_sample(rng, size=10000)
         second = kernel_sample_many(REV, first, rng)
         for column in (first, second):
             res = ks_one_sample(column, frechet_cdf, level=0.001)
@@ -819,21 +786,25 @@ class TestKernelCdf:
 
 class TestKernelSample:
     def test_constant_chain_holds(self):
-        assert kernel_sample(MaxARParams(1.0), 2.7, RngState(1)) == 2.7
+        held = kernel_sample_many(MaxARParams(1.0), np.array([2.7]),
+                                  RngState(1))
+        assert held.tolist() == [2.7]
 
     def test_scalar_matches_vector(self):
         rng = RngState(13)
-        singles = np.array([kernel_sample(FWD, 1.3, rng) for _ in range(500)])
+        singles = np.concatenate([kernel_sample_many(FWD, np.array([1.3]), rng)
+                                  for _ in range(500)])
         block = kernel_sample_many(FWD, np.full(500, 1.3), RngState(13))
         assert np.array_equal(singles, block)
 
     @pytest.mark.parametrize("params", [REV, MaxARParams(0.0)])
     def test_scalar_matches_vector_reversed_and_iid(self, params):
-        """Scalar and block draws agree on the reversed kernel, where the
+        """Size-1 and block draws agree on the reversed kernel, where the
         atom at y/a and the log branch are both taken, and on a = 0."""
         n, y = 5000, 1.3
         rng = RngState(13)
-        singles = np.array([kernel_sample(params, y, rng) for _ in range(n)])
+        singles = np.concatenate([kernel_sample_many(params, np.array([y]), rng)
+                                  for _ in range(n)])
         block = kernel_sample_many(params, np.full(n, y), RngState(13))
         assert np.array_equal(singles, block)
         if params.direction is Direction.REVERSED:
@@ -901,14 +872,14 @@ class TestKernelSample:
     @pytest.mark.parametrize("params", [FWD, REV, MaxARParams(0.0), MaxARParams(1.0)])
     def test_one_step_invariance(self, params):
         rng = RngState(19)
-        start = STATIONARY.sample(rng, size=10000)
+        start = frechet_sample(rng, size=10000)
         nxt = kernel_sample_many(params, start, rng)
         res = ks_one_sample(nxt, frechet_cdf, level=0.001)
         assert res.passed, res
 
     def test_rejects_nonpositive_current(self):
         with pytest.raises(ValueError):
-            kernel_sample(FWD, -1.0, RngState(1))
+            kernel_sample_many(FWD, np.array([-1.0]), RngState(1))
 
 
 class TestBivariateCdf:
@@ -973,6 +944,14 @@ class TestEquilibrium:
     def test_requires_large_sample(self):
         with pytest.raises(ValueError):
             equilibrium_check(0.5, 999, RngState(1))
+
+    def test_refuses_an_empty_grid(self):
+        """A report with no checks would pass; the grid is refused before
+        any draw."""
+        rng = RngState(1)
+        with pytest.raises(ValueError, match="grid must be nonempty"):
+            equilibrium_check(0.5, 2000, rng, grid=())
+        assert rng.uniform() == RngState(1).uniform()
 
     @pytest.mark.parametrize("a", [0.0, 1.0, math.nan])
     def test_requires_a_strictly_inside_the_unit_interval(self, a):

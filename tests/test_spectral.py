@@ -1,5 +1,5 @@
-"""Tests for the spectral layer: mixing laws, shape samplers, cone
-membership, the exponent functional, and the stopped max-stable draw."""
+"""Tests for the spectral layer: mixing laws, shape samplers, the exponent
+functional, and the stopped max-stable draw."""
 
 import math
 import warnings
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxstab import (
-    ConeSpec,
     ExponentFunctional,
     FiniteMixing,
     GeometricMixing,
@@ -20,13 +19,10 @@ from maxstab import (
     SpectralBoundError,
     SpectralSampler,
     bivariate_cdf,
-    cone_member,
     dehaan_max_stable,
     exponent_rectangle,
     frechet_cdf,
     ks_one_sample,
-    sample_spectral,
-    shift,
     spectral_bound,
     spectral_mean,
 )
@@ -97,10 +93,13 @@ def loop_dehaan(sampler, bound, rng, max_points=100000):
         u = 1.0 / gamma
         if floor > 0.0 and u * bound < floor:
             return running, k + 1
-        y = sample_spectral(sampler, rng)
-        if float(y.values.max()) > bound * (1.0 + 1e-12):
+        if sampler.kind is SamplerKind.CONSTANT:
+            y = np.ones(sampler.length)
+        else:
+            y = _spectral_rows(sampler, [sampler.mixing.sample(rng)])[0]
+        if float(y.max()) > bound * (1.0 + 1e-12):
             raise SpectralBoundError("spectral draw above the bound")
-        np.maximum(running, u * y.values, out=running)
+        np.maximum(running, u * y, out=running)
         floor = float(running.min())
     raise RuntimeError("stopping rule did not trigger within max_points")
 
@@ -215,66 +214,24 @@ class TestSpectralSampler:
         s = SpectralSampler.decay(0.5, (0, 3))
         assert isinstance(s.mixing, GeometricMixing)
 
+    @pytest.mark.parametrize("make, size", [
+        (lambda: SpectralSampler.dirac((0, 2**62)), 2**62 + 1),
+        (lambda: SpectralSampler.constant((1, 10**7 + 1)), 10**7 + 1),
+        (lambda: SpectralSampler.decay(
+            0.5, (0, 10**9), mixing=FiniteMixing({0: 1.0})), 10**9 + 1),
+        (lambda: SpectralSampler.decay(0.5, (0, 2 * 10**6), mixing=UNIFORM5),
+         10**7 + 5),
+    ])
+    def test_refuses_a_table_too_large_to_hold(self, make, size):
+        """The largest table a sampler builds holds one window row, or one
+        per support point of a finite mixing; the refusal gives its size.
+        Only the sampler is built, so no table is allocated."""
+        with pytest.raises(ValueError, match=f"would hold {size:,} values"):
+            make()
 
-class TestSampleSpectral:
-    def test_constant_all_ones(self):
-        path = sample_spectral(SpectralSampler.constant((-1, 2)), RngState(1))
-        assert path.start == -1
-        assert np.all(path.values == 1.0)
-
-    def test_dirac_at_most_one_active(self):
-        sampler = SpectralSampler.dirac((-2, 3))
-        seen_zero_path = False
-        for r in range(500):
-            path = sample_spectral(sampler, RngState(33, r))
-            nz = np.nonzero(path.values)[0]
-            assert nz.size <= 1
-            if nz.size == 0:
-                seen_zero_path = True
-            else:
-                t = path.start + int(nz[0])
-                assert path.values[nz[0]] == pytest.approx(
-                    1.0 / sampler.mixing.pmf(t), rel=1e-14)
-        # onsets outside the window leave an all-zero window
-        assert seen_zero_path
-
-    def test_decay_exact_cascade(self):
-        sampler = SpectralSampler.decay(0.6, (-2, 4))
-        for r in range(300):
-            path = sample_spectral(sampler, RngState(34, r))
-            v = path.values
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                continue
-            onset = nz[0]
-            assert np.all(v[:onset] == 0.0)
-            # the cascade is an exact floating-point identity
-            assert np.all(v[onset + 1:] == 0.6 * v[onset:-1])
-
-    def test_decay_ratio_essential_infimum(self):
-        sampler = SpectralSampler.decay(0.45, (0, 1))
-        ratios = []
-        for r in range(10000):
-            path = sample_spectral(sampler, RngState(35, r))
-            if path.values[0] > 0.0:
-                ratios.append(path.values[1] / path.values[0])
-        ratios = np.array(ratios)
-        assert ratios.min() == pytest.approx(0.45, rel=1e-12)
-        assert np.all(np.abs(ratios - 0.45) <= 1e-12 * 0.45)
-
-    @pytest.mark.parametrize("mixing", [None, GeometricMixing(0.6)])
-    def test_decay_unit_mean(self, mixing):
-        """50,000 onsets drawn in one call, one uniform each, are the
-        onsets of 50,000 sample_spectral draws on the same stream; their
-        rows are the draws' rows (test_matches_onset_loop)."""
-        sampler = SpectralSampler.decay(0.5, (0, 4), mixing=mixing)
-        rows = _spectral_rows(
-            sampler, sampler.mixing.sample(RngState(36), size=50000))
-        first = sample_spectral(sampler, RngState(36))
-        assert first.values.tobytes() == rows[0].tobytes()
-        vals = rows[:, 2]
-        stderr = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - 1.0) < 4.0 * stderr
+    def test_accepts_the_largest_table(self):
+        s = SpectralSampler.decay(0.5, (1, 2 * 10**6), mixing=UNIFORM5)
+        assert s.length * len(s.mixing.support) == 10**7
 
 
 class TestSpectralRows:
@@ -290,6 +247,56 @@ class TestSpectralRows:
         assert rows.shape == (len(onsets), sampler.length)
         for n, row in zip(onsets, rows):
             assert row.tobytes() == onset_row(sampler, n).tobytes()
+
+    def test_dirac_at_most_one_active(self):
+        sampler = SpectralSampler.dirac((-2, 3))
+        rows = _spectral_rows(sampler,
+                              sampler.mixing.sample(RngState(33), size=500))
+        seen_zero_path = False
+        for row in rows:
+            nz = np.nonzero(row)[0]
+            assert nz.size <= 1
+            if nz.size == 0:
+                seen_zero_path = True
+            else:
+                t = sampler.window[0] + int(nz[0])
+                assert row[nz[0]] == pytest.approx(
+                    1.0 / sampler.mixing.pmf(t), rel=1e-14)
+        # onsets outside the window leave an all-zero window
+        assert seen_zero_path
+
+    def test_decay_exact_cascade(self):
+        sampler = SpectralSampler.decay(0.6, (-2, 4))
+        rows = _spectral_rows(sampler,
+                              sampler.mixing.sample(RngState(34), size=300))
+        for v in rows:
+            nz = np.nonzero(v)[0]
+            if nz.size == 0:
+                continue
+            onset = nz[0]
+            assert np.all(v[:onset] == 0.0)
+            # the cascade is an exact floating-point identity
+            assert np.all(v[onset + 1:] == 0.6 * v[onset:-1])
+
+    def test_decay_ratio_essential_infimum(self):
+        sampler = SpectralSampler.decay(0.45, (0, 1))
+        rows = _spectral_rows(
+            sampler, sampler.mixing.sample(RngState(35), size=10000))
+        rows = rows[rows[:, 0] > 0.0]
+        ratios = rows[:, 1] / rows[:, 0]
+        assert ratios.min() == pytest.approx(0.45, rel=1e-12)
+        assert np.all(np.abs(ratios - 0.45) <= 1e-12 * 0.45)
+
+    @pytest.mark.parametrize("mixing", [None, GeometricMixing(0.6)])
+    def test_decay_unit_mean(self, mixing):
+        """50,000 onsets drawn in one call, one uniform each; the mean of
+        their rows at an interior coordinate is 1."""
+        sampler = SpectralSampler.decay(0.5, (0, 4), mixing=mixing)
+        rows = _spectral_rows(
+            sampler, sampler.mixing.sample(RngState(36), size=50000))
+        vals = rows[:, 2]
+        stderr = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - 1.0) < 4.0 * stderr
 
     @pytest.mark.parametrize("mixing", [
         GeometricMixing(0.3), GeometricMixing(0.5), GeometricMixing(0.8),
@@ -400,78 +407,12 @@ class TestSpectralBound:
     ])
     def test_realizations_respect_bound(self, sampler):
         bound = spectral_bound(sampler)
-        rng = RngState(37)
-        for _ in range(2000):
-            top = sample_spectral(sampler, rng).values.max()
-            assert top <= bound * (1.0 + 1e-12)
+        rows = _spectral_rows(sampler,
+                              sampler.mixing.sample(RngState(37), size=2000))
+        assert rows.max() <= bound * (1.0 + 1e-12)
 
 
-class TestConeMember:
-    def test_spike_is_dirac(self):
-        assert cone_member([0.0, 2.0, 0.0], ConeSpec(SamplerKind.DIRAC))
-        assert not cone_member([1.0, 2.0, 0.0], ConeSpec(SamplerKind.DIRAC))
-
-    def test_flat_is_constant(self):
-        assert cone_member([1.5, 1.5, 1.5], ConeSpec(SamplerKind.CONSTANT))
-        assert not cone_member([1.5, 1.5, 1.4], ConeSpec(SamplerKind.CONSTANT))
-
-    def test_geometric_tail_is_decay(self):
-        spec = ConeSpec(SamplerKind.DECAY, a=0.5)
-        assert cone_member([0.0, 0.5, 0.25, 0.125], spec)
-        assert not cone_member([0.0, 0.5, 0.3, 0.125], spec)
-        assert not cone_member([0.0, 0.5, 0.25, 0.125],
-                               ConeSpec(SamplerKind.DECAY, a=0.6))
-
-    def test_interior_zero_breaks_decay(self):
-        assert not cone_member([0.5, 0.0, 0.125], ConeSpec(SamplerKind.DECAY, a=0.5))
-
-    def test_zero_path_in_every_cone(self):
-        for spec in (ConeSpec(SamplerKind.DIRAC), ConeSpec(SamplerKind.CONSTANT),
-                     ConeSpec(SamplerKind.DECAY, a=0.5)):
-            assert cone_member([0.0, 0.0, 0.0], spec)
-
-    def test_sampler_realizations_belong(self):
-        spec = ConeSpec(SamplerKind.DECAY, a=0.7)
-        sampler = SpectralSampler.decay(0.7, (-3, 5))
-        rng = RngState(38)
-        for _ in range(200):
-            assert cone_member(sample_spectral(sampler, rng), spec)
-
-    @given(st.floats(min_value=1e-6, max_value=1e6))
-    def test_scale_invariance(self, u):
-        base = np.array([0.0, 0.5, 0.25, 0.125])
-        spec = ConeSpec(SamplerKind.DECAY, a=0.5)
-        assert cone_member(u * base, spec) == cone_member(base, spec)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cone_member([1.0, -0.5], ConeSpec(SamplerKind.DIRAC))
-        with pytest.raises(ValueError):
-            ConeSpec(SamplerKind.DECAY)
-        with pytest.raises(ValueError):
-            ConeSpec(SamplerKind.CONSTANT, a=0.5)
-
-    @pytest.mark.parametrize("tolerance", [0.0, 1.0, math.nan])
-    def test_tolerance_lies_strictly_inside_the_unit_interval(self,
-                                                              tolerance):
-        with pytest.raises(ValueError, match="tolerance must lie in"):
-            ConeSpec(SamplerKind.DIRAC, tolerance=tolerance)
-
-
-class TestShift:
-    def test_shift_semantics(self):
-        path = IndexedPath(0, [1.0, 2.0, 3.0])
-        g = shift(path, 2)
-        assert g.value_at(0) == path.value_at(2)
-        assert g.start == -2
-
-    def test_identity_and_involution(self):
-        path = IndexedPath(3, [1.0, 2.0])
-        same = shift(path, 0)
-        assert same.start == 3 and np.array_equal(same.values, path.values)
-        back = shift(shift(path, 5), -5)
-        assert back.start == 3 and np.array_equal(back.values, path.values)
-
+class TestIndexedPath:
     def test_value_at_outside_window(self):
         with pytest.raises(ValueError):
             IndexedPath(0, [1.0]).value_at(1)
@@ -490,7 +431,6 @@ class TestShift:
 INDEX_INPUTS = {
     "start": lambda t: IndexedPath(t, [1.0]).start,
     "value_at": lambda t: IndexedPath(2, [5.0]).value_at(t),
-    "shift": lambda t: shift(IndexedPath(0, [1.0]), t).start,
     "window": lambda t: SpectralSampler.decay(0.5, (0, t)).window,
     "mixing": lambda t: FiniteMixing({0: 1.0, t: 1.0}).support,
     "shifts": lambda t: ExponentFunctional(0.5, shifts=(0, t)).shifts,
