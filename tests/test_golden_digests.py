@@ -1,5 +1,6 @@
 """Golden digests of the random layer: every uniform, every max-AR path
-and every continuous jump chain, bit for bit.
+and every continuous jump chain, bit for bit, and the bytes of the
+continuous path's CSV and JSON texts.
 
 Each digest is the SHA-256 of the float64 bytes a fixed sequence of draws
 returns, followed after every draw by the next uniforms of the stream, so
@@ -21,7 +22,11 @@ from maxstab import (
     Direction,
     MaxARParams,
     RngState,
+    continuous_csv_text,
+    continuous_json_text,
     simulate_forward,
+    simulate_moving_max,
+    simulate_moving_max_reversed,
     simulate_reversed,
 )
 from maxstab.continuous import _jump_chain, _reversed_knots
@@ -43,6 +48,9 @@ LONG_N = 1_000_000
 CHAIN_AS = [0.1, 0.5, 0.9, 1.0]
 CHAIN_DRAWS = [(1, 0.1), (1000, 0.1), (1, 1.0), (1000, 5.0), (1, 20.0),
                (1000, 20.0), (1, 300.0), (1, 600.0)]
+# the continuous texts' window lengths, drawn in turn for each a of the
+# jump chain and each direction
+TEXT_LENGTHS = [0.1, 1.0, 20.0, 300.0]
 
 UNIFORM_DIGESTS = {
     (0, 0):
@@ -100,6 +108,24 @@ CHAIN_DIGESTS = {
     0.5: "739b7058351e174e605ed91ffce850ef05317176fab3d061b7202917e5a5da11",
     0.9: "52c77a46640b1e2cfdc517c19e948666080b22f50665ffc8d7177843abe9d843",
     1.0: "ef294c2c8181d0a92bbc107905b7ea18d23b5a1289d4c9662f738f7bed1ddb96",
+}
+TEXT_DIGESTS = {
+    ("forward", 0.1):
+        "6b6a06cc682c36e691ab0d897bec43ec077c5c10fd779c9c340381996ef8e12a",
+    ("forward", 0.5):
+        "61bee2d1550cc985c443edbfdaed7d7458de1300ef582a48629eb6350b575043",
+    ("forward", 0.9):
+        "4e3b4f4428b256bd2254fbb6bab613f34fa6fdd0d377a4be98272e182e22822d",
+    ("forward", 1.0):
+        "ae633bc90087464483f9893203c3c39b3714d6fcb79c02561197ae5b4f6fb288",
+    ("reversed", 0.1):
+        "a2b873172824547aac2b9f888b6963a6dd634db4dc6a3466ff0298fc8d59b678",
+    ("reversed", 0.5):
+        "cc34096fafaba504c8b0335d266e5b49b6a349e6aa01387b4142fc6151b19eec",
+    ("reversed", 0.9):
+        "ee5c117c6cfac3f9022f1f51070976da9d5e459f2fdf19c78000ec813e5d5891",
+    ("reversed", 1.0):
+        "68d7839a9042bb42048aca487a8f994e1520d42454137ad4f7d7a88bad9a1843",
 }
 
 
@@ -198,3 +224,26 @@ def chain_digest(a: float) -> str:
 def test_jump_chains(a):
     """Forward knots and their time reversal, one window and batches."""
     assert chain_digest(a) == CHAIN_DIGESTS[a]
+
+
+def text_digest(direction: str, a: float) -> str:
+    simulate = simulate_moving_max if direction == "forward" \
+        else simulate_moving_max_reversed
+    rng = RngState(47, 2 * CHAIN_AS.index(a) + (direction == "reversed"))
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        # the reversed a = 1 path is the forward one, with a warning
+        warnings.simplefilter("ignore", UserWarning)
+        for length in TEXT_LENGTHS:
+            path = simulate(a, length, rng)
+            for text in (continuous_json_text(path),
+                         continuous_csv_text(path)):
+                h.update(text.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("direction, a", list(TEXT_DIGESTS))
+def test_continuous_texts(direction, a):
+    """The JSON and CSV texts of forward and reversed windows, byte for
+    byte: the event table's rounding and order reach the files intact."""
+    assert text_digest(direction, a) == TEXT_DIGESTS[direction, a]
