@@ -217,12 +217,14 @@ def cmd_conditional(query_path, mc, seed):
 
 @main.command("identify")
 @click.option("--in", "in_path", required=True,
-              help="Input CSV in the discrete path format.")
+              help="Discrete path file: JSON if named *.json, else CSV.")
 def cmd_identify(in_path):
     """Recover the dependence parameter and time direction from a path."""
+    text = _read_text(in_path)
     try:
-        _, values = _cli.parse_discrete_csv(_read_text(in_path))
-    except ValueError as exc:
+        values = _cli.parse_discrete_json(text).values \
+            if in_path.endswith(".json") else _cli.parse_discrete_csv(text)[1]
+    except (KeyError, TypeError, ValueError) as exc:  # KeyError: no field
         raise click.UsageError(f"{in_path}: {exc}") from exc
     try:
         result = _cli.identify(values)

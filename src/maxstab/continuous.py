@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -67,13 +66,15 @@ class CadlagPath:
     forward direction and down in the reversed one.  Only max-achieving
     events are stored, so consecutive levels always genuinely jump.  a = 1
     is the constant path: it has no events and always reads forward.
+    events is a read-only (k, 2) view of the path's one knot table, into
+    which the constructor copies any k x 2 array-like.
     """
 
     a: float
     direction: Direction
     window: tuple[float, float]
     anchor_value: float
-    events: tuple[tuple[float, float], ...]
+    events: np.ndarray
     seed: tuple[int, int] | None = None
 
     def __post_init__(self):
@@ -87,20 +88,25 @@ class CadlagPath:
         object.__setattr__(self, "window", (t0, t1))
         anchor = _check_positive("anchor_value", self.anchor_value)
         object.__setattr__(self, "anchor_value", anchor)
-        # each event converted once, its times and its values in turn
-        columns = tuple(zip(*_pairs("each event", self.events))) or ((), ())
-        times, levels = (tuple(map(float, column)) for column in columns)
-        if a == 1.0 and times:
+        try:
+            events = np.asarray(self.events, np.float64)
+        except (TypeError, ValueError) as error:
+            # numpy refuses a ragged list, and a dict or a generator whole
+            if "inhomogeneous" not in str(error) and np.ndim(self.events):
+                raise
+            events = np.empty(())
+        if events.shape[1:] != (2,) and events.shape != (0,):  # () is none
+            raise ValueError("each event must be a pair")
+        if a == 1.0 and events.size:
             raise ValueError("a = 1 is the constant path and has no events")
-        object.__setattr__(self, "events", tuple(zip(times, levels)))
         object.__setattr__(self, "direction",
                            MaxARParams(a, self.direction).direction)
         # the knots, the window start with the anchor and then each event,
         # as contiguous read-only rows: every path value is read off these
-        rows = np.fromiter(chain((t0,), times, (anchor,), levels),
-                           np.float64, 2 * len(times) + 2).reshape(2, -1)
-        rows.flags.writeable = False
-        times, levels = rows
+        table = np.concatenate(([[t0], [anchor]], events.reshape(-1, 2).T), 1)
+        table.flags.writeable = False
+        object.__setattr__(self, "events", table[:, 1:].T)
+        times, levels = table
         knots = (np.array([0, times.size]), times, levels)
         # each knot's next time and the left limit there: reversed growth
         # is largest there, and may overflow, or meet an infinite level
@@ -122,13 +128,6 @@ class CadlagPath:
             if not valid.all():
                 raise ValueError(message)
         object.__setattr__(self, "_knots", knots)
-
-    @property
-    def event_times(self) -> np.ndarray:
-        return self._knots[1][1:]
-
-    def value(self, t: float) -> float:
-        return path_value(self, t)
 
 
 def path_value(path: CadlagPath, t: float) -> float:
@@ -265,8 +264,7 @@ def _window_path(a: float, direction: Direction, length: float,
         knots = _reversed_knots(a, length, knots)
     _, times, levels = knots
     return CadlagPath(a, direction, (0.0, length), float(levels[0]),
-                      tuple(zip(times[1:].tolist(), levels[1:].tolist())),
-                      seed)
+                      np.stack((times[1:], levels[1:]), 1), seed)
 
 
 def simulate_moving_max(a: float, length: float, rng: RngState) -> CadlagPath:

@@ -98,8 +98,7 @@ def _integer(value, rule: str, least: int | None = None,
 
 def _pairs(name: str, items) -> tuple:
     """items as a tuple of pairs; an item of another length, or of none,
-    raises ValueError naming the field.  ``map(len)`` reads the lengths
-    in C, so a long list of pairs costs little."""
+    raises ValueError naming the field."""
     items = tuple(items)
     try:
         if set(map(len, items)) <= {2}:

@@ -130,7 +130,7 @@ def discrete_json_text(path: DiscretePath) -> str:
 
 def parse_discrete_json(text: str) -> DiscretePath:
     doc = json.loads(text)
-    if doc.get("kind") != "discrete-path":
+    if not isinstance(doc, dict) or doc.get("kind") != "discrete-path":
         raise ValueError("field 'kind': expected 'discrete-path'")
     return DiscretePath(doc["start_index"], doc["values"],
                         MaxARParams(doc["a"], doc["direction"]),
@@ -145,7 +145,7 @@ def continuous_csv_text(path: CadlagPath) -> str:
     t0, t1 = path.window
     lines = [CONTINUOUS_CSV_HEADER,
              f"{format_float(t0)},{format_float(path.anchor_value)},0"]
-    for tt, vv in path.events:
+    for tt, vv in path.events.tolist():
         lines.append(f"{format_float(tt)},{format_float(vv)},1")
     lines.append(f"{format_float(t1)},{format_float(path_value(path, t1))},0")
     return "\n".join(lines) + "\n"
@@ -185,7 +185,7 @@ def continuous_json_text(path: CadlagPath) -> str:
         "window": [float(path.window[0]), float(path.window[1])],
         "anchor_value": float(path.anchor_value),
         "seed": _seed_field(path.seed),
-        "events": [[float(t), float(v)] for t, v in path.events],
+        "events": path.events.tolist(),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -194,7 +194,7 @@ def parse_continuous_json(text: str) -> CadlagPath:
     from .continuous import CadlagPath
 
     doc = json.loads(text)
-    if doc.get("kind") != "continuous-path":
+    if not isinstance(doc, dict) or doc.get("kind") != "continuous-path":
         raise ValueError("field 'kind': expected 'continuous-path'")
     return CadlagPath(doc["a"], doc["direction"], doc["window"],
                       doc["anchor_value"], doc["events"],

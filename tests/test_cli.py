@@ -25,6 +25,7 @@ from maxstab import (
     RngState,
     conditional_cdf,
     discrete_csv_text,
+    discrete_json_text,
     format_float,
     parse_continuous_csv,
     parse_continuous_json,
@@ -372,8 +373,9 @@ class TestConditional:
 
 
 class TestIdentify:
-    def simulate(self, runner, tmp_path, a, direction, seed, n=20000):
-        out = str(tmp_path / "input.csv")
+    def simulate(self, runner, tmp_path, a, direction, seed, n=20000,
+                 name="input.csv"):
+        out = str(tmp_path / name)
         result = runner.invoke(main, ["simulate-discrete", "--a", str(a),
                                       "--direction", direction,
                                       "--n", str(n), "--seed", str(seed),
@@ -424,6 +426,39 @@ class TestIdentify:
         result = runner.invoke(main, ["identify", "--in", str(path)])
         assert result.exit_code == 3
         assert "Error" in result.stderr
+
+    @pytest.mark.parametrize("a,direction", [(0.3, "forward"),
+                                             (0.7, "reversed"),
+                                             (0.0, "forward")])
+    def test_json_input_reads_as_the_csv(self, runner, tmp_path, a,
+                                         direction):
+        """A path that simulate-discrete wrote as JSON identifies with
+        the same stdout as the same path written as CSV."""
+        stdouts = []
+        for name in ("p.csv", "p.json"):
+            path = self.simulate(runner, tmp_path, a, direction, 14, 3000,
+                                 name)
+            result = runner.invoke(main, ["identify", "--in", path])
+            assert result.exit_code == 0, result.output
+            stdouts.append(result.stdout)
+        assert stdouts[1] == stdouts[0]
+        assert json.loads(stdouts[0])["direction"] == direction
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"kind": "discrete-path"}', "'start_index'"),
+        ("[1, 2]", "field 'kind': expected 'discrete-path'"),
+        ('{"kind": "continuous-path"}',
+         "field 'kind': expected 'discrete-path'"),
+        ("t,value\n0,1.0\n", "Expecting value"),
+        ('{"kind": "discrete-path", "a": null, "direction": "forward", '
+         '"start_index": 0, "values": [1.0, 2.0]}', "float() argument"),
+    ])
+    def test_malformed_json_exits_2(self, runner, tmp_path, text, message):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["identify", "--in", str(path)])
+        assert result.exit_code == 2
+        assert f"broken.json: {message}" in result.stderr
 
     def test_malformed_csv_exits_2(self, runner, tmp_path):
         path = tmp_path / "broken.csv"
@@ -630,16 +665,21 @@ class TestFreshProcessLoads:
          {"maxstab.analysis", "maxstab.continuous"},
          {"maxstab.spectral", "maxstab.conditional", "numpy.ma",
           "numpy.polynomial", "concurrent.futures"}),
+        (["identify", "--in", "{tmp}/atom.json"],
+         {"maxstab.analysis", "maxstab.serialize"},
+         {"maxstab.conditional", "maxstab.spectral", "maxstab.continuous",
+          "numpy.ma", "concurrent.futures"}),
     ], ids=["help", "kernel-cdf", "simulate-discrete", "simulate-continuous",
             "conditional", "identify-atom", "identify-independent", "verify",
-            "verify-continuous"])
+            "verify-continuous", "identify-json"])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, args, needed,
                                                 unloaded):
         # a path with a ratio atom, and one (a = 0) that identify can only
-        # attribute through the independence test
-        for name, a in (("atom.csv", 0.5), ("iid.csv", 0.0)):
+        # attribute through the independence test, each as CSV and as JSON
+        for name, a in (("atom", 0.5), ("iid", 0.0)):
             path = simulate_forward(MaxARParams(a), 4000, RngState(7))
-            (tmp_path / name).write_text(discrete_csv_text(path))
+            (tmp_path / f"{name}.csv").write_text(discrete_csv_text(path))
+            (tmp_path / f"{name}.json").write_text(discrete_json_text(path))
         write_query(tmp_path, {"conditioning": [0, 1.0],
                                "targets": [[1, 1.0], [3, 0.5]], "a": 0.5})
         result = run_fresh(RUN_AS_MAIN,

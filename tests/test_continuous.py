@@ -76,7 +76,7 @@ def assert_chain_is_loop(a: float, length: float, count: int,
 def loop_levels(path: CadlagPath, t: float, left: bool = False) -> float:
     """Reference value of one path at one time: the last knot at (or
     strictly before) t, moved by a^+-dt through the ufunc np.power."""
-    knots = [(path.window[0], path.anchor_value), *path.events]
+    knots = [(path.window[0], path.anchor_value), *path.events.tolist()]
     k = max(i for i, (tt, _) in enumerate(knots)
             if (tt < t if left and i else tt <= t))
     dt = t - knots[k][0]
@@ -90,8 +90,8 @@ def loop_reversal(forward: CadlagPath) -> CadlagPath:
     anchor is the value at the end, and each event, in reverse order,
     moves to length - t at the forward left limit."""
     length = forward.window[1]
-    events = tuple((length - t, loop_levels(forward, t, left=True))
-                   for t, _ in reversed(forward.events))
+    events = [(length - t, loop_levels(forward, t, left=True))
+              for t, _ in reversed(forward.events.tolist())]
     return CadlagPath(forward.a, Direction.REVERSED, (0.0, length),
                       path_value(forward, length), events, forward.seed)
 
@@ -185,10 +185,56 @@ class TestCadlagPath:
         (1.0, (), "window"),
         ((0.0, 2.0), ((1.0,),), "each event"),
         ((0.0, 2.0), ((1.0, 3.0, 4.0),), "each event"),
+        ((0.0, 2.0), ((1.0, 3.0), (1.5,)), "each event"),
+        ((0.0, 2.0), [(1.0, 3.0), 1.5], "each event"),
+        ((0.0, 2.0), [[]], "each event"),
+        ((0.0, 2.0), [1.0, 3.0], "each event"),
+        ((0.0, 2.0), np.array([[[1.0], [3.0]]]), "each event"),
+        ((0.0, 2.0), np.empty((0, 3)), "each event"),
+        ((0.0, 2.0), 1.0, "each event"),
     ])
     def test_refuses_pairs_of_another_length(self, window, events, field):
         with pytest.raises(ValueError, match=f"^{field} must be a pair$"):
             CadlagPath(0.5, Direction.FORWARD, window, 1.0, events)
+
+    @pytest.mark.parametrize("events,message", [
+        ([(math.nan, 3.0)], "event times must increase strictly inside"),
+        ([(1.0, math.nan)], "event values must be finite and positive"),
+        ([(math.inf, 3.0)], "event times must increase strictly inside"),
+        ([(1.0, math.inf)], "event values must be finite and positive"),
+        ([(1.0, "x")], "could not convert string to float: 'x'"),
+        ([("one", 3.0)], "could not convert string to float: 'one'"),
+    ])
+    def test_refuses_entries_that_are_not_finite_numbers(self, events,
+                                                         message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            CadlagPath(0.5, Direction.FORWARD, (0.0, 2.0), 1.0, events)
+
+    def test_events_are_read_only(self):
+        path = CadlagPath(0.5, Direction.FORWARD, (0.0, 3.0), 1.0,
+                          [(1.0, 5.0), (2.0, 4.0)])
+        assert path.events.dtype == np.float64
+        assert path.events.shape == (2, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            path.events[0, 1] = 9.0
+        with pytest.raises(ValueError):
+            path.events.flags.writeable = True
+        assert path.events.tolist() == [[1.0, 5.0], [2.0, 4.0]]
+
+    def test_caller_writes_do_not_reach_the_path(self):
+        events = np.array([[1.0, 5.0], [2.0, 4.0]])
+        path = CadlagPath(0.5, Direction.FORWARD, (0.0, 3.0), 1.0, events)
+        events[0, 1] = 9.0
+        events[1, 0] = 2.5
+        assert path.events.tolist() == [[1.0, 5.0], [2.0, 4.0]]
+        assert path_value(path, 1.5) == 5.0 * 0.5**0.5
+        assert path_value(path, 2.0) == 4.0
+
+    @pytest.mark.parametrize("events", [(), [], np.empty((0, 2))])
+    def test_constant_member_takes_no_events(self, events):
+        path = CadlagPath(1.0, Direction.FORWARD, (0.0, 2.0), 1.5, events)
+        assert path.events.shape == (0, 2)
+        assert path_value(path, 1.0) == path_value(path, 2.0) == 1.5
 
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
@@ -218,10 +264,10 @@ class TestCadlagPath:
         grid = sample_grid(path, 0.5).values
         assert np.all(np.isfinite(grid)) and grid[-1] == path_value(path, 1.0)
 
-    def test_event_times_property(self):
+    def test_event_times_column(self):
         path = CadlagPath(0.5, Direction.FORWARD, (0.0, 3.0), 1.0,
                           ((1.0, 5.0), (2.0, 4.0)))
-        assert np.array_equal(path.event_times, [1.0, 2.0])
+        assert np.array_equal(path.events[:, 0], [1.0, 2.0])
 
     @pytest.mark.parametrize("direction,event", [
         ("forward", (1.0, 2.5)), ("reversed", (1.0, 0.5))])
@@ -278,22 +324,18 @@ class TestPathValue:
             with pytest.raises(ValueError):
                 path_value(path, t)
 
-    def test_method_alias(self):
-        path = CadlagPath(0.5, Direction.FORWARD, (0.0, 1.0), 1.0, ())
-        assert path.value(0.5) == path_value(path, 0.5)
-
 
 class TestSimulateMovingMax:
     def test_deterministic_and_seeded(self):
         p1 = simulate_moving_max(0.5, 3.0, RngState(60))
         p2 = simulate_moving_max(0.5, 3.0, RngState(60))
         assert p1.anchor_value == p2.anchor_value
-        assert p1.events == p2.events
+        assert p1.events.tolist() == p2.events.tolist()
         assert p1.seed == (60, 0)
 
     def test_constant_member(self):
         path = simulate_moving_max(1.0, 2.0, RngState(61))
-        assert path.events == ()
+        assert path.events.shape == (0, 2)
         assert path_value(path, 1.7) == path.anchor_value
 
     def test_rejects_iid_limit(self):
@@ -326,7 +368,7 @@ class TestSimulateMovingMax:
         for r in range(reps):
             path = simulate_moving_max(a, 1.0, RngState(64, r))
             z0[r] = path.anchor_value
-            decayed[r] = not path.events
+            decayed[r] = not len(path.events)
         freq = decayed.mean()
         assert abs(freq - a) < 4.0 * math.sqrt(a * (1 - a) / reps)
         # conditioned on the starting level near 1, the chance matches the
@@ -436,7 +478,7 @@ class TestSimulateMovingMaxReversed:
         backwards through left limits."""
         fwd = simulate_moving_max(0.5, 3.0, RngState(68))
         rev = simulate_moving_max_reversed(0.5, 3.0, RngState(68))
-        event_times = set(np.round(fwd.event_times, 12))
+        event_times = set(np.round(fwd.events[:, 0], 12))
         for t in np.linspace(0.05, 2.95, 30):
             if any(abs(3.0 - t - et) < 1e-6 for et in event_times):
                 continue
@@ -450,8 +492,8 @@ class TestSimulateMovingMaxReversed:
         rev = simulate_moving_max_reversed(0.5, 7.0, RngState(78))
         assert len(fwd.events) > 3
         assert rev.anchor_value == path_value(fwd, 7.0)
-        assert [t for t, _ in rev.events] \
-            == [7.0 - t for t, _ in reversed(fwd.events)]
+        assert [t for t, _ in rev.events.tolist()] \
+            == [7.0 - t for t, _ in reversed(fwd.events.tolist())]
 
     def test_interior_marginal(self):
         values = replicate_values(0.5, 1.25, 0.6, 4000, seed=69,
@@ -556,7 +598,7 @@ class TestKnotArrays:
             assert times[knots].tolist() == [0.0] + [t for t, _ in events]
             assert levels[knots].tolist() == [anchor] + [v for _, v in events]
             assert path.anchor_value == anchor
-            assert path.events == tuple(events)
+            assert path.events.tolist() == [[t, v] for t, v in events]
         assert rng.uniform() == ref.uniform() == public.uniform()
 
     @pytest.mark.parametrize("a,length,count", [(0.5, 600.0, 3),
@@ -621,7 +663,8 @@ class TestKnotArrays:
         for i, path in enumerate(paths):
             own = times[offsets[i]:offsets[i + 1]]
             # the knots are the path's own, bit for bit
-            assert own.tolist() == [0.0] + [t for t, _ in path.events]
+            assert own.tolist() \
+                == [0.0] + [t for t, _ in path.events.tolist()]
             # each knot's left limit is read at the next event, and the
             # last one's at the window end
             ends = [*own[1:], length]
@@ -647,7 +690,7 @@ class TestKnotArrays:
             rev = simulate_moving_max_reversed(a, length, RngState(93, seed))
             ref = loop_reversal(forward)
             assert rev.anchor_value == ref.anchor_value
-            assert rev.events == ref.events
+            assert rev.events.tolist() == ref.events.tolist()
 
     def test_array_check_accepts_what_the_loop_accepts(self):
         rng = np.random.default_rng(94)
@@ -658,7 +701,7 @@ class TestKnotArrays:
                          simulate_moving_max_reversed(a, 4.0,
                                                       RngState(95, seed))):
                 cases.append((a, path.direction, path.anchor_value,
-                              list(path.events)))
+                              path.events.tolist()))
         inputs = []
         for a, direction, anchor, events in cases:
             inputs.append((a, direction, anchor, events))

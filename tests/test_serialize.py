@@ -166,7 +166,7 @@ class TestContinuousCsv:
         assert times[0] == 0.0 and times[-1] == 4.0
         assert np.all(np.diff(times) > 0)
         assert values[0] == continuous_path.anchor_value
-        events = continuous_path.events
+        events = continuous_path.events.tolist()
         assert len(times) == len(events) + 2
         for k, (tt, vv) in enumerate(events, start=1):
             assert times[k] == tt and values[k] == vv
@@ -235,18 +235,26 @@ class TestContinuousJson:
         assert back.direction is continuous_path.direction
         assert back.window == continuous_path.window
         assert back.anchor_value == continuous_path.anchor_value
-        assert back.events == continuous_path.events
+        assert back.events.tolist() == continuous_path.events.tolist()
         assert back.seed == continuous_path.seed
 
     def test_reversed_round_trip(self):
         path = simulate_moving_max_reversed(0.3, 2.0, RngState(123))
         back = parse_continuous_json(continuous_json_text(path))
         assert back.direction is Direction.REVERSED
-        assert back.events == path.events
+        assert back.events.tolist() == path.events.tolist()
 
     def test_kind_checked(self):
         with pytest.raises(ValueError, match="kind"):
             parse_continuous_json('{"kind": "discrete-path"}')
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3.5", '"continuous-path"',
+                                      "null"])
+    @pytest.mark.parametrize("parse", [parse_continuous_json,
+                                       parse_discrete_json])
+    def test_document_that_is_not_an_object_is_refused(self, parse, text):
+        with pytest.raises(ValueError, match="^field 'kind': expected"):
+            parse(text)
 
     @pytest.mark.parametrize("direction", ["forward", "reversed"])
     def test_constant_member_with_an_event_is_refused(self, direction):
@@ -272,8 +280,9 @@ class TestContinuousJson:
         """The parsed document goes through full path validation, so a
         tampered event level is caught."""
         text = continuous_json_text(continuous_path)
-        if continuous_path.events:
-            bad = text.replace(format(continuous_path.events[0][1]),
+        events = continuous_path.events.tolist()
+        if events:
+            bad = text.replace(format(events[0][1]),
                                "0.000001", 1)
             with pytest.raises(ValueError):
                 parse_continuous_json(bad)
