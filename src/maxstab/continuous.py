@@ -95,7 +95,7 @@ class CadlagPath:
             if "inhomogeneous" not in str(error) and np.ndim(self.events):
                 raise
             events = np.empty(())
-        if events.shape[1:] != (2,) and events.shape != (0,):  # () is none
+        if events.shape[1:] != (2,) and events.shape != (0,):  # (0,) is []
             raise ValueError("each event must be a pair")
         if a == 1.0 and events.size:
             raise ValueError("a = 1 is the constant path and has no events")
