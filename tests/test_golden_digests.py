@@ -1,6 +1,7 @@
 """Golden digests of the random layer: every uniform, every max-AR path
-and every continuous jump chain, bit for bit, and the bytes of the
-continuous path's CSV and JSON texts.
+and every continuous jump chain, bit for bit, the bytes of the continuous path's
+CSV and JSON texts, and every field of the conditional Monte Carlo
+estimate.
 
 Each digest is the SHA-256 of the float64 bytes a fixed sequence of draws
 returns, followed after every draw by the next uniforms of the stream, so
@@ -19,9 +20,12 @@ import numpy as np
 import pytest
 
 from maxstab import (
+    ConditionalQuery,
     Direction,
+    FiniteMixing,
     MaxARParams,
     RngState,
+    conditional_cdf_mc,
     continuous_csv_text,
     continuous_json_text,
     simulate_forward,
@@ -32,6 +36,7 @@ from maxstab import (
 from maxstab.continuous import _jump_chain, _reversed_knots
 from maxstab.distributions import _uniforms
 from maxstab.maxar import _stationary_windows
+from maxstab.spectral import _BLOCK_ELEMENTS
 
 KEYS = [(0, 0), (1, 0), (7, 3), (2**63, 1), (2**64 - 1, 2**64 - 1)]
 UNIFORM_SIZES = [None, 511, None, 513, 5000, 1, 512]
@@ -51,6 +56,16 @@ CHAIN_DRAWS = [(1, 0.1), (1000, 0.1), (1, 1.0), (1000, 5.0), (1, 20.0),
 # the continuous texts' window lengths, drawn in turn for each a of the
 # jump chain and each direction
 TEXT_LENGTHS = [0.1, 1.0, 20.0, 300.0]
+# the conditional Monte Carlo's a and mixings, and its queries of 3 and 5
+# times; each query runs n = 1000, its block of _BLOCK_ELEMENTS // times
+# onsets minus one, the block, plus one, and 100,000
+MC_AS = [0.0, 0.4, 0.9, 1.0]
+MC_MIXINGS = {"default": None,
+              "finite": FiniteMixing(((-3, 1.0), (0, 2.0), (1, 1.0),
+                                      (4, 0.5)))}
+MC_QUERIES = [ConditionalQuery((0, 1.2), ((1, 0.9), (-2, 1.5))),
+              ConditionalQuery((3, 0.7), ((5, 1.1), (-1, 2.0), (0, 0.8),
+                                          (9, 1.4)))]
 
 UNIFORM_DIGESTS = {
     (0, 0):
@@ -126,6 +141,25 @@ TEXT_DIGESTS = {
         "ee5c117c6cfac3f9022f1f51070976da9d5e459f2fdf19c78000ec813e5d5891",
     ("reversed", 1.0):
         "68d7839a9042bb42048aca487a8f994e1520d42454137ad4f7d7a88bad9a1843",
+}
+
+MC_DIGESTS = {
+    ("default", 0.0):
+        "fee9974af78cbcb42aa556ba3ab7bf4f8c238f330b2a9a1d9676ce19760151df",
+    ("default", 0.4):
+        "395d9974a7a56e44464948d0742f3b06e42bfb0b9f162c274a1e09c7675cab65",
+    ("default", 0.9):
+        "f37e40d704a99002a802ac44800ac5ba59137f411c8f759948618d59cd9c8f25",
+    ("default", 1.0):
+        "114f117814d3e2606bb19ca09f5e158de38e70a56a7d93020f2868d967e9126d",
+    ("finite", 0.0):
+        "5d34bd1f238c82acd21a0fdf8fb73e9c7f982fc238cd4bbd18ae510cbb22968a",
+    ("finite", 0.4):
+        "e615e311ba92588a3a70b7868b2316a72d3c35994b372e937fc639eff5bdeb4c",
+    ("finite", 0.9):
+        "4ab501c9342556bcbf67675edfdfaf796432bfcbf0ba12aed745f2b1fe97dc7b",
+    ("finite", 1.0):
+        "00d10432f0146f9113b33726eb3abf04ceb7b18d16db57b63823047d3575c737",
 }
 
 
@@ -247,3 +281,30 @@ def test_continuous_texts(direction, a):
     """The JSON and CSV texts of forward and reversed windows, byte for
     byte: the event table's rounding and order reach the files intact."""
     assert text_digest(direction, a) == TEXT_DIGESTS[direction, a]
+
+
+def _mc_sizes(query: ConditionalQuery) -> list[int]:
+    block = _BLOCK_ELEMENTS // (1 + len(query.targets))
+    return [1000, block - 1, block, block + 1, 100_000]
+
+
+def mc_digest(mixing: str, a: float) -> str:
+    rng = RngState(53, 2 * MC_AS.index(a) + (mixing == "finite"))
+    h = hashlib.sha256()
+    for query in MC_QUERIES:
+        for n in _mc_sizes(query):
+            est = conditional_cdf_mc(query, a, n, rng, MC_MIXINGS[mixing])
+            fields = [est.value, est.stderr, est.indicator_moment,
+                      est.excess_moment, est.indicator_stderr,
+                      est.excess_stderr, rng.uniform()]
+            h.update((" ".join(map(float.hex, fields))
+                      + f" {est.n}\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mixing, a", list(MC_DIGESTS))
+def test_conditional_mc(mixing, a):
+    """Every field of the Monte Carlo estimate as float.hex, and the next
+    uniform after each run, around the onset block's size and far past
+    it: blocking the draws moves no bit and no stream position."""
+    assert mc_digest(mixing, a) == MC_DIGESTS[mixing, a]
