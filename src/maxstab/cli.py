@@ -224,7 +224,7 @@ def cmd_identify(in_path):
     try:
         values = _cli.parse_discrete_json(text).values \
             if in_path.endswith(".json") else _cli.parse_discrete_csv(text)[1]
-    except (KeyError, TypeError, ValueError) as exc:  # KeyError: no field
+    except ValueError as exc:
         raise click.UsageError(f"{in_path}: {exc}") from exc
     try:
         result = _cli.identify(values)

@@ -30,7 +30,8 @@ import numpy as np
 from . import _EXPORTS
 from .distributions import _INDEX_RULE, RngState, _check_positive, \
     _check_unit, _integer, _pairs
-from .spectral import GeometricMixing, _decay_profile, _onset_rows
+from .spectral import _BLOCK_ELEMENTS, GeometricMixing, _decay_profile, \
+    _onset_rows
 
 __all__ = list(_EXPORTS["conditional"])
 
@@ -123,13 +124,10 @@ class McConditionalEstimate:
 def _spectral_matrix(a: float, times: np.ndarray, n: int, rng: RngState,
                      mixing) -> np.ndarray:
     """n spectral realizations evaluated at the given times, as an
-    (n, len(times)) array.  Randomness is the onset index only."""
+    (n, len(times)) array.  Randomness is the onset index only, drawn from
+    the mixing; at a = 1 every row is ones and no onset is drawn."""
     if a == 1.0:
         return np.ones((n, times.size))
-    if mixing is None:
-        # a ratio of at least a keeps every 1/mass-weighted row bounded in
-        # the far past, so the terms have finite variance
-        mixing = GeometricMixing(max(0.5, a))
     onsets = mixing.sample(rng, size=n)
     return ((1.0 - a) * _decay_profile(a, times, onsets)
             / mixing.pmf(onsets)[:, None])
@@ -144,13 +142,29 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
     Onsets are drawn from ``mixing``, by default ``GeometricMixing(max(0.5,
     a))``: under a ratio at or below a**2 the 1/mass weights grow fast
     enough in the far past to make the variance infinite and the stderr
-    meaningless.
+    meaningless.  n runs from 1000 to 10,000,000 draws.
+
+    The draws are made in blocks of _BLOCK_ELEMENTS // len(times) onsets,
+    each read next from the stream, so only the two per-draw terms are
+    held whole; the estimate and the stream position afterwards are those
+    of one block of n, bit for bit.
     """
     a = _check_unit("a", a)
     n = _integer(n, "n must be an integer of at least 1000", 1000)
+    if n > 10**7:
+        raise ValueError(f"n = {n:,} draws is more than 10,000,000; "
+                         "use fewer draws")
     ts, zs = _query_arrays(query)
-    ind_sample, exc_sample = _factor_terms(
-        _spectral_matrix(a, ts, n, rng, mixing), zs)
+    if mixing is None and a < 1.0:
+        # a ratio of at least a keeps every 1/mass-weighted row bounded in
+        # the far past, so the terms have finite variance
+        mixing = GeometricMixing(max(0.5, a))
+    ind_sample, exc_sample = np.empty(n), np.empty(n)
+    step = max(1, _BLOCK_ELEMENTS // ts.size)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ind_sample[lo:hi], exc_sample[lo:hi] = _factor_terms(
+            _spectral_matrix(a, ts, hi - lo, rng, mixing), zs)
 
     ind_mean = float(ind_sample.mean())
     exc_mean = float(exc_sample.mean())

@@ -38,8 +38,30 @@ def _parse_seed(field):
     not null or two unsigned 64-bit integers."""
     if field is None:
         return None
-    seed, stream = field
-    return _check_key(seed), _check_key(stream)
+    if not isinstance(field, list) or len(field) != 2:
+        raise ValueError("field 'seed': expected null or [seed, stream]")
+    return _check_key(field[0]), _check_key(field[1])
+
+
+def _fields(text: str, kind: str, names: tuple) -> tuple[dict, list]:
+    """The JSON document of the given kind and its named fields, refusing
+    another document, or a missing field, with ValueError naming it."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"field 'kind': expected {kind!r}")
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"{name!r}: missing field")
+    return doc, [doc[name] for name in names]
+
+
+def _named(name: str, build, *args):
+    """build(*args), whose TypeError, a field that holds no number where
+    one is due, is raised as ValueError naming the field."""
+    try:
+        return build(*args)
+    except TypeError as exc:
+        raise ValueError(f"{exc}, in field {name!r}") from exc
 
 
 def discrete_csv_text(path: DiscretePath) -> str:
@@ -129,12 +151,15 @@ def discrete_json_text(path: DiscretePath) -> str:
 
 
 def parse_discrete_json(text: str) -> DiscretePath:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("kind") != "discrete-path":
-        raise ValueError("field 'kind': expected 'discrete-path'")
-    return DiscretePath(doc["start_index"], doc["values"],
-                        MaxARParams(doc["a"], doc["direction"]),
-                        _parse_seed(doc.get("seed")))
+    """The discrete path of a JSON document; a malformed document raises
+    ValueError naming the field."""
+    doc, (start, values, a, direction) = _fields(
+        text, "discrete-path", ("start_index", "values", "a", "direction"))
+    # each TypeError has one source: a in MaxARParams, the values in
+    # DiscretePath
+    params = _named("a", MaxARParams, a, direction)
+    return _named("values", DiscretePath, start, values, params,
+                  _parse_seed(doc.get("seed")))
 
 
 def continuous_csv_text(path: CadlagPath) -> str:
@@ -191,11 +216,22 @@ def continuous_json_text(path: CadlagPath) -> str:
 
 
 def parse_continuous_json(text: str) -> CadlagPath:
+    """The continuous path of a JSON document; a malformed document
+    raises ValueError naming the field."""
     from .continuous import CadlagPath
 
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("kind") != "continuous-path":
-        raise ValueError("field 'kind': expected 'continuous-path'")
-    return CadlagPath(doc["a"], doc["direction"], doc["window"],
-                      doc["anchor_value"], doc["events"],
-                      _parse_seed(doc.get("seed")))
+    doc, (a, direction, window, anchor, events) = _fields(
+        text, "continuous-path",
+        ("a", "direction", "window", "anchor_value", "events"))
+    seed = _parse_seed(doc.get("seed"))
+    try:
+        return CadlagPath(a, direction, window, anchor, events, seed)
+    except TypeError as exc:
+        # CadlagPath reads a, the window's two ends and the anchor value
+        # with float(), in turn, and then the events: name the first field
+        # in which it found no number
+        _named("a", float, a)
+        for end in window:  # a pair, once a is read
+            _named("window", float, end)
+        _named("anchor_value", float, anchor)
+        raise ValueError(f"{exc}, in field 'events'") from exc

@@ -351,8 +351,11 @@ def _check_points(points) -> tuple[np.ndarray, np.ndarray]:
 def _decay_profile(a: float, times: np.ndarray, onsets) -> np.ndarray:
     """The decay shape a^(t-n) on t >= n and 0 before, one row per onset n
     and one column per time t."""
-    k = times[None, :] - np.asarray(onsets, dtype=np.int64)[:, None]
-    return np.where(k >= 0, a ** np.maximum(k, 0).astype(np.float64), 0.0)
+    t, n = times[None, :], np.asarray(onsets, dtype=np.int64)[:, None]
+    # t - n in uint64 wraps to the exact span wherever t >= n, even past
+    # int64, and to another nonnegative number, masked out, elsewhere
+    k = t.view(np.uint64) - n.view(np.uint64)
+    return np.where(t >= n, a ** k.astype(np.float64), 0.0)
 
 
 def _onset_rows(a: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +378,9 @@ def _onset_rows(a: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights = np.ones(distinct.size)
     with np.errstate(divide="ignore"):  # a = 0: log is -inf, weight 1
         # expm1 keeps 1 - a^gap accurate to a few ulp as a nears 1
-        weights[1:] = -np.expm1(np.diff(distinct) * np.log(a))
+        # and the gaps, read in uint64, do not wrap past int64
+        weights[1:] = -np.expm1(np.diff(distinct.view(np.uint64))
+                                * np.log(a))
     return weights, _decay_profile(a, times, distinct)
 
 
@@ -401,7 +406,8 @@ def exponent_rectangle(functional: ExponentFunctional, points) -> float:
 
 # Points per block of the de Haan sampler: the first block is small, since
 # narrow windows stop after a handful of points, and each later block is
-# twice the last, up to a cap of _BLOCK_ELEMENTS window values.
+# twice the last, up to a cap of _BLOCK_ELEMENTS window values.  The
+# conditional Monte Carlo draws its onsets in blocks of that many values.
 _FIRST_BLOCK = 8
 _BLOCK_ELEMENTS = 1 << 16
 

@@ -282,6 +282,15 @@ class TestConditional:
                                       "--mc", "20000", "--seed", "2"])
         assert repeat.output == result.output
 
+    def test_mc_above_ten_million_exits_2(self, runner, tmp_path):
+        query = write_query(tmp_path, {"conditioning": [0, 1.0],
+                                       "targets": [[1, 1.0]], "a": 0.5})
+        result = runner.invoke(main, ["conditional", "--query", query,
+                                      "--mc", "10000001"])
+        assert result.exit_code == 2
+        assert "n = 10,000,001 draws is more than 10,000,000" \
+            in result.stderr
+
     def test_invalid_json_exits_2(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -459,6 +468,25 @@ class TestIdentify:
         result = runner.invoke(main, ["identify", "--in", str(path)])
         assert result.exit_code == 2
         assert f"broken.json: {message}" in result.stderr
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"kind": "discrete-path", "a": 0.5, "direction": "forward",
+          "start_index": 0}, "'values': missing field"),
+        ({"kind": "discrete-path", "a": None, "direction": "forward",
+          "start_index": 0, "values": [1.0, 2.0]}, "in field 'a'"),
+        ({"kind": "discrete-path", "a": 0.5, "direction": "forward",
+          "start_index": 0, "values": [{}]}, "in field 'values'"),
+        ({"kind": "discrete-path", "a": 0.5, "direction": "forward",
+          "start_index": 0, "values": [1.0, 2.0], "seed": 7},
+         "field 'seed': expected null or [seed, stream]"),
+    ])
+    def test_malformed_json_names_the_field(self, runner, tmp_path, doc,
+                                            message):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["identify", "--in", str(path)])
+        assert result.exit_code == 2
+        assert message in result.stderr
 
     def test_malformed_csv_exits_2(self, runner, tmp_path):
         path = tmp_path / "broken.csv"

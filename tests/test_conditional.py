@@ -7,6 +7,8 @@ against its own Monte Carlo counterpart.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scipy import integrate
 from maxstab import (
     ConditionalQuery,
     Direction,
+    FiniteMixing,
     GeometricMixing,
     MaxARParams,
     RngState,
@@ -306,6 +309,35 @@ class TestConditionalCdf:
         assert conditional_cdf(q, 0.6) == f.value
 
 
+class TestSpansPastInt64:
+    """Query times 2**64 - 1 apart, whose span int64 cannot hold, are
+    independent: the conditional law is that of the targets alone."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("cond, target, want", [
+        ((-2**63, 1.0), (2**63 - 1, 1.0), math.exp(-1.0)),
+        ((2**63 - 1, 1.0), (-2**63, 0.01), math.exp(-100.0)),
+        ((-2**62, 2.0), (2**62 + 2**61, 0.5), math.exp(-2.0)),
+    ])
+    def test_exact(self, a, cond, target, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = conditional_cdf(ConditionalQuery(cond, (target,)), a)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.9])
+    def test_monte_carlo(self, a):
+        """Under a one-point mixing at 2**63 - 10 every draw is the same
+        row: (1-a) a^9 at the conditioning time 2**63 - 1, and nothing at
+        -2**63, before the onset, however low the target level."""
+        q = ConditionalQuery((2**63 - 1, 1.0), ((-2**63, 0.01),))
+        est = conditional_cdf_mc(q, a, 1000, RngState(1),
+                                 FiniteMixing(((2**63 - 10, 1.0),)))
+        assert est.value == pytest.approx((1.0 - a) * a**9, rel=1e-14)
+        assert est.excess_moment == 0.0
+        assert est.stderr == 0.0
+
+
 class TestConditionalMc:
     def test_kernel_query_agreement(self):
         q = ConditionalQuery((0, 1.0), ((1, 1.0),))
@@ -362,6 +394,34 @@ class TestConditionalMc:
         with pytest.raises(ValueError,
                            match="n must be an integer of at least 1000"):
             conditional_cdf_mc(q, 0.5, n, RngState(1))
+
+    def test_refuses_more_than_ten_million_draws(self):
+        """The draws' size is known before they start, so it is refused
+        at once, with no uniform read."""
+        q = ConditionalQuery((0, 1.0), ((1, 1.0),))
+        rng = RngState(1)
+        with pytest.raises(ValueError, match="n = 10,000,001 draws"):
+            conditional_cdf_mc(q, 0.5, 10**7 + 1, rng)
+        assert rng.uniform() == RngState(1).uniform()
+
+    @pytest.mark.parametrize("query", [
+        ConditionalQuery((0, 1.2), ((1, 0.9), (-2, 1.5))),
+        ConditionalQuery((3, 0.7), ((5, 1.1), (-1, 2.0), (0, 0.8), (9, 1.4))),
+    ])
+    @pytest.mark.parametrize("a", [0.4, 1.0])
+    def test_peak_memory_per_draw(self, query, a):
+        """The draws are made block by block, so the traced peak is the
+        two per-draw terms and their moments, whatever the query's size:
+        at most 48 bytes per draw plus 1 MiB."""
+        n = 200_000
+        conditional_cdf_mc(query, a, 1000, RngState(2))  # warm the caches
+        tracemalloc.start()
+        try:
+            conditional_cdf_mc(query, a, n, RngState(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n + 2**20
 
     def test_integral_sample_size_runs_as_int(self):
         q = ConditionalQuery((0, 1.0), ((1, 1.0),))

@@ -320,3 +320,59 @@ class TestJsonSeed:
         doc, parse = self.document(kind, discrete_path, continuous_path)
         doc["seed"] = None
         assert parse(json.dumps(doc)).seed is None
+
+
+DISCRETE_DOC = {"kind": "discrete-path", "a": 0.5, "direction": "forward",
+                "start_index": 0, "seed": None, "values": [1.0, 2.0]}
+CONTINUOUS_DOC = {"kind": "continuous-path", "a": 0.5,
+                  "direction": "forward", "window": [0.0, 2.0],
+                  "anchor_value": 1.5, "seed": None,
+                  "events": [[1.0, 2.5]]}
+PARSERS = [(DISCRETE_DOC, parse_discrete_json),
+           (CONTINUOUS_DOC, parse_continuous_json)]
+
+
+class TestMalformedJson:
+    """Both JSON parsers refuse a malformed document with ValueError
+    naming the field, never KeyError or TypeError."""
+
+    @pytest.mark.parametrize("doc, parse", PARSERS)
+    def test_missing_field_is_named(self, doc, parse):
+        for field in set(doc) - {"kind", "seed"}:
+            broken = {k: v for k, v in doc.items() if k != field}
+            with pytest.raises(ValueError,
+                               match=f"^'{field}': missing field$"):
+                parse(json.dumps(broken))
+
+    @pytest.mark.parametrize("doc, parse", PARSERS)
+    @pytest.mark.parametrize("value", [None, [1.0], {}])
+    def test_a_that_is_no_number_is_named(self, doc, parse, value):
+        with pytest.raises(ValueError, match="in field 'a'$"):
+            parse(json.dumps({**doc, "a": value}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("window", [None, 2.0]), ("window", [0.0, [2.0]]),
+        ("anchor_value", None), ("anchor_value", {}),
+        ("events", [{}]), ("events", [[{}, 2.5]])])
+    def test_continuous_field_that_holds_no_number_is_named(self, field,
+                                                            value):
+        with pytest.raises(ValueError, match=f"in field '{field}'$"):
+            parse_continuous_json(json.dumps({**CONTINUOUS_DOC,
+                                              field: value}))
+
+    @pytest.mark.parametrize("value", [{}, [{}], [[{}, 1.0]]])
+    def test_values_that_hold_no_number_are_named(self, value):
+        with pytest.raises(ValueError, match="in field 'values'$"):
+            parse_discrete_json(json.dumps({**DISCRETE_DOC,
+                                            "values": value}))
+
+    @pytest.mark.parametrize("doc, parse", PARSERS)
+    @pytest.mark.parametrize("seed", [1, 1.5, True, "12", [1], [1, 2, 3],
+                                      {"a": 1, "b": 2}])
+    def test_seed_that_is_no_pair_is_named(self, doc, parse, seed):
+        with pytest.raises(ValueError, match="^field 'seed': expected null"):
+            parse(json.dumps({**doc, "seed": seed}))
+
+    @pytest.mark.parametrize("doc, parse", PARSERS)
+    def test_well_formed_document_parses(self, doc, parse):
+        parse(json.dumps(doc))

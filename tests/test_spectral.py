@@ -538,6 +538,32 @@ class TestExponentRectangle:
         assert rows.shape == expected.shape
         assert np.array_equal(rows, expected)
 
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("points", [[(-2**63, 1.0), (2**63 - 1, 1.0)],
+                                        [(-2**62, 1.0), (2**62 + 2**61, 1.0)]])
+    def test_span_past_int64(self, a, points):
+        """Two times further apart than int64 holds are independent: each
+        adds 1/z, with no wrap and no overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exponent_rectangle(ExponentFunctional(a), points)
+        assert got == 2.0
+
+    @given(st.sampled_from([0.0, 0.3, 0.5, 0.97, 1.0]),
+           st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=6),
+           st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=6))
+    def test_spans_inside_int64_keep_their_bits(self, a, times, onsets):
+        """Where no span wraps, the rows and weights are those of the
+        plain int64 differences, bit for bit."""
+        t = np.array(times, dtype=np.int64)
+        k = t[None, :] - np.array(onsets, dtype=np.int64)[:, None]
+        want = np.where(k >= 0, a ** np.maximum(k, 0).astype(np.float64), 0.0)
+        assert np.array_equal(_decay_profile(a, t, onsets), want)
+        distinct = np.unique(t)
+        with np.errstate(divide="ignore"):
+            gaps = -np.expm1(np.diff(distinct) * np.log(a))
+        assert np.array_equal(_onset_rows(a, t)[0][1:], gaps)
+
     def test_constant_case(self):
         func = ExponentFunctional(1.0)
         got = exponent_rectangle(func, [(0, 2.0), (7, 0.5)])
