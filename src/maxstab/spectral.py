@@ -351,11 +351,14 @@ def _check_points(points) -> tuple[np.ndarray, np.ndarray]:
 def _decay_profile(a: float, times: np.ndarray, onsets) -> np.ndarray:
     """The decay shape a^(t-n) on t >= n and 0 before, one row per onset n
     and one column per time t."""
-    t, n = times[None, :], np.asarray(onsets, dtype=np.int64)[:, None]
-    # t - n in uint64 wraps to the exact span wherever t >= n, even past
-    # int64, and to another nonnegative number, masked out, elsewhere
-    k = t.view(np.uint64) - n.view(np.uint64)
-    return np.where(t >= n, a ** k.astype(np.float64), 0.0)
+    # built one row per time, so each step runs along the onsets, and read
+    # back transposed
+    t, n = times[:, None], np.asarray(onsets, dtype=np.int64)[None, :]
+    k = t - n
+    # a span past int64 wraps to the other sign; a^span is then 1 at a = 1
+    # and 0 below
+    charged = (t >= n) & ((k >= 0) | (a == 1.0))
+    return np.where(charged, a ** np.maximum(k, 0).astype(np.float64), 0.0).T
 
 
 def _onset_rows(a: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
