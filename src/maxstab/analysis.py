@@ -106,17 +106,6 @@ class EmpiricalReport:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EmpiricalReport":
-        report = cls(
-            seeds=[tuple(s) for s in data.get("seeds", [])],
-            params=dict(data.get("params", {})),
-        )
-        for c in data.get("checks", []):
-            report.add(c["name"], c["value"], c["threshold"], c["pass"],
-                       c.get("provenance", ""))
-        return report
-
 
 class IdentificationError(ValueError):
     """Input data could not be attributed to the process family."""

@@ -207,12 +207,12 @@ def cmd_conditional(query_path, mc, seed):
     """Evaluate a conditional exceedance-free probability given one
     observed value."""
     query, a = _parse_query(_read_text(query_path))
-    value = _guard(_cli.conditional_cdf, query, a)
-    click.echo(f"{value:.15g}")
-    if mc is not None:
+    lines = [f"{_guard(_cli.conditional_cdf, query, a):.15g}"]
+    if mc is not None:  # a refused --mc prints nothing
         rng = _guard(_cli.RngState, seed)
         est = _guard(_cli.conditional_cdf_mc, query, a, mc, rng)
-        click.echo(f"mc {est.value:.15g} stderr {est.stderr:.15g}")
+        lines.append(f"mc {est.value:.15g} stderr {est.stderr:.15g}")
+    click.echo("\n".join(lines))
 
 
 @main.command("identify")

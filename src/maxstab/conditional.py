@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import _INDEX_RULE, RngState, _check_positive, \
-    _check_unit, _integer, _pairs
+from .distributions import _INDEX_RULE, RngState, _check_count, \
+    _check_positive, _check_unit, _integer, _pairs
 from .spectral import _BLOCK_ELEMENTS, GeometricMixing, _decay_profile, \
-    _onset_rows
+    _onset_rows, _span
 
 __all__ = list(_EXPORTS["conditional"])
 
@@ -124,13 +124,32 @@ class McConditionalEstimate:
 def _spectral_matrix(a: float, times: np.ndarray, n: int, rng: RngState,
                      mixing) -> np.ndarray:
     """n spectral realizations evaluated at the given times, as an
-    (n, len(times)) array.  Randomness is the onset index only, drawn from
-    the mixing; at a = 1 every row is ones and no onset is drawn."""
+    (n, len(times)) array.  Randomness is the onset index only, one uniform
+    per row; at a = 1 every row is ones and no onset is drawn.  With no
+    mixing, the uniform times len(times) picks a query time j by its
+    integer part and by its fraction an onset within 37 / -log(ratio) + 1
+    < 2**59 of it; the times' offsets from time j are clipped to 2**63 - 1
+    in size, past which every decay and mass underflows to 0 anyway."""
     if a == 1.0:
         return np.ones((n, times.size))
-    onsets = mixing.sample(rng, size=n)
-    return ((1.0 - a) * _decay_profile(a, times, onsets)
-            / mixing.pmf(onsets)[:, None])
+    if mixing is not None:
+        onsets = mixing.sample(rng, size=n)
+        offsets, masses = times, mixing.pmf(onsets)
+    else:
+        geometric = GeometricMixing(max(0.5, a))
+        u = rng.uniform(n) * times.size
+        centre = u.astype(np.intp)
+        onsets = geometric._quantile(u - centre)
+        ahead = times[:, None] >= times
+        size = np.minimum(np.where(ahead, _span(times, times[:, None]),
+                                   _span(times[:, None], times)),
+                          2**63 - 1).astype(np.int64)
+        # offsets[i, r]: time i less the time that draw r is made about
+        offsets = np.take(np.where(ahead, size, -size), centre, axis=1)
+        masses = geometric._masses(
+            onsets - offsets.astype(np.float64)).mean(axis=0)
+    return ((1.0 - a) * _decay_profile(a, offsets, onsets)
+            / masses[:, None])
 
 
 def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
@@ -139,10 +158,12 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
 
     Estimates both factors from the same draws and propagates their
     standard errors (including the covariance) through the product.
-    Onsets are drawn from ``mixing``, by default ``GeometricMixing(max(0.5,
-    a))``: under a ratio at or below a**2 the 1/mass weights grow fast
-    enough in the far past to make the variance infinite and the stderr
-    meaningless.  n runs from 1000 to 10,000,000 draws.
+    Onsets are drawn from ``mixing``, by default an equal mixture of
+    ``GeometricMixing(max(0.5, a))`` about each query time, so that draws
+    fall near the conditioning time and near every target, however far
+    apart they lie.  Under a ratio at or below a**2 the 1/mass weights
+    would grow fast enough in the far past to make the variance infinite
+    and the stderr meaningless.  n runs from 1000 draws up to the size cap.
 
     The draws are made in blocks of _BLOCK_ELEMENTS // len(times) onsets,
     each read next from the stream, so only the two per-draw terms are
@@ -151,14 +172,8 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
     """
     a = _check_unit("a", a)
     n = _integer(n, "n must be an integer of at least 1000", 1000)
-    if n > 10**7:
-        raise ValueError(f"n = {n:,} draws is more than 10,000,000; "
-                         "use fewer draws")
+    _check_count(n, f"n = {n:,} draws is", "use fewer draws")
     ts, zs = _query_arrays(query)
-    if mixing is None and a < 1.0:
-        # a ratio of at least a keeps every 1/mass-weighted row bounded in
-        # the far past, so the terms have finite variance
-        mixing = GeometricMixing(max(0.5, a))
     ind_sample, exc_sample = np.empty(n), np.empty(n)
     step = max(1, _BLOCK_ELEMENTS // ts.size)
     for lo in range(0, n, step):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_positive, _pairs, \
-    frechet_sample
+from .distributions import RngState, _check_count, _check_positive, \
+    _pairs, frechet_sample
 from .maxar import Direction, DiscretePath, MaxARParams, _owned_path
 
 __all__ = list(_EXPORTS["continuous"])
@@ -51,8 +51,6 @@ class ShapeFunction:
 
 
 _JUMP_SLACK = 1e-9
-_MAX_EVENTS = 10**7  # the most events a jump chain may be expected to make
-_MAX_POINTS = 10**7  # the most points a sample_grid skeleton may hold
 _BLOCK_PAIRS = 1 << 16  # the most (U, E) pairs the chain reads ahead at once
 
 
@@ -168,8 +166,8 @@ def _jump_chain(a: float, length: float, count: int, rng: RngState):
     level below, so every step is an exact transition.  a = 1 never jumps.
 
     A window's uniforms pair up as (anchor or U, E), read ahead in blocks
-    sized from the expected event count, which is refused above
-    _MAX_EVENTS; -log(U) is taken once per block, and only the pairs the
+    sized from the expected event count, which is refused above the size
+    cap; -log(U) is taken once per block, and only the pairs the
     chain used are consumed.
     """
     rate = -math.log(a)
@@ -182,10 +180,8 @@ def _jump_chain(a: float, length: float, count: int, rng: RngState):
     # windows not yet closed, the one still open included
     while left := count - len(starts) + (t < length):
         events = left * length * rate
-        if not events <= _MAX_EVENTS:
-            raise ValueError(
-                f"the jump chain expects {events:.8g} events, more than "
-                f"{_MAX_EVENTS:,}; draw a shorter window or fewer")
+        _check_count(events, f"the jump chain expects {events:.8g} events,",
+                     "draw a shorter window or fewer")
         block = rng._peek(2 * min(
             int(left + events + 4.0 * math.sqrt(events)) + 8, _BLOCK_PAIRS))
         logs = -np.log(block)
@@ -275,7 +271,7 @@ def simulate_moving_max(a: float, length: float, rng: RngState) -> CadlagPath:
     Poisson process of rate -log a.  a = 1 is the constant member of the
     family; a = 0 has no continuous-time counterpart (independent values at
     every real time admit no measurable cadlag version) and is rejected, as
-    is a window expected to make more than 10,000,000 events.
+    is a window expected to make more events than the size cap.
     """
     return _window_path(a, Direction.FORWARD, length, rng)
 
@@ -298,20 +294,18 @@ def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
     The skeleton of the moving-maximum process is exactly the stationary
     max-AR(1) chain with parameter a**epsilon, in the matching direction;
     the returned path carries those parameters.  A grid point landing on
-    the window end uses the left-limit value there.  A grid of more than
-    10,000,000 points is refused.
+    the window end uses the left-limit value there.  A grid of more points
+    than the size cap is refused.
     """
     epsilon = float(epsilon)
     t0, t1 = path.window
     if not (0.0 < epsilon <= t1 - t0):
         raise ValueError("epsilon must lie in (0, window length]")
-    steps = (t1 - t0) / epsilon + 1e-9
-    if not steps < _MAX_POINTS:
-        raise ValueError(f"epsilon={epsilon!r} gives {steps + 1:.8g} grid "
-                         f"points, more than {_MAX_POINTS:,}")
-    count = int(steps) + 1
-    grid = t0 + epsilon * np.arange(count)
-    grid[-1] = min(grid[-1], t1)
+    points = np.floor((t1 - t0) / epsilon + 1e-9) + 1.0
+    _check_count(points, f"epsilon={epsilon!r} gives {points:.8g} grid "
+                 "points,", "use a larger epsilon")
     params = MaxARParams(path.a ** epsilon, path.direction)
+    grid = t0 + epsilon * np.arange(int(points))
+    grid[-1] = min(grid[-1], t1)
     return _owned_path(0, _levels(path.a, path.direction, path._knots, grid),
                        params, path.seed)

@@ -76,6 +76,7 @@ def _both(first, second):
 
 
 _INDEX_RULE = "indices must be integers within int64"
+_MAX_COUNT = 10**7  # the most values, draws or events one call may make
 
 
 def _integer(value, rule: str, least: int | None = None,
@@ -94,6 +95,13 @@ def _integer(value, rule: str, least: int | None = None,
             or (below is not None and number >= below):
         raise ValueError(f"{rule}, got {value!r}")
     return number
+
+
+def _check_count(count, lead: str, advice: str) -> None:
+    """Refuse, before any work, a count that is not at most _MAX_COUNT,
+    NaN included: ValueError "<lead> more than <the cap>; <advice>"."""
+    if not count <= _MAX_COUNT:
+        raise ValueError(f"{lead} more than {_MAX_COUNT:,}; {advice}")
 
 
 def _pairs(name: str, items) -> tuple:

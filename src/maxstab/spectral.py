@@ -26,8 +26,8 @@ from enum import Enum
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import _INDEX_RULE, RngState, _check_positive, \
-    _check_positive_array, _check_unit, _integer
+from .distributions import _INDEX_RULE, RngState, _check_count, \
+    _check_positive, _check_positive_array, _check_unit, _integer
 
 __all__ = list(_EXPORTS["spectral"])
 
@@ -173,9 +173,6 @@ class SamplerKind(str, Enum):
     DECAY = "decay"
 
 
-_MAX_TABLE = 10**7  # the most values a sampler's row table may hold
-
-
 @dataclass(frozen=True)
 class SpectralSampler:
     """Description of a spectral process on an inclusive integer window."""
@@ -193,11 +190,8 @@ class SpectralSampler:
         # a finite mixing's support table holds one window row per onset
         size = (hi - lo + 1) * (len(self.mixing.weights) if isinstance(
             self.mixing, FiniteMixing) else 1)
-        if size > _MAX_TABLE:
-            raise ValueError(
-                f"the sampler's table would hold {size:,} values, more than "
-                f"{_MAX_TABLE:,}; use a narrower window or a smaller mixing "
-                "support")
+        _check_count(size, f"the sampler's table would hold {size:,} values,",
+                     "use a narrower window or a smaller mixing support")
         object.__setattr__(self, "window", (lo, hi))
         kind = SamplerKind(self.kind)
         object.__setattr__(self, "kind", kind)
@@ -348,17 +342,25 @@ def _check_points(points) -> tuple[np.ndarray, np.ndarray]:
     return t, z
 
 
+def _span(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """end - start of int64 arrays, read in uint64 so that a span past
+    int64 does not wrap: exact wherever end >= start."""
+    return end.view(np.uint64) - start.view(np.uint64)
+
+
 def _decay_profile(a: float, times: np.ndarray, onsets) -> np.ndarray:
     """The decay shape a^(t-n) on t >= n and 0 before, one row per onset n
-    and one column per time t."""
+    and one column per time t; times may also hold one row per time and
+    one column per onset."""
     # built one row per time, so each step runs along the onsets, and read
     # back transposed
-    t, n = times[:, None], np.asarray(onsets, dtype=np.int64)[None, :]
-    k = t - n
-    # a span past int64 wraps to the other sign; a^span is then 1 at a = 1
-    # and 0 below
-    charged = (t >= n) & ((k >= 0) | (a == 1.0))
-    return np.where(charged, a ** np.maximum(k, 0).astype(np.float64), 0.0).T
+    t = times.reshape(len(times), -1)
+    n = np.asarray(onsets, dtype=np.int64)[None, :]
+    charged = t >= n
+    # a^span past 2**63 is 1 at a = 1 and underflows to 0 below; an entry
+    # before its onset takes the cheap a^0 and is then set to 0
+    span = np.where(charged, _span(n, t), 0).astype(np.float64)
+    return np.where(charged, a ** span, 0.0).T
 
 
 def _onset_rows(a: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -381,8 +383,7 @@ def _onset_rows(a: float, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights = np.ones(distinct.size)
     with np.errstate(divide="ignore"):  # a = 0: log is -inf, weight 1
         # expm1 keeps 1 - a^gap accurate to a few ulp as a nears 1
-        # and the gaps, read in uint64, do not wrap past int64
-        weights[1:] = -np.expm1(np.diff(distinct.view(np.uint64))
+        weights[1:] = -np.expm1(_span(distinct[:-1], distinct[1:])
                                 * np.log(a))
     return weights, _decay_profile(a, times, distinct)
 

@@ -291,6 +291,17 @@ class TestConditional:
         assert "n = 10,000,001 draws is more than 10,000,000" \
             in result.stderr
 
+    @pytest.mark.parametrize("mc", ["999", "10000001"])
+    def test_refused_mc_prints_no_result(self, runner, tmp_path, mc):
+        """--mc is checked before anything is printed, so a refusal leaves
+        stdout empty rather than holding the exact value alone."""
+        query = write_query(tmp_path, {"conditioning": [0, 1.0],
+                                       "targets": [[1, 1.0]], "a": 0.5})
+        result = runner.invoke(main, ["conditional", "--query", query,
+                                      "--mc", mc])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_invalid_json_exits_2(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -318,6 +318,7 @@ class TestSpansPastInt64:
         ((-2**63, 1.0), (2**63 - 1, 1.0), math.exp(-1.0)),
         ((2**63 - 1, 1.0), (-2**63, 0.01), math.exp(-100.0)),
         ((-2**62, 2.0), (2**62 + 2**61, 0.5), math.exp(-2.0)),
+        ((2**62, 1.0), (-2**62 - 5, 1.0), math.exp(-1.0)),
     ])
     def test_exact(self, a, cond, target, want):
         with warnings.catch_warnings():
@@ -336,6 +337,46 @@ class TestSpansPastInt64:
         assert est.value == pytest.approx((1.0 - a) * a**9, rel=1e-14)
         assert est.excess_moment == 0.0
         assert est.stderr == 0.0
+
+
+# offsets from the conditioning time and levels, 2 to 5 query times: a
+# target d steps later has a level above a**d times the conditioning level
+# at every a tested, so no exact value is 0
+CALIBRATION_SHAPES = [
+    (1.0, ((1, 1.0),)),
+    (1.2, ((1, 1.3), (-2, 1.5))),
+    (0.7, ((2, 1.1), (-1, 2.0), (5, 0.8))),
+    (1.0, ((-3, 1.3), (1, 1.4), (4, 1.7), (-1, 1.1))),
+]
+CALIBRATION_QUERIES = [
+    ConditionalQuery((t0, z0), tuple((t0 + d, z) for d, z in targets))
+    for t0 in (0, 3, 1000, -10**6) for z0, targets in CALIBRATION_SHAPES
+] + [ConditionalQuery((-2**63, 1.0), ((2**63 - 1, 1.0),)),
+     ConditionalQuery((2**62, 1.0), ((-2**62 - 5, 1.0),))]
+
+
+class TestMonteCarloCalibration:
+    """The default mixing charges the conditioning time and every target
+    wherever they lie, so the Monte Carlo estimate agrees with the exact
+    value in units of its own stderr at every index, int64's ends
+    included (where the two query times are independent and e^-1 is
+    due)."""
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.9])
+    def test_z_scores(self, a):
+        """Four seeds per query at n = 20,000: every |z| at most 4, and
+        the mean z, which has a standard error of about 0.12 over the 72
+        runs, within 0.5 of 0."""
+        zs = []
+        for stream, query in enumerate(CALIBRATION_QUERIES):
+            exact = conditional_cdf(query, a)
+            for seed in range(4):
+                est = conditional_cdf_mc(query, a, 20_000,
+                                         RngState(seed, stream))
+                assert est.stderr > 0.0, (query, seed)
+                zs.append((est.value - exact) / est.stderr)
+        assert max(map(abs, zs)) <= 4.0
+        assert abs(sum(zs) / len(zs)) <= 0.5
 
 
 class TestConditionalMc:

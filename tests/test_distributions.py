@@ -1,6 +1,7 @@
 """Tests for the heavy-tailed marginal law and the seeded generator."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,15 +9,21 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from maxstab import (
+    ConditionalQuery,
+    FiniteMixing,
     RngState,
+    SpectralSampler,
+    conditional_cdf_mc,
     frechet_cdf,
     frechet_quantile,
     frechet_sample,
     ks_one_sample,
     ks_two_sample,
+    sample_grid,
+    simulate_moving_max,
 )
-from maxstab.distributions import _check_positive_array, _check_unit, \
-    _quantiles
+from maxstab.distributions import _check_count, _check_positive_array, \
+    _check_unit, _quantiles
 
 E_INV = 0.36787944117144233
 
@@ -314,3 +321,126 @@ class TestArgumentChecks:
             with pytest.raises(ValueError,
                                match="^values must be finite and positive$"):
                 _check_positive_array("values", bad)
+
+
+class _Started(Exception):
+    """Raised by a stub at a call's first step of work: the size passed."""
+
+
+class _StubRng(RngState):
+    def _peek(self, size):
+        raise _Started
+
+    def uniform(self, size=None):
+        raise _Started
+
+
+class _StubPath:
+    """A continuous path as sample_grid reads it: its window, then a."""
+
+    def __init__(self, window):
+        self.window = window
+
+    @property
+    def a(self):
+        raise _Started
+
+
+class _StubQuery:
+    @property
+    def conditioning(self):
+        raise _Started
+
+
+def _events(q, rng):
+    """One jump-chain window expecting q events: -log of exp(-1) is 1.0."""
+    return simulate_moving_max(math.exp(-1.0), q, rng)
+
+
+def _points(q, rng):
+    """A grid of q points, steps of 1 over a window of q - 1."""
+    return sample_grid(_StubPath((0.0, q - 1.0)), 1.0)
+
+
+def _table(q, rng):
+    """A sampler table of q values: a window of q, or past int64, the
+    whole int64 window once for each of 64 onsets."""
+    if q == 2**70:
+        return SpectralSampler.dirac((-2**63, 2**63 - 1),
+                                     FiniteMixing({k: 1.0 for k in range(64)}))
+    return SpectralSampler.constant((0, q - 1))
+
+
+def _draws(q, rng):
+    """The conditional Monte Carlo with q draws; a stub run stops at the
+    query, before the draws' arrays are made."""
+    query = _StubQuery() if isinstance(rng, _StubRng) \
+        else ConditionalQuery((0, 1.0), ((1, 1.0),))
+    return conditional_cdf_mc(query, 0.5, q, rng)
+
+
+CAP_VALUES = (math.nan, math.inf, -1, 0, 1.5, 2**70, 10**7, 10**7 + 1)
+_LENGTH = "length must be finite and positive"
+_EPSILON = "epsilon must lie in"
+_INDEX = "indices must be integers"
+_WINDOW = "window must be a nonempty"
+_N = "n must be an integer of at least 1000"
+# per quantity: its call, the words before "more than 10,000,000" in its
+# refusal, and each value's outcome in CAP_VALUES order: "ok" passes the
+# cap, "cap" is refused by it, anything else is the other rule refusing
+CAP_SITES = {
+    "events": (_events, "events,",
+               [_LENGTH] * 4 + ["ok", "cap", "ok", "cap"]),
+    "points": (_points, "grid points,",
+               [_EPSILON, "cap"] + [_EPSILON] * 3 + ["cap", "ok", "cap"]),
+    "table": (_table, "values,",
+              [_INDEX, _INDEX, _WINDOW, _WINDOW, _INDEX, "cap", "ok", "cap"]),
+    "draws": (_draws, "draws is", [_N] * 5 + ["cap", "ok", "cap"]),
+}
+
+
+class TestSizeCap:
+    """One rule bounds every size known before the work: at most
+    10,000,000, refused before any work, NaN included."""
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf, 2**70, 10**7 + 1,
+                                       10**7 + 1e-9 * 10**7])
+    def test_refuses_above_the_cap(self, count):
+        with pytest.raises(ValueError, match=re.escape(
+                "lead more than 10,000,000; advice")):
+            _check_count(count, "lead", "advice")
+
+    @pytest.mark.parametrize("count", [-math.inf, -1, 0, 1.5, 10**7,
+                                       float(10**7)])
+    def test_accepts_up_to_the_cap(self, count):
+        assert _check_count(count, "lead", "advice") is None
+
+    @pytest.mark.parametrize("site, index", [
+        (site, index) for site in CAP_SITES
+        for index in range(len(CAP_VALUES))],
+        ids=lambda v: repr(CAP_VALUES[v]) if isinstance(v, int) else v)
+    def test_each_quantity(self, site, index):
+        """The cap itself passes, or is refused by the quantity's other
+        rule; above it the refusal names the quantity and the cap.  A
+        refusal comes before any work: it reads no uniform and makes no
+        numpy warning, and nothing that passes is allocated, since a stub
+        stops the call at its first step."""
+        call, noun, outcomes = CAP_SITES[site]
+        value, outcome = CAP_VALUES[index], outcomes[index]
+        if outcome == "ok":
+            try:  # a sampler is built with no further work
+                call(value, _StubRng(90))
+            except _Started:
+                pass
+            return
+        rng = RngState(90)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refusal:
+                call(value, rng)
+        message = str(refusal.value)
+        if outcome == "cap":
+            assert f"{noun} more than 10,000,000; " in message
+        else:
+            assert outcome in message and "10,000,000" not in message
+        assert rng.uniform() == RngState(90).uniform()

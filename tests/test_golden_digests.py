@@ -145,11 +145,11 @@ TEXT_DIGESTS = {
 
 MC_DIGESTS = {
     ("default", 0.0):
-        "fee9974af78cbcb42aa556ba3ab7bf4f8c238f330b2a9a1d9676ce19760151df",
+        "2d5684d47a04b3b358d25f0d1d2590fe0397686356e19d5ef970e8ec06fbea6f",
     ("default", 0.4):
-        "395d9974a7a56e44464948d0742f3b06e42bfb0b9f162c274a1e09c7675cab65",
+        "c5ccf69712390fe12194ff62c2d89b0f1f43f0a251cc1b24eb88752fd9119c7a",
     ("default", 0.9):
-        "f37e40d704a99002a802ac44800ac5ba59137f411c8f759948618d59cd9c8f25",
+        "d855130680dde9c3f3155c2720b249ed6684da53ca72764b285c5104a9b38779",
     ("default", 1.0):
         "114f117814d3e2606bb19ca09f5e158de38e70a56a7d93020f2868d967e9126d",
     ("finite", 0.0):

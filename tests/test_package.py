@@ -1,6 +1,7 @@
 """Tests for the package surface: one export list, built from the
 modules' own."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -63,3 +64,31 @@ def overview_names():
 @pytest.mark.parametrize("name", overview_names())
 def test_overview_names_resolve(name):
     assert hasattr(maxstab, name)
+
+
+def cap_literals(tree) -> list[int]:
+    """Lines of the number 10**7 written as a literal (10_000_000, 1e7) or
+    as a power of two literals (10**7)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+                and isinstance(node.left, ast.Constant) \
+                and isinstance(node.right, ast.Constant):
+            value = node.left.value ** node.right.value
+        elif isinstance(node, ast.Constant):
+            value = node.value
+        else:
+            continue
+        if type(value) in (int, float) and value == 10**7:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_size_cap_has_one_home():
+    """Every size limit reads distributions._MAX_COUNT: no other module
+    writes the number itself."""
+    package = Path(maxstab.__file__).parent
+    found = {path.name: cap_literals(ast.parse(path.read_text("utf-8")))
+             for path in sorted(package.glob("*.py"))}
+    assert len(found.pop("distributions.py")) == 1
+    assert not any(found.values()), found
