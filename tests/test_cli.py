@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,89 @@ def write_query(tmp_path, doc, name="query.json"):
     return str(path)
 
 
+# kernel-cdf's stdout over a grid: a, direction, x, y, the printed value,
+# and "warns" where a reversed a in {0, 1} is canonicalized to forward.
+# The pairs hit each kernel's zero or one, its continuous branch, its
+# atom (forward y = 2a at x = 2, reversed x = 1/a at y = 1) and the float
+# just below the atom.
+KERNEL_TABLE = """
+0 forward 1 1 0.367879441171442
+0 forward 2 1.5 0.513417119032592
+0 forward 4 0.1 4.53999297624849e-05
+0 forward 20 1 0.367879441171442
+0 forward 0.5 3 0.716531310573789
+0 forward 0.001 1000 0.999000499833375
+0 reversed 1 1 0.367879441171442 warns
+0 reversed 2 1.5 0.513417119032592 warns
+0 reversed 4 0.1 4.53999297624849e-05 warns
+0 reversed 20 1 0.367879441171442 warns
+0 reversed 0.5 3 0.716531310573789 warns
+0 reversed 0.001 1000 0.999000499833375 warns
+0.05 forward 1 1 0.386741023454501
+0.05 forward 2 1.5 0.530819450562014
+0.05 forward 4 0.1 0
+0.05 forward 20 1 0.386741023454501
+0.05 forward 0.5 3 0.728573572511393
+0.05 forward 0.001 1000 0.999050451107138
+0.05 forward 2 0.1 7.48518298877007e-05
+0.05 forward 2 0.09999999999999999 0
+0.05 reversed 1 1 0.367403972281776
+0.05 reversed 2 1.5 0.595734631009403
+0.05 reversed 4 0.1 1
+0.05 reversed 20 1 1
+0.05 reversed 0.5 3 0.130729284083625
+0.05 reversed 0.001 1000 0
+0.05 reversed 20.0 1 1
+0.05 reversed 19.999999999999996 1 0.95
+0.5 forward 1 1 0.606530659712633
+0.5 forward 2 1.5 0.716531310573789
+0.5 forward 4 0.1 0
+0.5 forward 20 1 0
+0.5 forward 0.5 3 0.846481724890614
+0.5 forward 0.001 1000 0.999500124979169
+0.5 forward 2 1.0 0.606530659712633
+0.5 forward 2 0.9999999999999999 0
+0.5 reversed 1 1 0.303265329856317
+0.5 reversed 2 1.5 0.423240862445307
+0.5 reversed 4 0.1 1
+0.5 reversed 20 1 1
+0.5 reversed 0.5 3 0.079939873039847
+0.5 reversed 0.001 1000 0
+0.5 reversed 2.0 1 1
+0.5 reversed 1.9999999999999998 1 0.5
+0.95 forward 1 1 0.951229424500714
+0.95 forward 2 1.5 0
+0.95 forward 4 0.1 0
+0.95 forward 20 1 0
+0.95 forward 0.5 3 0.983471453821617
+0.95 forward 0.001 1000 0.999950001249979
+0.95 forward 2 1.9 0.974027453420301
+0.95 forward 2 1.8999999999999997 0
+0.95 reversed 1 1 0.0475614712250357
+0.95 reversed 2 1.5 1
+0.95 reversed 4 0.1 1
+0.95 reversed 20 1 1
+0.95 reversed 0.5 3 0.00928768818570458
+0.95 reversed 0.001 1000 0
+0.95 reversed 1.0526315789473684 1 1
+0.95 reversed 1.0526315789473681 1 0.05
+1 forward 1 1 1
+1 forward 2 1.5 0
+1 forward 4 0.1 0
+1 forward 20 1 0
+1 forward 0.5 3 1
+1 forward 0.001 1000 1
+1 forward 2 2.0 1
+1 forward 2 1.9999999999999998 0
+1 reversed 1 1 1 warns
+1 reversed 2 1.5 0 warns
+1 reversed 4 0.1 0 warns
+1 reversed 20 1 0 warns
+1 reversed 0.5 3 1 warns
+1 reversed 0.001 1000 1 warns
+"""
+
+
 class TestKernelCdf:
     def test_forward_reference(self, runner):
         result = runner.invoke(main, ["kernel-cdf", "--a", "0.5",
@@ -86,6 +170,20 @@ class TestKernelCdf:
         result = runner.invoke(main, ["kernel-cdf", "--a", "0.5",
                                       "--x", "1", "--y", "-2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("row", KERNEL_TABLE.strip().splitlines())
+    def test_table(self, runner, row):
+        a, direction, x, y, printed, *warns = row.split()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["kernel-cdf", "--a", a,
+                                          "--direction", direction,
+                                          "--x", x, "--y", y])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == printed + "\n"
+        assert [str(w.message) for w in caught] == [
+            "reversed direction with a in {0, 1} equals the forward chain; "
+            "canonicalizing to forward"] * len(warns)
 
 
 class TestSimulateDiscrete:

@@ -1,7 +1,7 @@
 """Golden digests of the random layer: every uniform, every max-AR path
-and every continuous jump chain, bit for bit, the bytes of the continuous path's
-CSV and JSON texts, and every field of the conditional Monte Carlo
-estimate.
+and every continuous jump chain, bit for bit, the bytes of the discrete
+and continuous paths' CSV and JSON texts, every de Haan window, and every
+field of the conditional Monte Carlo estimate.
 
 Each digest is the SHA-256 of the float64 bytes a fixed sequence of draws
 returns, followed after every draw by the next uniforms of the stream, so
@@ -23,15 +23,21 @@ from maxstab import (
     ConditionalQuery,
     Direction,
     FiniteMixing,
+    GeometricMixing,
     MaxARParams,
     RngState,
+    SpectralSampler,
     conditional_cdf_mc,
     continuous_csv_text,
     continuous_json_text,
+    dehaan_max_stable,
+    discrete_csv_text,
+    discrete_json_text,
     simulate_forward,
     simulate_moving_max,
     simulate_moving_max_reversed,
     simulate_reversed,
+    spectral_bound,
 )
 from maxstab.continuous import _jump_chain, _reversed_knots
 from maxstab.distributions import _uniforms
@@ -56,6 +62,15 @@ CHAIN_DRAWS = [(1, 0.1), (1000, 0.1), (1, 1.0), (1000, 5.0), (1, 20.0),
 # the continuous texts' window lengths, drawn in turn for each a of the
 # jump chain and each direction
 TEXT_LENGTHS = [0.1, 1.0, 20.0, 300.0]
+# the discrete texts' a, start indices and sizes, drawn in turn for each
+# a and direction
+DISCRETE_TEXT_AS = [0.0, 0.5, 0.95]
+DISCRETE_TEXT_STARTS = [0, -7, 2**62]
+DISCRETE_TEXT_NS = [1, 2, 1000]
+# the de Haan draws' windows, under decay 0.3 and the default geometric
+# mixing, and the draws made of each
+DEHAAN_WINDOWS = [(0, 0), (0, 5), (0, 10)]
+DEHAAN_DRAWS = 60
 # the conditional Monte Carlo's a and mixings, and its queries of 3 and 5
 # times; each query runs n = 1000, its block of _BLOCK_ELEMENTS // times
 # onsets minus one, the block, plus one, and 100,000
@@ -141,6 +156,26 @@ TEXT_DIGESTS = {
         "ee5c117c6cfac3f9022f1f51070976da9d5e459f2fdf19c78000ec813e5d5891",
     ("reversed", 1.0):
         "68d7839a9042bb42048aca487a8f994e1520d42454137ad4f7d7a88bad9a1843",
+}
+DISCRETE_TEXT_DIGESTS = {
+    ("forward", 0.0):
+        "abb515cdb93a998d8ed830450746a55a774480505e28da76bd7ac5f0e30dd2d2",
+    ("forward", 0.5):
+        "ba5578061c3608c3415cf6101dde8882d6d321cb4ec0ddb44075b91ea0e6b290",
+    ("forward", 0.95):
+        "20e200fd3e8daafd3f8eb2eef350a3c6576c295d5a662c679e941d1197281c90",
+    ("reversed", 0.0):
+        "210484295cacbf30d8e7caf79e2b59dc93ed4e9863e909b3902d29441f6fb78f",
+    ("reversed", 0.5):
+        "f4a10ac7f7d175bbabec43a34000c9e80969059a3e072ca5514bc83c6b9042a5",
+    ("reversed", 0.95):
+        "7165aeebd966ff1a5923fa221c35201fb85b87522fcd7c726ffea3a95f499613",
+}
+DEHAAN_DIGESTS = {
+    (0, 0): "cd2d0f4197a6c0858522933b4b005a20d48522e6d3b2df8be550cc45a5cd5581",
+    (0, 5): "415e544b630d979363c86836c91eb88c6894374fb8cb40b311838ea036731e6f",
+    (0, 10):
+        "8d6f7ae5f2442a6c3179af44b242d3783718b087f9236d4e305e26b28d2553d9",
 }
 
 MC_DIGESTS = {
@@ -281,6 +316,46 @@ def test_continuous_texts(direction, a):
     """The JSON and CSV texts of forward and reversed windows, byte for
     byte: the event table's rounding and order reach the files intact."""
     assert text_digest(direction, a) == TEXT_DIGESTS[direction, a]
+
+
+def discrete_text_digest(direction: str, a: float) -> str:
+    simulate = simulate_forward if direction == "forward" else simulate_reversed
+    rng = RngState(59, 2 * DISCRETE_TEXT_AS.index(a)
+                   + (direction == "reversed"))
+    params = MaxARParams(a)  # each simulator reads only a
+    h = hashlib.sha256()
+    for start in DISCRETE_TEXT_STARTS:
+        for n in DISCRETE_TEXT_NS:
+            path = simulate(params, n, rng, start)
+            for text in (discrete_csv_text(path), discrete_json_text(path)):
+                h.update(text.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("direction, a", list(DISCRETE_TEXT_DIGESTS))
+def test_discrete_texts(direction, a):
+    """The CSV and JSON texts of forward and reversed paths, byte for
+    byte, from negative and large start indices, one value up."""
+    assert discrete_text_digest(direction, a) \
+        == DISCRETE_TEXT_DIGESTS[direction, a]
+
+
+def dehaan_digest(window: tuple[int, int]) -> str:
+    sampler = SpectralSampler.decay(0.3, window, GeometricMixing())
+    bound = spectral_bound(sampler)
+    rng = RngState(61, DEHAAN_WINDOWS.index(window))
+    arrays = []
+    for _ in range(DEHAAN_DRAWS):
+        arrays += [dehaan_max_stable(sampler, bound, rng).values,
+                   rng.uniform(size=PROBE)]
+    return _digest(arrays)
+
+
+@pytest.mark.parametrize("window", DEHAAN_WINDOWS)
+def test_dehaan_draws(window):
+    """De Haan windows and the stream position after each: the block
+    sizes the draw is made in move no bit."""
+    assert dehaan_digest(window) == DEHAAN_DIGESTS[window]
 
 
 def _mc_sizes(query: ConditionalQuery) -> list[int]:
