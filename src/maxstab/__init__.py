@@ -29,10 +29,10 @@ _EXPORTS = {
         "simulate_moving_max_reversed", "path_value", "sample_grid"),
     "distributions": (
         "RngState", "frechet_cdf", "frechet_quantile", "frechet_sample"),
+    "law": ("Direction", "MaxARParams", "kernel_cdf", "bivariate_cdf"),
     "maxar": (
-        "Direction", "MaxARParams", "DiscretePath", "simulate_forward",
-        "simulate_reversed", "reverse_path", "kernel_cdf",
-        "kernel_sample_many", "bivariate_cdf"),
+        "DiscretePath", "simulate_forward", "simulate_reversed",
+        "reverse_path", "kernel_sample_many"),
     "serialize": (
         "format_float", "discrete_csv_text", "parse_discrete_csv",
         "discrete_json_text", "parse_discrete_json", "continuous_csv_text",

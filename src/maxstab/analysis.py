@@ -24,12 +24,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_positive, \
-    _check_positive_array, _check_unit, _integer, _quantiles, frechet_cdf, \
-    frechet_sample
-from .maxar import Direction, DiscretePath, MaxARParams, _RATIO_SLACK, \
-    _stationary_windows, bivariate_cdf, kernel_cdf, kernel_sample_many, \
-    reverse_path
+from .distributions import RngState, _check_positive_array, _integer, \
+    _quantiles, frechet_cdf, frechet_sample
+from .law import Direction, MaxARParams, _check_positive, _check_unit, \
+    bivariate_cdf, kernel_cdf
+from .maxar import DiscretePath, _RATIO_SLACK, _stationary_windows, \
+    kernel_sample_many, reverse_path
 
 # continuous is imported inside the functions that run its battery, so
 # that only a process verifying the continuous process loads it.

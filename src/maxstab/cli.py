@@ -9,7 +9,6 @@ produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -155,7 +154,8 @@ def cmd_kernel_cdf(a, direction, x, y):
 
 
 def _parse_query(text: str):
-    from maxstab.distributions import _check_unit
+    import json
+    from maxstab.law import _check_unit
 
     try:
         doc = json.loads(text)
@@ -220,6 +220,7 @@ def cmd_conditional(query_path, mc, seed):
               help="Discrete path file: JSON if named *.json, else CSV.")
 def cmd_identify(in_path):
     """Recover the dependence parameter and time direction from a path."""
+    import json
     text = _read_text(in_path)
     try:
         values = _cli.parse_discrete_json(text).values \

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import _INDEX_RULE, RngState, _check_count, \
-    _check_positive, _check_unit, _integer, _pairs
+from .distributions import _INDEX_RULE, RngState, _check_count, _integer, \
+    _pairs
+from .law import _check_positive, _check_unit
 from .spectral import _BLOCK_ELEMENTS, GeometricMixing, _decay_profile, \
     _onset_rows, _span
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_count, _check_positive, \
-    _pairs, frechet_sample
-from .maxar import Direction, DiscretePath, MaxARParams, _owned_path
+from .distributions import RngState, _check_count, _pairs, frechet_sample
+from .law import Direction, MaxARParams, _check_positive
+from .maxar import DiscretePath, _owned_path
 
 __all__ = list(_EXPORTS["continuous"])
 

@@ -15,12 +15,12 @@ bits do not depend on any rounding mode, libm or SIMD path.
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
 
 from . import _EXPORTS
+from .law import _check_positive
 
 __all__ = list(_EXPORTS["distributions"])
 
@@ -247,15 +247,6 @@ class RngState:
         return -np.log(u)
 
 
-def _check_positive(name: str, value: float) -> float:
-    """value as a float, refusing every value that is not finite and
-    positive."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive")
-    return value
-
-
 def _check_positive_array(name: str, values) -> np.ndarray:
     """values as a float64 array, refusing it when any entry is not finite
     and positive; an empty array passes."""
@@ -263,15 +254,6 @@ def _check_positive_array(name: str, values) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError(f"{name} must be finite and positive")
     return arr
-
-
-def _check_unit(name: str, value: float) -> float:
-    """value as a float, refusing every value outside [0, 1], NaN
-    included."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return value
 
 
 def frechet_cdf(y, scale: float = 1.0):

@@ -11,59 +11,17 @@ probability a.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 
 import numpy as np
 
 from . import _EXPORTS
 from .distributions import _SPLIT_WORDS, RngState, _both, \
-    _check_positive, _check_positive_array, _check_unit, _integer
+    _check_positive_array, _integer
+from .law import Direction, MaxARParams
 
 __all__ = list(_EXPORTS["maxar"])
-
-
-class Direction(str, Enum):
-    FORWARD = "forward"
-    REVERSED = "reversed"
-
-
-@dataclass(frozen=True)
-class MaxARParams:
-    """Dependence parameter and time direction of a max-AR(1) chain.
-
-    a = 0 is an i.i.d. sequence and a = 1 a constant path; both are their
-    own time reversal, so a reversed direction with a in {0, 1} is
-    canonicalized to forward with a warning.
-    """
-
-    a: float
-    direction: Direction = Direction.FORWARD
-
-    def __post_init__(self):
-        a = _check_unit("a", self.a) + 0.0  # -0.0 is stored as +0.0
-        object.__setattr__(self, "a", a)
-        direction = Direction(self.direction)
-        if direction is Direction.REVERSED and a in (0.0, 1.0):
-            warnings.warn(
-                "reversed direction with a in {0, 1} equals the forward chain; "
-                "canonicalizing to forward",
-                stacklevel=3,
-            )
-            direction = Direction.FORWARD
-        object.__setattr__(self, "direction", direction)
-
-    def reversed(self) -> MaxARParams:
-        """The chain read backwards: the other direction, or self at a in
-        {0, 1}, which are their own time reversal."""
-        if self.a in (0.0, 1.0):
-            return self
-        return MaxARParams(self.a, Direction.REVERSED
-                           if self.direction is Direction.FORWARD
-                           else Direction.FORWARD)
 
 
 _RATIO_SLACK = 1e-9
@@ -308,28 +266,6 @@ def simulate_reversed(params: MaxARParams, n: int, rng: RngState,
     return _draw_path(MaxARParams(params.a).reversed(), n, rng, start_index)
 
 
-def kernel_cdf(params: MaxARParams, x: float, y: float) -> float:
-    """One-step transition CDF in closed form.
-
-    Forward: probability that the next value is <= y given the current value
-    x; equals 0 for y < a*x and exp(-(1-a)/y) on y >= a*x (the atom at a*x
-    is included at the jump).  Reversed: the roles follow the dual kernel,
-    current value y and next value x, giving (1-a)*exp(a/y - 1/x) for
-    x < y/a and 1 beyond the atom at y/a.
-    """
-    x = _check_positive("x", x)
-    y = _check_positive("y", y)
-    a = params.a
-    if params.direction is Direction.FORWARD:
-        if y < a * x:
-            return 0.0
-        return math.exp(-(1.0 - a) / y)
-    # reversed: a in (0, 1) after canonicalization
-    if x >= y / a:
-        return 1.0
-    return (1.0 - a) * math.exp(a / y - 1.0 / x)
-
-
 def kernel_sample_many(params: MaxARParams, current: np.ndarray,
                        rng: RngState) -> np.ndarray:
     """Draw the next value of the chain from each current value by
@@ -351,17 +287,3 @@ def kernel_sample_many(params: MaxARParams, current: np.ndarray,
         continuous = 1.0 / (a / current - np.log(u / (1.0 - a)))
     return np.where(u >= 1.0 - a, hold, continuous)
 
-
-def bivariate_cdf(params: MaxARParams, x: float, y: float) -> float:
-    """Joint CDF of two consecutive stationary values.
-
-    Forward: P[X(t) <= x, X(t+1) <= y] = exp(-max(1/x, a/y) - (1-a)/y).
-    Reversed: consecutive reversed values are the forward pair read
-    backwards, so the same expression applies with arguments swapped.
-    """
-    x = _check_positive("x", x)
-    y = _check_positive("y", y)
-    a = params.a
-    if params.direction is Direction.REVERSED:
-        x, y = y, x
-    return math.exp(-max(1.0 / x, a / y) - (1.0 - a) / y)

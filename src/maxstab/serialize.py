@@ -9,12 +9,14 @@ representation for the same guarantee.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
 from . import _EXPORTS
 from .distributions import _check_key
-from .maxar import DiscretePath, MaxARParams
+from .law import MaxARParams
+from .maxar import DiscretePath
 
 # continuous is imported only by the two functions that evaluate or build
 # a continuous path, so discrete paths never load it.
@@ -65,10 +67,12 @@ def _named(name: str, build, *args):
 
 
 def discrete_csv_text(path: DiscretePath) -> str:
-    lines = [DISCRETE_CSV_HEADER]
-    for t, v in zip(path.times, path.values):
-        lines.append(f"{int(t)},{format_float(v)}")
-    return "\n".join(lines) + "\n"
+    """The header and a row t,value per value, the value as format_float
+    writes it, all formatted at once."""
+    start = path.start_index
+    rows = zip(range(start, start + len(path)), path.values.tolist())
+    return f"{DISCRETE_CSV_HEADER}\n" + "%d,%.17g\n" * len(path) \
+        % tuple(chain.from_iterable(rows))
 
 
 def _data_rows(text: str, header: str) -> tuple[list[int], list[str]]:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .distributions import _INDEX_RULE, RngState, _check_count, \
-    _check_positive, _check_positive_array, _check_unit, _integer
+    _check_positive_array, _integer
+from .law import _check_positive, _check_unit
 
 __all__ = list(_EXPORTS["spectral"])
 
@@ -408,10 +409,12 @@ def exponent_rectangle(functional: ExponentFunctional, points) -> float:
     return float(weights @ terms)
 
 
-# Points per block of the de Haan sampler: the first block is small, since
-# narrow windows stop after a handful of points, and each later block is
-# twice the last, up to a cap of _BLOCK_ELEMENTS window values.  The
-# conditional Monte Carlo draws its onsets in blocks of that many values.
+# Points per block of the de Haan sampler: the first block holds twice the
+# bound's points, and at least _FIRST_BLOCK, since a draw stops once
+# bound / Gamma_k falls below the window's running minimum, which takes
+# about that many points; each later block is twice the last, up to a cap
+# of _BLOCK_ELEMENTS window values.  The conditional Monte Carlo draws its
+# onsets in blocks of that many values.
 _FIRST_BLOCK = 8
 _BLOCK_ELEMENTS = 1 << 16
 
@@ -458,7 +461,7 @@ def dehaan_max_stable(sampler: SpectralSampler, bound: float,
     floor = 0.0
     gamma = 0.0  # running sum of the unit exponentials behind the marks
     drawn = 0
-    block = _FIRST_BLOCK
+    block = max(_FIRST_BLOCK, int(2 * bound))
     cap = max(1, _BLOCK_ELEMENTS // sampler.length)
     while drawn < max_points:
         size = min(block, cap, max_points - drawn)

@@ -7,6 +7,7 @@ exits 4.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -737,8 +738,8 @@ RUN_AS_MAIN = (
     "    print(*sorted(sys.modules), file=sys.stderr)\n")
 
 PACKAGE_MODULES = {"maxstab." + m for m in (
-    "analysis", "cli", "conditional", "continuous", "distributions", "maxar",
-    "serialize", "spectral")}
+    "analysis", "cli", "conditional", "continuous", "distributions", "law",
+    "maxar", "serialize", "spectral")}
 
 
 class TestFreshProcessLoads:
@@ -767,12 +768,24 @@ class TestFreshProcessLoads:
             PACKAGE_MODULES - {"maxstab.cli"}
         assert loaded == [] and mismatched == []
 
+    def test_closed_forms_load_no_numpy(self):
+        result = run_fresh(
+            "import sys, maxstab\n"
+            "params = maxstab.MaxARParams(0.5).reversed()\n"
+            "print(maxstab.kernel_cdf(params, 1.0, 1.0),\n"
+            "      maxstab.bivariate_cdf(params, 1.0, 2.0), params.direction)\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.startswith(('maxstab', 'numpy'))))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            f"{0.5 * math.exp(-0.5)} {math.exp(-1.0)} Direction.REVERSED",
+            "maxstab maxstab.law"]
+
     @pytest.mark.parametrize("args,needed,unloaded", [
         (["--help"], {"click"}, PACKAGE_MODULES | {"numpy"}),
         (["kernel-cdf", "--a", "0.5", "--x", "1", "--y", "1"],
-         {"maxstab.maxar"},
-         {"maxstab.analysis", "maxstab.conditional", "maxstab.spectral",
-          "maxstab.serialize", "numpy.random"}),
+         {"maxstab.law"},
+         PACKAGE_MODULES - {"maxstab.law"} | {"numpy", "json"}),
         (["simulate-discrete", "--a", "0.5", "--n", "100",
           "--out", "{tmp}/d.csv"],
          {"maxstab.maxar", "maxstab.serialize"},

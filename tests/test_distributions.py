@@ -23,7 +23,8 @@ from maxstab import (
     simulate_moving_max,
 )
 from maxstab.distributions import _check_count, _check_positive_array, \
-    _check_unit, _quantiles
+    _quantiles
+from maxstab.law import _check_unit
 
 E_INV = 0.36787944117144233
 

@@ -10,8 +10,8 @@ import pytest
 import maxstab
 
 MODULES = (maxstab.analysis, maxstab.conditional, maxstab.continuous,
-           maxstab.distributions, maxstab.maxar, maxstab.serialize,
-           maxstab.spectral)
+           maxstab.distributions, maxstab.law, maxstab.maxar,
+           maxstab.serialize, maxstab.spectral)
 
 
 def test_all_is_union_of_module_lists():

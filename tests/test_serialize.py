@@ -121,6 +121,17 @@ class TestDiscreteCsv:
         assert start == 2**63 - 1
         assert values.tolist() == [1.0, 2.5]
 
+    @pytest.mark.parametrize("start", [2**63 - 2, 2**64])
+    def test_written_indices_beyond_int64(self, start):
+        """Indices count on past int64 as integers, and read back."""
+        path = simulate_forward(MaxARParams(0.5), 3, RngState(122), start)
+        rows = discrete_csv_text(path).splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == \
+            [start, start + 1, start + 2]
+        read_start, values = parse_discrete_csv("\n".join(["t,value", *rows]))
+        assert read_start == start
+        assert np.array_equal(values, path.values)
+
 
 class TestDiscreteJson:
     def test_round_trip(self, discrete_path):

@@ -27,8 +27,8 @@ from maxstab import (
     spectral_mean,
 )
 import maxstab.spectral
-from maxstab.spectral import _FIRST_BLOCK, _decay_profile, _onset_rows, \
-    _spectral_rows, _support_rows
+from maxstab.spectral import _BLOCK_ELEMENTS, _FIRST_BLOCK, _decay_profile, \
+    _onset_rows, _spectral_rows, _support_rows
 
 UNIFORM5 = FiniteMixing({n: 1.0 for n in range(-2, 3)})
 
@@ -755,10 +755,12 @@ class TestDehaanBlocks:
         """Wide windows under geometric mixing take thousands of points."""
         sampler = SpectralSampler.decay(0.3, (0, 10), GeometricMixing())
         bound = spectral_bound(sampler)
-        _, marks = loop_dehaan(sampler, bound, RngState(60, 0))
-        assert marks > 7 * _FIRST_BLOCK  # into the fourth block
-        assert dehaan_outcome(dehaan_max_stable, sampler, bound, 0) \
-            == dehaan_outcome(loop_dehaan, sampler, bound, 0)
+        _, marks = loop_dehaan(sampler, bound, RngState(60, 9))
+        cap = _BLOCK_ELEMENTS // sampler.length
+        first = min(max(_FIRST_BLOCK, int(2 * bound)), cap)
+        assert marks > first + cap  # into the third block
+        assert dehaan_outcome(dehaan_max_stable, sampler, bound, 9) \
+            == dehaan_outcome(loop_dehaan, sampler, bound, 9)
 
     @pytest.mark.parametrize("sampler", [
         SpectralSampler.constant((0, 3)),
