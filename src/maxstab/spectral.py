@@ -409,12 +409,10 @@ def exponent_rectangle(functional: ExponentFunctional, points) -> float:
     return float(weights @ terms)
 
 
-# Points per block of the de Haan sampler: the first block holds twice the
-# bound's points, and at least _FIRST_BLOCK, since a draw stops once
-# bound / Gamma_k falls below the window's running minimum, which takes
-# about that many points; each later block is twice the last, up to a cap
-# of _BLOCK_ELEMENTS window values.  The conditional Monte Carlo draws its
-# onsets in blocks of that many values.
+# Points per block of the de Haan sampler: the first holds max(_FIRST_BLOCK,
+# 2 * bound), about what a draw takes, and each later one twice the last, up
+# to a cap of _BLOCK_ELEMENTS window values.  The conditional Monte Carlo
+# draws its onsets in blocks of that many values.
 _FIRST_BLOCK = 8
 _BLOCK_ELEMENTS = 1 << 16
 
