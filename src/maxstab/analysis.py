@@ -24,10 +24,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_positive_array, _integer, \
-    _quantiles, frechet_cdf, frechet_sample
+from .distributions import RngState, _array, _check_count, \
+    _check_positive_array, _integer, _quantiles, frechet_cdf, frechet_sample
 from .law import Direction, MaxARParams, _check_positive, _check_unit, \
-    bivariate_cdf, kernel_cdf
+    _number, bivariate_cdf, kernel_cdf
 from .maxar import DiscretePath, _RATIO_SLACK, _stationary_windows, \
     kernel_sample_many, reverse_path
 
@@ -129,6 +129,7 @@ class KsResult(NamedTuple):
 def ks_critical_value(level: float) -> float:
     """Asymptotic Kolmogorov-Smirnov critical constant: the statistic
     threshold is this value divided by sqrt(effective n)."""
+    level = _number("level", level)
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     return math.sqrt(-0.5 * math.log(level / 2.0))
@@ -137,21 +138,21 @@ def ks_critical_value(level: float) -> float:
 _KS_MIN_VALUES = 30
 
 
-def _ks_sample(values) -> np.ndarray:
-    """values sorted as float64, refusing a sample of fewer than
-    _KS_MIN_VALUES values or with a value that is not finite."""
-    x = np.sort(np.asarray(values, dtype=np.float64))
-    if x.size < _KS_MIN_VALUES:
-        raise ValueError(f"need at least {_KS_MIN_VALUES} values")
+def _ks_sample(name: str, values) -> np.ndarray:
+    """values sorted as float64, refusing, by name, a sample that is not
+    1-d of _KS_MIN_VALUES values or more, or not finite."""
+    x = _array(name, values)
+    if x.ndim != 1 or x.size < _KS_MIN_VALUES:
+        raise ValueError(f"need at least {_KS_MIN_VALUES} values in 1-d {name}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("values must be finite")
-    return x
+        raise ValueError(f"{name} must be finite")
+    return np.sort(x)
 
 
 def ks_one_sample(values, cdf: Callable, level: float = 0.01) -> KsResult:
     """Sup distance between the empirical CDF of an i.i.d. sample and a
     target CDF, with the asymptotic threshold at the given level."""
-    x = _ks_sample(values)
+    x = _ks_sample("values", values)
     n = x.size
     f = np.asarray(cdf(x), dtype=np.float64)
     steps = np.arange(1, n + 1) / n
@@ -163,7 +164,7 @@ def ks_one_sample(values, cdf: Callable, level: float = 0.01) -> KsResult:
 def ks_two_sample(x, y, level: float = 0.01) -> KsResult:
     """Sup distance between two empirical CDFs with the asymptotic
     two-sample threshold."""
-    x, y = _ks_sample(x), _ks_sample(y)
+    x, y = _ks_sample("x", x), _ks_sample("y", y)
     n, m = x.size, y.size
     pooled = np.concatenate([x, y])
     fx = np.searchsorted(x, pooled, side="right") / n
@@ -175,8 +176,8 @@ def ks_two_sample(x, y, level: float = 0.01) -> KsResult:
 
 def _as_values(path) -> np.ndarray:
     if isinstance(path, DiscretePath):
-        return np.asarray(path.values, dtype=np.float64)
-    values = np.asarray(path, dtype=np.float64)
+        return path.values
+    values = _array("values", path)
     if values.ndim != 1:
         raise ValueError("expected a 1-d array of values")
     return _check_positive_array("values", values)
@@ -290,7 +291,8 @@ def independence_test(pairs, level: float = 0.01) -> EmpiricalReport:
     grid of 20 quantiles.  Constant coordinates make the test inapplicable
     and are flagged rather than decided.
     """
-    arr = np.asarray(pairs, dtype=np.float64)
+    arr = _array("pairs", pairs)
+    level = _number("level", level)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be an (n, 2) array")
     if arr.shape[0] < 1000:
@@ -412,11 +414,14 @@ def equilibrium_check(a: float, n: int, rng: RngState,
     empirical CDF error bound sqrt(1/4n) applies exactly.
     """
     n = _integer(n, "n must be an integer of at least 1000", 1000)
+    _check_count(n, f"n = {n:,} pairs is", "use fewer pairs")
+    a = _number("a", a)
     if not 0.0 < a < 1.0:
         raise ValueError("the two-sided comparison needs a strictly inside (0, 1)")
-    grid = tuple(grid)
-    if not grid:
+    grid = _number("grid", grid, tuple)
+    if not [_check_positive("grid", u) for u in grid]:
         raise ValueError("grid must be nonempty")
+    tolerance = _number("tolerance", tolerance)
     params = MaxARParams(a, Direction.FORWARD)
     reversed_params = params.reversed()
     report = EmpiricalReport(params={"a": a, "n": n, "grid": list(grid),
@@ -462,15 +467,16 @@ class BatterySizes:
 
     def __post_init__(self):
         for field in fields(self):
-            size = getattr(self, field.name)
+            rule = f"battery size {field.name} must be"
+            size = _integer(getattr(self, field.name), f"{rule} an integer")
             least = _MIN_SIZES.get(field.name, 1)
-            need = "positive" if size < 1 else \
-                f"at least {least}" if size < least else "an integer"
-            object.__setattr__(self, field.name, _integer(
-                size, f"battery size {field.name} must be {need}", least))
+            need = "positive" if size < 1 else f"at least {least}"
+            object.__setattr__(self, field.name,
+                               _integer(size, f"{rule} {need}", least))
 
     def scaled(self, n: int) -> "BatterySizes":
         """Derive all sizes from one base count n."""
+        n = _integer(n, "battery size transitions must be an integer")
         return replace(
             self,
             marginal=max(1000, n // 5),

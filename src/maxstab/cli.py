@@ -186,12 +186,12 @@ def _parse_query(text: str):
     try:
         query = _cli.ConditionalQuery(tuple(cond),
                                       tuple(map(tuple, targets)))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(
             f"query fields 'conditioning'/'targets': {exc}") from exc
     try:
         a = _check_unit("a", doc["a"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"query field 'a': {exc}") from exc
     return query, a
 

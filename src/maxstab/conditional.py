@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import _INDEX_RULE, RngState, _check_count, _integer, \
-    _pairs
+from .distributions import RngState, _check_count, _index, _integer, _pairs
 from .law import _check_positive, _check_unit
 from .spectral import _BLOCK_ELEMENTS, GeometricMixing, _decay_profile, \
     _onset_rows, _span
@@ -47,9 +46,9 @@ class ConditionalQuery:
     def __post_init__(self):
         t0, z0 = _pairs("conditioning", [self.conditioning])[0]
         object.__setattr__(self, "conditioning", (
-            _integer(t0, _INDEX_RULE),
+            _index("conditioning", t0),
             _check_positive("conditioning level", z0)))
-        targets = tuple((_integer(t, _INDEX_RULE),
+        targets = tuple((_index("targets", t),
                          _check_positive("target levels", z))
                         for t, z in _pairs("each target", self.targets))
         if not targets:

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import RngState, _check_count, _pairs, frechet_sample
-from .law import Direction, MaxARParams, _check_positive
+from .distributions import RngState, _array, _check_count, _pairs, \
+    frechet_sample
+from .law import Direction, MaxARParams, _check_positive, _number
 from .maxar import DiscretePath, _owned_path
 
 __all__ = list(_EXPORTS["continuous"])
@@ -34,14 +35,14 @@ class ShapeFunction:
     direction: Direction = Direction.FORWARD
 
     def __post_init__(self):
-        a = float(self.a)
+        a = _number("a", self.a)
         if not (0.0 < a < 1.0):
-            raise ValueError("shape decay rate must lie strictly inside (0, 1)")
+            raise ValueError("shape decay rate a must lie in (0, 1)")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "direction", Direction(self.direction))
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=np.float64)
+        arr = _array("t", t)
         rate = -math.log(self.a)
         if self.direction is Direction.FORWARD:
             out = np.where(arr >= 0, rate * self.a ** arr, 0.0)
@@ -76,21 +77,21 @@ class CadlagPath:
     seed: tuple[int, int] | None = None
 
     def __post_init__(self):
-        a = float(self.a)
+        a = _number("a", self.a)
         if not (0.0 < a <= 1.0):
             raise ValueError("a must lie in (0, 1]")
         object.__setattr__(self, "a", a)
-        t0, t1 = map(float, _pairs("window", [self.window])[0])
+        t0, t1 = (_number("window", end)
+                  for end in _pairs("window", [self.window])[0])
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
             raise ValueError("window must be a nondegenerate finite interval")
         object.__setattr__(self, "window", (t0, t1))
         anchor = _check_positive("anchor_value", self.anchor_value)
         object.__setattr__(self, "anchor_value", anchor)
         try:
-            events = np.asarray(self.events, np.float64)
-        except (TypeError, ValueError) as error:
-            # numpy refuses a ragged list, and a dict or a generator whole
-            if "inhomogeneous" not in str(error) and np.ndim(self.events):
+            events = _array("events", self.events)
+        except ValueError as error:  # numpy refuses a ragged list whole
+            if "inhomogeneous" not in str(error):
                 raise
             events = np.empty(())
         if events.shape[1:] != (2,) and events.shape != (0,):  # (0,) is []
@@ -131,7 +132,7 @@ class CadlagPath:
 def path_value(path: CadlagPath, t: float) -> float:
     """Value at time t in the window; right-continuous at events, with the
     window end evaluated as a left limit (no event ever sits there)."""
-    t = float(t)
+    t = _number("t", t)
     t0, t1 = path.window
     if not (t0 <= t <= t1):
         raise ValueError(f"t={t} outside window [{t0}, {t1}]")
@@ -181,7 +182,7 @@ def _jump_chain(a: float, length: float, count: int, rng: RngState):
     while left := count - len(starts) + (t < length):
         events = left * length * rate
         _check_count(events, f"the jump chain expects {events:.8g} events,",
-                     "draw a shorter window or fewer")
+                     "draw a shorter length or fewer windows")
         block = rng._peek(2 * min(
             int(left + events + 4.0 * math.sqrt(events)) + 8, _BLOCK_PAIRS))
         logs = -np.log(block)
@@ -246,7 +247,7 @@ def _replicate_values(shape: ShapeFunction, length: float, times,
 
 def _window_path(a: float, direction: Direction, length: float,
                  rng: RngState) -> CadlagPath:
-    a = float(a)
+    a = _number("a", a)
     length = _check_positive("length", length)
     if a == 0.0:
         raise ValueError(
@@ -297,7 +298,7 @@ def sample_grid(path: CadlagPath, epsilon: float) -> DiscretePath:
     the window end uses the left-limit value there.  A grid of more points
     than the size cap is refused.
     """
-    epsilon = float(epsilon)
+    epsilon = _number("epsilon", epsilon)
     t0, t1 = path.window
     if not (0.0 < epsilon <= t1 - t0):
         raise ValueError("epsilon must lie in (0, window length]")

@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from . import _EXPORTS
-from .law import _check_positive
+from .law import _check_positive, _number
 
 __all__ = list(_EXPORTS["distributions"])
 
@@ -75,7 +75,6 @@ def _both(first, second):
         later.exception()  # waits for second when first raised
 
 
-_INDEX_RULE = "indices must be integers within int64"
 _MAX_COUNT = 10**7  # the most values, draws or events one call may make
 
 
@@ -84,8 +83,6 @@ def _integer(value, rule: str, least: int | None = None,
     """value as an int when it equals one (a Python or numpy integer or an
     integral float) in [least, below); any other value, NaN, inf, strings
     and None included, raises ValueError saying ``rule`` and the value."""
-    if rule is _INDEX_RULE:  # indices enter int64 arithmetic
-        least, below = -2**63, 2**63
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -97,6 +94,13 @@ def _integer(value, rule: str, least: int | None = None,
     return number
 
 
+def _index(name: str, value) -> int:
+    """value as an index, which enters int64 arithmetic: any other value
+    raises ValueError saying so and the value, naming the field."""
+    return _number(name, value, lambda v: _integer(
+        v, "indices must be integers within int64", -2**63, 2**63))
+
+
 def _check_count(count, lead: str, advice: str) -> None:
     """Refuse, before any work, a count that is not at most _MAX_COUNT,
     NaN included: ValueError "<lead> more than <the cap>; <advice>"."""
@@ -105,13 +109,13 @@ def _check_count(count, lead: str, advice: str) -> None:
 
 
 def _pairs(name: str, items) -> tuple:
-    """items as a tuple of pairs; an item of another length, or of none,
-    raises ValueError naming the field."""
-    items = tuple(items)
+    """items as a tuple of pairs; items that are no sequence, or an item
+    of another length or of none, raise ValueError naming the field."""
     try:
+        items = tuple(items)
         if set(map(len, items)) <= {2}:
             return items
-    except TypeError:  # an item with no length
+    except TypeError:  # no sequence, or an item with no length
         pass
     raise ValueError(f"{name} must be a pair")
 
@@ -230,7 +234,7 @@ class RngState:
         have read, so the stream position never depends on the block size.
         The view must not be written to.
         """
-        n = _integer(size, "size must be a nonnegative integer", 0)
+        n = _integer(size, "size must be a nonnegative int64", 0, 2**63)
         if self._buf.size - self._pos < n:
             self._refill(n - (self._buf.size - self._pos))
         return self._buf[self._pos:self._pos + n]
@@ -247,10 +251,16 @@ class RngState:
         return -np.log(u)
 
 
+def _array(name: str, values, convert=np.asarray) -> np.ndarray:
+    """convert(values, dtype=np.float64), np.array to copy, by law's rule
+    for a number: an entry that holds no number raises naming the field."""
+    return _number(name, values, lambda v: convert(v, dtype=np.float64))
+
+
 def _check_positive_array(name: str, values) -> np.ndarray:
     """values as a float64 array, refusing it when any entry is not finite
     and positive; an empty array passes."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _array(name, values)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError(f"{name} must be finite and positive")
     return arr
@@ -274,7 +284,7 @@ def frechet_cdf(y, scale: float = 1.0):
 def frechet_quantile(p, scale: float = 1.0):
     """Inverse CDF: -scale/log(p) for p strictly inside (0, 1)."""
     c = _check_positive("scale", scale)
-    arr = np.asarray(p, dtype=np.float64)
+    arr = _array("p", p)
     if not np.all((arr > 0) & (arr < 1)):
         raise ValueError("p must lie strictly inside (0, 1)")
     out = -c / np.log(arr)

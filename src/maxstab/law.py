@@ -4,6 +4,7 @@ each one exponential.  It needs no numpy, so evaluating it loads no
 other module of the package."""
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -13,19 +14,26 @@ from . import _EXPORTS
 __all__ = list(_EXPORTS["law"])
 
 
+def _number(name: str, value, convert=float):
+    """convert(value), float by default; its TypeError, ValueError or
+    OverflowError is raised as ValueError "<message>, in field '<name>'"."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{exc}, in field {name!r}") from exc
+
+
 def _check_positive(name: str, value: float) -> float:
-    """value as a float, refusing every value that is not finite and
-    positive."""
-    value = float(value)
+    """value as a float, refused unless it is finite and positive."""
+    value = _number(name, value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive")
     return value
 
 
 def _check_unit(name: str, value: float) -> float:
-    """value as a float, refusing every value outside [0, 1], NaN
-    included."""
-    value = float(value)
+    """value as a float, refused outside [0, 1], NaN included."""
+    value = _number(name, value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1]")
     return value
@@ -53,10 +61,15 @@ class MaxARParams:
         object.__setattr__(self, "a", a)
         direction = Direction(self.direction)
         if direction is Direction.REVERSED and a in (0.0, 1.0):
+            # warn at the first caller outside the package; __init__'s is 3
+            frame, level = sys._getframe(2), 3
+            while frame.f_globals.get("__package__") == __package__ \
+                    and frame.f_back:
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 "reversed direction with a in {0, 1} equals the forward chain; "
                 "canonicalizing to forward",
-                stacklevel=3,
+                stacklevel=level,
             )
             direction = Direction.FORWARD
         object.__setattr__(self, "direction", direction)

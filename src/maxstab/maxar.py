@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import _SPLIT_WORDS, RngState, _both, \
+from .distributions import _SPLIT_WORDS, RngState, _array, _both, \
     _check_positive_array, _integer
 from .law import Direction, MaxARParams
 
@@ -50,15 +50,11 @@ class DiscretePath:
 
     def __post_init__(self):
         object.__setattr__(self, "values",
-                           np.array(self.values, dtype=np.float64))
+                           _array("values", self.values, np.array))
         _check_path(self)
 
     def __len__(self) -> int:
         return self.values.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.start_index + np.arange(self.values.size)
 
     def ratios(self) -> np.ndarray:
         if self.values.size < 2:
@@ -239,8 +235,8 @@ def _draw_path(params: MaxARParams, n, rng: RngState,
     """One scan of n stationary forward values, read forwards or, for a
     reversed chain, backwards, and checked once against the one-step bound
     of params' direction."""
-    values = _stationary_windows(
-        params.a, _integer(n, "n must be a positive integer", 1), 1, rng)[0]
+    n = _integer(n, "n must be a positive integer below 2**63", 1, 2**63)
+    values = _stationary_windows(params.a, n, 1, rng)[0]
     if params.direction is Direction.REVERSED:
         values = values[::-1]
     return _owned_path(start_index, values, params, (rng.seed, rng.stream))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .distributions import _check_key
-from .law import MaxARParams
+from .law import MaxARParams, _number
 from .maxar import DiscretePath
 
 # continuous is imported only by the two functions that evaluate or build
@@ -28,7 +28,7 @@ CONTINUOUS_CSV_HEADER = "time,value,is_event"
 
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(_number("x", x), ".17g")
 
 
 def _seed_field(seed):
@@ -55,15 +55,6 @@ def _fields(text: str, kind: str, names: tuple) -> tuple[dict, list]:
         if name not in doc:
             raise ValueError(f"{name!r}: missing field")
     return doc, [doc[name] for name in names]
-
-
-def _named(name: str, build, *args):
-    """build(*args), whose TypeError, a field that holds no number where
-    one is due, is raised as ValueError naming the field."""
-    try:
-        return build(*args)
-    except TypeError as exc:
-        raise ValueError(f"{exc}, in field {name!r}") from exc
 
 
 def discrete_csv_text(path: DiscretePath) -> str:
@@ -159,11 +150,8 @@ def parse_discrete_json(text: str) -> DiscretePath:
     ValueError naming the field."""
     doc, (start, values, a, direction) = _fields(
         text, "discrete-path", ("start_index", "values", "a", "direction"))
-    # each TypeError has one source: a in MaxARParams, the values in
-    # DiscretePath
-    params = _named("a", MaxARParams, a, direction)
-    return _named("values", DiscretePath, start, values, params,
-                  _parse_seed(doc.get("seed")))
+    return DiscretePath(start, values, MaxARParams(a, direction),
+                        _parse_seed(doc.get("seed")))
 
 
 def continuous_csv_text(path: CadlagPath) -> str:
@@ -227,15 +215,5 @@ def parse_continuous_json(text: str) -> CadlagPath:
     doc, (a, direction, window, anchor, events) = _fields(
         text, "continuous-path",
         ("a", "direction", "window", "anchor_value", "events"))
-    seed = _parse_seed(doc.get("seed"))
-    try:
-        return CadlagPath(a, direction, window, anchor, events, seed)
-    except TypeError as exc:
-        # CadlagPath reads a, the window's two ends and the anchor value
-        # with float(), in turn, and then the events: name the first field
-        # in which it found no number
-        _named("a", float, a)
-        for end in window:  # a pair, once a is read
-            _named("window", float, end)
-        _named("anchor_value", float, anchor)
-        raise ValueError(f"{exc}, in field 'events'") from exc
+    return CadlagPath(a, direction, window, anchor, events,
+                      _parse_seed(doc.get("seed")))

@@ -26,9 +26,9 @@ from enum import Enum
 import numpy as np
 
 from . import _EXPORTS
-from .distributions import _INDEX_RULE, RngState, _check_count, \
-    _check_positive_array, _integer
-from .law import _check_positive, _check_unit
+from .distributions import RngState, _array, _check_count, \
+    _check_positive_array, _index, _integer, _pairs
+from .law import _check_positive, _check_unit, _number
 
 __all__ = list(_EXPORTS["spectral"])
 
@@ -45,24 +45,19 @@ class IndexedPath:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _array("values", self.values, np.array)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError("values must be finite and nonnegative")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "start", _integer(self.start, _INDEX_RULE))
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.start + np.arange(self.values.size)
+        object.__setattr__(self, "start", _index("start", self.start))
 
     def value_at(self, t: int) -> float:
-        k = _integer(t, _INDEX_RULE) - self.start
+        k = _index("t", t) - self.start
         if not 0 <= k < self.values.size:
-            raise ValueError(f"index {t} outside [{self.start}, "
+            raise ValueError(f"t={t} outside [{self.start}, "
                              f"{self.start + self.values.size - 1}]")
         return float(self.values[k])
 
@@ -73,11 +68,11 @@ class _Mixing:
     def pmf(self, n):
         """Mass at the integer n (a float) or at each integer of an array,
         both by the same array path, so they agree bit for bit.  An index
-        that _integer refuses, a uint64 one included, raises ValueError."""
+        that _index refuses, a uint64 one included, raises ValueError."""
         arr = np.asarray(n)
         if arr.dtype.kind != "i":
             for k in arr.ravel().tolist():
-                _integer(k, _INDEX_RULE)
+                _index("n", k)
         masses = self._masses(np.atleast_1d(np.asarray(arr, dtype=np.int64)))
         return float(masses[0]) if np.ndim(n) == 0 else masses
 
@@ -95,7 +90,7 @@ class GeometricMixing(_Mixing):
     ratio: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.ratio < 1.0):
+        if not (0.0 < _number("ratio", self.ratio) < 1.0):
             raise ValueError("ratio must lie strictly inside (0, 1)")
 
     @property
@@ -130,9 +125,10 @@ class FiniteMixing(_Mixing):
     weights: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        items = [(_integer(n, _INDEX_RULE), float(w)) for n, w in
-                 (self.weights.items() if isinstance(self.weights, dict)
-                  else self.weights)]
+        items = [(_index("weights", n), _number("weights", w))
+                 for n, w in _pairs("each weight", self.weights.items()
+                                    if isinstance(self.weights, dict)
+                                    else self.weights)]
         if not items:
             raise ValueError("weights must be nonempty")
         items.sort()
@@ -184,8 +180,8 @@ class SpectralSampler:
     mixing: GeometricMixing | FiniteMixing | None = None
 
     def __post_init__(self):
-        lo, hi = (_integer(self.window[0], _INDEX_RULE),
-                  _integer(self.window[1], _INDEX_RULE))
+        lo, hi = (_index("window", end)
+                  for end in _pairs("window", [self.window])[0])
         if lo > hi:
             raise ValueError("window must be a nonempty integer interval")
         # a finite mixing's support table holds one window row per onset
@@ -206,22 +202,22 @@ class SpectralSampler:
             if self.a is not None:
                 raise ValueError("dirac sampler has no decay parameter")
             return
-        a = float(self.a) if self.a is not None else None
+        a = _number("a", self.a) if self.a is not None else None
         if a is None or not (0.0 < a < 1.0):
             raise ValueError("decay sampler needs a strictly inside (0, 1)")
         object.__setattr__(self, "a", a)
 
     @classmethod
     def constant(cls, window) -> "SpectralSampler":
-        return cls(SamplerKind.CONSTANT, tuple(window))
+        return cls(SamplerKind.CONSTANT, window)
 
     @classmethod
     def dirac(cls, window, mixing=None) -> "SpectralSampler":
-        return cls(SamplerKind.DIRAC, tuple(window), mixing=mixing)
+        return cls(SamplerKind.DIRAC, window, mixing=mixing)
 
     @classmethod
     def decay(cls, a: float, window, mixing=None) -> "SpectralSampler":
-        return cls(SamplerKind.DECAY, tuple(window), a=a, mixing=mixing)
+        return cls(SamplerKind.DECAY, window, a=a, mixing=mixing)
 
     @property
     def length(self) -> int:
@@ -281,7 +277,7 @@ def spectral_mean(sampler: SpectralSampler, t: int) -> float:
     construction uses as the marginal Frechet scale at t.
     """
     lo, hi = sampler.window
-    t = _integer(t, _INDEX_RULE)
+    t = _index("t", t)
     if not lo <= t <= hi:
         raise ValueError(f"t={t} outside the sampler window {sampler.window}")
     return float(_window_means(sampler)[t - lo])
@@ -325,8 +321,8 @@ class ExponentFunctional:
         a = _check_unit("a", self.a)
         object.__setattr__(self, "a", a)
         if self.shifts is not None:
-            shifts = tuple(sorted(_integer(n, _INDEX_RULE)
-                                  for n in self.shifts))
+            shifts = tuple(sorted(_index("shifts", n) for n in
+                                  _number("shifts", self.shifts, tuple)))
             if not shifts:
                 raise ValueError("shifts must be nonempty when given")
             if a == 1.0:
@@ -335,11 +331,11 @@ class ExponentFunctional:
 
 
 def _check_points(points) -> tuple[np.ndarray, np.ndarray]:
-    pts = list(points)
+    pts = _pairs("each point", points)
     if not pts:
         raise ValueError("points must be nonempty")
-    t = np.array([_integer(p[0], _INDEX_RULE) for p in pts], dtype=np.int64)
-    z = _check_positive_array("levels", [float(p[1]) for p in pts])
+    t = np.array([_index("points", t) for t, _ in pts], dtype=np.int64)
+    z = _check_positive_array("levels", [_number("levels", z) for _, z in pts])
     return t, z
 
 

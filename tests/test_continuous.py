@@ -289,6 +289,17 @@ class TestCadlagPath:
         assert built.direction is drawn.direction is Direction.FORWARD
         assert sample_grid(built, 0.5).values.tolist() == [1.5] * 5
 
+    @pytest.mark.parametrize("make", [
+        lambda: CadlagPath(1.0, "reversed", (0.0, 2.0), 1.5, ()),
+        lambda: simulate_moving_max_reversed(1.0, 1.0, RngState(67))],
+        ids=["built", "drawn"])
+    def test_canonicalization_warning_names_the_caller(self, make):
+        """The warning points at the first frame outside the package,
+        here this file, not at the package line that built the params."""
+        with pytest.warns(UserWarning) as record:
+            make()
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestPathValue:
     def test_anchor_at_start(self):

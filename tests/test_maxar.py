@@ -209,7 +209,7 @@ class TestMaxARParams:
 class TestDiscretePath:
     def test_times_and_len(self):
         path = DiscretePath(3, [1.0, 2.0, 1.5], FWD)
-        assert list(path.times) == [3, 4, 5]
+        assert path.start_index == 3
         assert len(path) == 3
 
     def test_values_read_only(self):

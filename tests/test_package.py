@@ -84,6 +84,21 @@ def cap_literals(tree) -> list[int]:
     return lines
 
 
+def test_parsers_name_fields_without_catching_type_errors():
+    """Every field is converted by the constructor that checks it, which
+    names the field; serialize and cli keep no layer that catches a
+    TypeError afterwards to find out which field held no number."""
+    package = Path(maxstab.__file__).parent
+    for module in ("serialize.py", "cli.py"):
+        tree = ast.parse((package / module).read_text("utf-8"))
+        caught = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler)
+                  and node.type is not None
+                  and any(isinstance(name, ast.Name) and name.id == "TypeError"
+                          for name in ast.walk(node.type))]
+        assert not caught, (module, caught)
+
+
 def test_the_size_cap_has_one_home():
     """Every size limit reads distributions._MAX_COUNT: no other module
     writes the number itself."""
