@@ -183,16 +183,12 @@ def _parse_query(text: str):
         if not (isinstance(item, list) and len(item) == 2):
             raise click.UsageError(
                 f"query field 'targets[{k}]': expected [index, level]")
-    try:
-        query = _cli.ConditionalQuery(tuple(cond),
-                                      tuple(map(tuple, targets)))
-    except ValueError as exc:
-        raise click.UsageError(
-            f"query fields 'conditioning'/'targets': {exc}") from exc
+    query = _guard(_cli.ConditionalQuery, cond, targets)
     try:
         a = _check_unit("a", doc["a"])
-    except ValueError as exc:
-        raise click.UsageError(f"query field 'a': {exc}") from exc
+    except ValueError as exc:  # the prefix names a, so drop its suffix
+        raise click.UsageError(
+            f"query field 'a': {exc.__cause__ or exc}") from exc
     return query, a
 
 

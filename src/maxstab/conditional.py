@@ -30,10 +30,10 @@ import numpy as np
 from . import _EXPORTS
 from .distributions import RngState, _check_count, _index, _integer, _pairs
 from .law import _check_positive, _check_unit
-from .spectral import _BLOCK_ELEMENTS, GeometricMixing, _decay_profile, \
-    _onset_rows, _span
+from .spectral import GeometricMixing, _decay_profile, _onset_rows, _span
 
 __all__ = list(_EXPORTS["conditional"])
+_MC_BLOCK = 1 << 14  # window values per Monte Carlo block, about 128 KB
 
 @dataclass(frozen=True)
 class ConditionalQuery:
@@ -165,32 +165,33 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
     would grow fast enough in the far past to make the variance infinite
     and the stderr meaningless.  n runs from 1000 draws up to the size cap.
 
-    The draws are made in blocks of _BLOCK_ELEMENTS // len(times) onsets,
-    each read next from the stream, so only the two per-draw terms are
-    held whole; the estimate and the stream position afterwards are those
-    of one block of n, bit for bit.
+    The draws are made in blocks of _MC_BLOCK // len(times) onsets, read
+    in turn from the stream; no per-draw array is held, as each block's
+    means and centred co-moments are merged into the running ones (Chan,
+    Golub & LeVeque 1983), so memory does not grow with n.
     """
     a = _check_unit("a", a)
     n = _integer(n, "n must be an integer of at least 1000", 1000)
     _check_count(n, f"n = {n:,} draws is", "use fewer draws")
     ts, zs = _query_arrays(query)
-    ind_sample, exc_sample = np.empty(n), np.empty(n)
-    step = max(1, _BLOCK_ELEMENTS // ts.size)
+    mean, comoment = np.zeros(2), np.zeros((2, 2))
+    step = max(1, _MC_BLOCK // ts.size)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        ind_sample[lo:hi], exc_sample[lo:hi] = _factor_terms(
-            _spectral_matrix(a, ts, hi - lo, rng, mixing), zs)
-
-    ind_mean = float(ind_sample.mean())
-    exc_mean = float(exc_sample.mean())
-    ind_var = float(ind_sample.var(ddof=1))
-    exc_var = float(exc_sample.var(ddof=1))
-    cov = float(np.cov(ind_sample, exc_sample, ddof=1)[0, 1])
-    value = ind_mean * math.exp(-exc_mean)
-    grad_sq = (ind_var + ind_mean**2 * exc_var - 2.0 * ind_mean * cov)
-    stderr = math.exp(-exc_mean) * math.sqrt(max(grad_sq, 0.0) / n)
+        terms = np.array(_factor_terms(
+            _spectral_matrix(a, ts, hi - lo, rng, mixing), zs))
+        block_mean = terms.mean(axis=1)
+        centred = terms - block_mean[:, None]
+        delta = block_mean - mean
+        mean += delta * ((hi - lo) / hi)
+        comoment += (centred @ centred.T
+                     + np.outer(delta, delta) * (lo * (hi - lo) / hi))
+    (ind_mean, exc_mean), ((ind_var, cov), (_, exc_var)) = \
+        mean.tolist(), (comoment / (n - 1)).tolist()
+    grad_sq = ind_var + ind_mean**2 * exc_var - 2.0 * ind_mean * cov
     return McConditionalEstimate(
-        value=value, stderr=stderr,
+        value=ind_mean * math.exp(-exc_mean),
+        stderr=math.exp(-exc_mean) * math.sqrt(max(grad_sq, 0.0) / n),
         indicator_moment=ind_mean, excess_moment=exc_mean,
         indicator_stderr=math.sqrt(ind_var / n),
         excess_stderr=math.sqrt(exc_var / n), n=n)

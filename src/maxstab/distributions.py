@@ -295,7 +295,10 @@ def frechet_quantile(p, scale: float = 1.0):
 
 def frechet_sample(rng: RngState, scale: float = 1.0, size: int | None = None):
     """Inverse-transform sample(s), one uniform per variate: scale over the
-    unit exponential -log(U) of :meth:`RngState.exponential`, so
-    one-at-a-time and block draws on the same stream are bitwise equal.
+    unit exponential of :meth:`RngState.exponential`, bitwise equal one at
+    a time and in blocks; a size above the size cap is refused unread.
     """
+    if size is not None:
+        _check_count(_integer(size, "size must be a nonnegative integer", 0),
+                     f"size = {size:,} values is", "draw fewer values")
     return _check_positive("scale", scale) / rng.exponential(size)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .distributions import _SPLIT_WORDS, RngState, _array, _both, \
-    _check_positive_array, _integer
+    _check_count, _check_positive_array, _integer
 from .law import Direction, MaxARParams
 
 __all__ = list(_EXPORTS["maxar"])
@@ -223,8 +223,8 @@ def simulate_forward(params: MaxARParams, n: int, rng: RngState,
     step, so an atom equals a * X(t-1) to within a few ulp rather than as
     the literal product.  The scan stops once no later pass can change a
     value, which leaves the path bitwise that of the full scan.  n must be
-    a positive integer (a Python or numpy integer, or an integral float);
-    anything else, NaN and inf included, raises ValueError.
+    a positive integer up to the size cap (a Python or numpy integer or an
+    integral float); anything else, NaN and inf included, raises ValueError.
     """
     forward = MaxARParams(params.a, Direction.FORWARD)
     return _draw_path(forward, n, rng, start_index)
@@ -235,7 +235,8 @@ def _draw_path(params: MaxARParams, n, rng: RngState,
     """One scan of n stationary forward values, read forwards or, for a
     reversed chain, backwards, and checked once against the one-step bound
     of params' direction."""
-    n = _integer(n, "n must be a positive integer below 2**63", 1, 2**63)
+    n = _integer(n, "n must be a positive integer", 1)
+    _check_count(n, f"n = {n:,} values is", "draw a shorter path")
     values = _stationary_windows(params.a, n, 1, rng)[0]
     if params.direction is Direction.REVERSED:
         values = values[::-1]

@@ -407,8 +407,7 @@ def exponent_rectangle(functional: ExponentFunctional, points) -> float:
 
 # Points per block of the de Haan sampler: the first holds max(_FIRST_BLOCK,
 # 2 * bound), about what a draw takes, and each later one twice the last, up
-# to a cap of _BLOCK_ELEMENTS window values.  The conditional Monte Carlo
-# draws its onsets in blocks of that many values.
+# to a cap of _BLOCK_ELEMENTS window values; the Monte Carlo has its own.
 _FIRST_BLOCK = 8
 _BLOCK_ELEMENTS = 1 << 16
 

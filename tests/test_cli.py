@@ -455,6 +455,25 @@ class TestConditional:
         assert field in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"conditioning": [0, 1.0], "targets": [[1, 1.0]], "a": None},
+         "'a'"),
+        ({"conditioning": [0, 1.0], "targets": [[1, 1.0]], "a": [0.5]},
+         "'a'"),
+        ({"conditioning": [0.5, 1.0], "targets": [[1, 1.0]], "a": 0.5},
+         "'conditioning'"),
+        ({"conditioning": [0, 1.0], "targets": [[1.25, 1.0]], "a": 0.5},
+         "'targets'"),
+        ({"conditioning": [0, 1.0], "targets": [[1, "x"]], "a": 0.5},
+         "'target levels'"),
+    ])
+    def test_refusal_names_its_field_once(self, runner, tmp_path, doc,
+                                          field):
+        result = runner.invoke(main, ["conditional", "--query",
+                                      write_query(tmp_path, doc)])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.count(field) == 1, result.stderr
+
     def test_bad_target_entry_exits_2(self, runner, tmp_path):
         query = write_query(tmp_path, {"conditioning": [0, 1.0],
                                        "targets": [[1, 1.0, 9]], "a": 0.5})

@@ -451,9 +451,8 @@ class TestConditionalMc:
     ])
     @pytest.mark.parametrize("a", [0.4, 1.0])
     def test_peak_memory_per_draw(self, query, a):
-        """The draws are made block by block, so the traced peak is the
-        two per-draw terms and their moments, whatever the query's size:
-        at most 48 bytes per draw plus 1 MiB."""
+        """The draws are made block by block, so the traced peak does not
+        grow with the query's size: at most 48 bytes per draw plus 1 MiB."""
         n = 200_000
         conditional_cdf_mc(query, a, 1000, RngState(2))  # warm the caches
         tracemalloc.start()
@@ -463,6 +462,23 @@ class TestConditionalMc:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * n + 2**20
+
+    @pytest.mark.parametrize("mixing", [
+        None, FiniteMixing(((-3, 1.0), (0, 2.0), (1, 1.0), (4, 0.5)))],
+        ids=["default", "finite"])
+    def test_peak_memory_is_flat_in_n(self, mixing):
+        """Each block's terms are folded into running moments and no
+        per-draw array is held, so a million draws trace under 2 MB (a
+        per-draw array of them would take 8 MB)."""
+        query = ConditionalQuery((0, 1.2), ((1, 0.9), (-2, 1.5)))
+        conditional_cdf_mc(query, 0.4, 1000, RngState(2), mixing)
+        tracemalloc.start()
+        try:
+            conditional_cdf_mc(query, 0.4, 1_000_000, RngState(3), mixing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_integral_sample_size_runs_as_int(self):
         q = ConditionalQuery((0, 1.0), ((1, 1.0),))

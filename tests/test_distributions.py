@@ -11,6 +11,7 @@ from hypothesis import assume, given, strategies as st
 from maxstab import (
     ConditionalQuery,
     FiniteMixing,
+    MaxARParams,
     RngState,
     SpectralSampler,
     conditional_cdf_mc,
@@ -20,7 +21,9 @@ from maxstab import (
     ks_one_sample,
     ks_two_sample,
     sample_grid,
+    simulate_forward,
     simulate_moving_max,
+    simulate_reversed,
 )
 from maxstab.distributions import _check_count, _check_positive_array, \
     _quantiles
@@ -380,12 +383,29 @@ def _draws(q, rng):
     return conditional_cdf_mc(query, 0.5, q, rng)
 
 
+def _path(q, rng):
+    """A max-AR path of q values, forward."""
+    return simulate_forward(MaxARParams(0.5), q, rng)
+
+
+def _reversed_path(q, rng):
+    """A max-AR path of q values, reversed."""
+    return simulate_reversed(MaxARParams(0.5), q, rng)
+
+
+def _frechet(q, rng):
+    """A block of q unit Frechet draws."""
+    return frechet_sample(rng, size=q)
+
+
 CAP_VALUES = (math.nan, math.inf, -1, 0, 1.5, 2**70, 10**7, 10**7 + 1)
 _LENGTH = "length must be finite and positive"
 _EPSILON = "epsilon must lie in"
 _INDEX = "indices must be integers"
 _WINDOW = "window must be a nonempty"
 _N = "n must be an integer of at least 1000"
+_PATH_N = "n must be a positive integer"
+_SIZE = "size must be a nonnegative integer"
 # per quantity: its call, the words before "more than 10,000,000" in its
 # refusal, and each value's outcome in CAP_VALUES order: "ok" passes the
 # cap, "cap" is refused by it, anything else is the other rule refusing
@@ -397,6 +417,11 @@ CAP_SITES = {
     "table": (_table, "values,",
               [_INDEX, _INDEX, _WINDOW, _WINDOW, _INDEX, "cap", "ok", "cap"]),
     "draws": (_draws, "draws is", [_N] * 5 + ["cap", "ok", "cap"]),
+    "path": (_path, "values is", [_PATH_N] * 5 + ["cap", "ok", "cap"]),
+    "reversed path": (_reversed_path, "values is",
+                      [_PATH_N] * 5 + ["cap", "ok", "cap"]),
+    "frechet": (_frechet, "values is",
+                [_SIZE] * 3 + ["ok", _SIZE, "cap", "ok", "cap"]),
 }
 
 

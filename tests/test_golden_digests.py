@@ -39,10 +39,10 @@ from maxstab import (
     simulate_reversed,
     spectral_bound,
 )
+from maxstab.conditional import _MC_BLOCK
 from maxstab.continuous import _jump_chain, _reversed_knots
 from maxstab.distributions import _uniforms
 from maxstab.maxar import _stationary_windows
-from maxstab.spectral import _BLOCK_ELEMENTS
 
 KEYS = [(0, 0), (1, 0), (7, 3), (2**63, 1), (2**64 - 1, 2**64 - 1)]
 UNIFORM_SIZES = [None, 511, None, 513, 5000, 1, 512]
@@ -72,7 +72,7 @@ DISCRETE_TEXT_NS = [1, 2, 1000]
 DEHAAN_WINDOWS = [(0, 0), (0, 5), (0, 10)]
 DEHAAN_DRAWS = 60
 # the conditional Monte Carlo's a and mixings, and its queries of 3 and 5
-# times; each query runs n = 1000, its block of _BLOCK_ELEMENTS // times
+# times; each query runs n = 1000, its block of _MC_BLOCK // times
 # onsets minus one, the block, plus one, and 100,000
 MC_AS = [0.0, 0.4, 0.9, 1.0]
 MC_MIXINGS = {"default": None,
@@ -359,7 +359,7 @@ def test_dehaan_draws(window):
 
 
 def _mc_sizes(query: ConditionalQuery) -> list[int]:
-    block = _BLOCK_ELEMENTS // (1 + len(query.targets))
+    block = _MC_BLOCK // (1 + len(query.targets))
     return [1000, block - 1, block, block + 1, 100_000]
 
 
@@ -381,5 +381,6 @@ def mc_digest(mixing: str, a: float) -> str:
 def test_conditional_mc(mixing, a):
     """Every field of the Monte Carlo estimate as float.hex, and the next
     uniform after each run, around the onset block's size and far past
-    it: blocking the draws moves no bit and no stream position."""
+    it: the stream position does not depend on the blocks, and the
+    estimate's bits are those of the fixed block _MC_BLOCK."""
     assert mc_digest(mixing, a) == MC_DIGESTS[mixing, a]
