@@ -180,21 +180,21 @@ DEHAAN_DIGESTS = {
 
 MC_DIGESTS = {
     ("default", 0.0):
-        "2d5684d47a04b3b358d25f0d1d2590fe0397686356e19d5ef970e8ec06fbea6f",
+        "cbcaf7c593ecaf2159ec920b3b2ce997fa810755a4a331f65efc90e8f9300d62",
     ("default", 0.4):
-        "c5ccf69712390fe12194ff62c2d89b0f1f43f0a251cc1b24eb88752fd9119c7a",
+        "852447cc8e04f1dd55b391448a98fd5b1d90807402949c0a17a7b479c3221512",
     ("default", 0.9):
-        "d855130680dde9c3f3155c2720b249ed6684da53ca72764b285c5104a9b38779",
+        "b3230d001c5fb604443c62f852cc2851bd31a66d690865a0be9602f3c88a216d",
     ("default", 1.0):
-        "114f117814d3e2606bb19ca09f5e158de38e70a56a7d93020f2868d967e9126d",
+        "3faa4a6ac378bbf96b73e366f3467bb2c7b37d6e574e0f2932a1f5f496d04f6a",
     ("finite", 0.0):
-        "5d34bd1f238c82acd21a0fdf8fb73e9c7f982fc238cd4bbd18ae510cbb22968a",
+        "e690b2316af5481e5f5a159639f6baca8d90c917b0173fd95ab2c4e4d21e7edb",
     ("finite", 0.4):
-        "e615e311ba92588a3a70b7868b2316a72d3c35994b372e937fc639eff5bdeb4c",
+        "d38a0bca85ef1757799c2a5dbed41f8d65da82db1e524d402416fbb055729195",
     ("finite", 0.9):
-        "4ab501c9342556bcbf67675edfdfaf796432bfcbf0ba12aed745f2b1fe97dc7b",
+        "c83c459827b416265964009bbfbac984758469f9cbcce0ce689b1e2a0501c7d4",
     ("finite", 1.0):
-        "00d10432f0146f9113b33726eb3abf04ceb7b18d16db57b63823047d3575c737",
+        "7b3388d42dceb5cd73cdd99eeff6ad5e74cecb6bed26f32683219cf2e90408d9",
 }
 
 
