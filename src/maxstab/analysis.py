@@ -490,6 +490,39 @@ class BatterySizes:
 _QUADRATURE_NODES = 32
 
 
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The _QUADRATURE_NODES Gauss-Legendre nodes on (0, 1), ascending, and
+    their weights.
+
+    Each positive root x of P_n is found by Newton's method on the
+    three-term recurrence, from the first guess cos(pi (k - 1/4) /
+    (n + 1/2)) (Hale & Townsend 2013); the guesses are close enough that
+    four steps reach rounding, and a fifth is kept as a margin.  The pair
+    of roots +-x maps to (1 -+ x) / 2, with weight 2 / ((1 - x^2) P_n'(x)^2)
+    halved, and the weights are scaled to sum to 1.  numpy's ``leggauss``
+    gives the same nodes through a LAPACK eigensolve, which would load
+    ``numpy.polynomial`` into every process running the battery.
+    """
+    n = _QUADRATURE_NODES
+
+    def legendre(x):  # P_n(x) and P_{n-1}(x)
+        prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        return p, prev
+
+    x = np.cos(np.pi * (np.arange(n // 2) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p, prev = legendre(x)
+        x = x - p * (1.0 - x * x) / (n * (prev - x * p))
+    p, prev = legendre(x)
+    # (1 - x^2) P_n'(x) = n (P_{n-1}(x) - x P_n(x)) holds off the root too
+    half = (1.0 - x * x) / (n * (prev - x * p)) ** 2
+    weights = np.concatenate((half, half[::-1]))
+    return (np.concatenate(((1.0 - x) / 2.0, (1.0 + x[::-1]) / 2.0)),
+            weights / weights.sum())
+
+
 def _windows(a: float, width: int, count: int, rng: RngState,
              reversed_dir: bool) -> np.ndarray:
     """count stationary windows of the chain, read in its direction."""
@@ -594,16 +627,11 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
                  "rescaled pointwise max of independent copies keeps the "
                  "consecutive-pair law (minimum statistic)")
 
-    # imported here so that only a process running the battery loads
-    # numpy.polynomial
-    from numpy.polynomial.legendre import leggauss
-
     # With u = exp(-1/x) the stationary law is uniform on (0, 1) and the
     # forward kernel CDF is a step in u with one kink at exp(-a/y): one
     # fixed panel on each side of it integrates it to rounding.  The upper
     # panel is mapped by w = 1 - u, since u rounds onto 1 for tiny a.
-    nodes, weights = leggauss(_QUADRATURE_NODES)
-    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    nodes, weights = _gauss_legendre()
     worst = 0.0
     for y in (0.5, 1.0, 2.0, 4.0):
         lower, upper = math.exp(-a / y), -math.expm1(-a / y)
@@ -613,7 +641,8 @@ def _discrete_battery(params: MaxARParams, sizes: BatterySizes,
         # at a = 0 or subnormal a, upper * nodes underflows and x overflows
         cdf = [[kernel_cdf(forward, x, y) for x in row]
                for row in np.minimum(xs, np.finfo(float).max).tolist()]
-        integral = float(np.dot([lower, upper], np.dot(cdf, weights)))
+        panels = (np.array(cdf) * weights).sum(axis=1)
+        integral = float(lower * panels[0] + upper * panels[1])
         worst = max(worst, abs(integral - math.exp(-1.0 / y)))
     report.check("chapman_kolmogorov_quadrature", worst, 1e-8,
                  "transition kernel integrated against the stationary law "

@@ -10,6 +10,7 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import sys
+import warnings
 
 import click
 
@@ -86,7 +87,24 @@ _format_option = click.option(
     help="Output format; auto infers from the file extension.")
 
 
-@click.group()
+def _show_warning(message, category, *_):
+    click.echo(f"{category.__name__}: {message}", err=True)
+
+
+class _Main(click.Group):
+    """The command group.  Called as a process's entry point, by the
+    console script or ``python -m``, it prints each warning as one line
+    with no source location, as a CLI user has no use for it; invoked
+    through ``main.main``, as by click's test runner, it leaves warnings
+    to the caller."""
+
+    def __call__(self, *args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return super().__call__(*args, **kwargs)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact samplers and checks for stationary max-stable Markov
     processes."""

@@ -124,14 +124,12 @@ class McConditionalEstimate:
 def _spectral_matrix(a: float, times: np.ndarray, n: int, rng: RngState,
                      mixing) -> np.ndarray:
     """n spectral realizations evaluated at the given times, as an
-    (n, len(times)) array.  Randomness is the onset index only, one uniform
-    per row; at a = 1 every row is ones and no onset is drawn.  With no
-    mixing, the uniform times len(times) picks a query time j by its
-    integer part and by its fraction an onset within 37 / -log(ratio) + 1
-    < 2**59 of it; the times' offsets from time j are clipped to 2**63 - 1
-    in size, past which every decay and mass underflows to 0 anyway."""
-    if a == 1.0:
-        return np.ones((n, times.size))
+    (n, len(times)) array, for a < 1.  Randomness is the onset index only,
+    one uniform per row.  With no mixing, the uniform times len(times)
+    picks a query time j by its integer part and by its fraction an onset
+    within 37 / -log(ratio) + 1 < 2**59 of it; the times' offsets from time
+    j are clipped to 2**63 - 1 in size, past which every decay and mass
+    underflows to 0 anyway."""
     if mixing is not None:
         onsets = mixing.sample(rng, size=n)
         offsets, masses = times, mixing.pmf(onsets)
@@ -168,11 +166,21 @@ def conditional_cdf_mc(query: ConditionalQuery, a: float, n: int,
     The draws are made in blocks of _MC_BLOCK // len(times) onsets, read
     in turn from the stream; no per-draw array is held, as each block's
     means and centred co-moments are merged into the running ones (Chan,
-    Golub & LeVeque 1983), so memory does not grow with n.
+    Golub & LeVeque 1983), so memory does not grow with n.  At a = 1 every
+    spectral row is ones and both terms are constants, so no onset is drawn
+    and the estimate is :func:`conditional_factors`' with zero standard
+    errors.
     """
     a = _check_unit("a", a)
     n = _integer(n, "n must be an integer of at least 1000", 1000)
     _check_count(n, f"n = {n:,} draws is", "use fewer draws")
+    if a == 1.0:
+        exact = conditional_factors(query, a)
+        return McConditionalEstimate(
+            value=exact.value, stderr=0.0,
+            indicator_moment=exact.indicator_moment,
+            excess_moment=exact.excess_moment, indicator_stderr=0.0,
+            excess_stderr=0.0, n=n)
     ts, zs = _query_arrays(query)
     mean, comoment = np.zeros(2), np.zeros((2, 2))
     step = max(1, _MC_BLOCK // ts.size)

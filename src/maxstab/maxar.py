@@ -175,8 +175,9 @@ def _stationary_windows(a: float, width: int, count: int,
     mid = width // 2: rows [step, mid) and [mid, width).  The upper half
     reads rows [mid - step, mid), which the lower half writes, from a
     copy taken before the pass.  A draw holds the block of uniforms,
-    turned into the path in place, two scratch blocks of at most
-    ``_BLOCK_VALUES`` values (256 KB) or one row each, and the
+    turned into the path in place, a scratch block of at most
+    ``_BLOCK_VALUES`` values (256 KB) or one row, and, only when its
+    passes are split, a second scratch block for the upper half and the
     min(step, mid)-row edge copy of a split pass.
     """
     flat = rng.uniform(size=width * count)
@@ -194,8 +195,8 @@ def _stationary_windows(a: float, width: int, count: int,
     # row t holds the values of time t across the replicates
     x = flat.reshape(width, count)
     rows = max(1, _BLOCK_VALUES // count)
-    scratch = np.empty((2, min(rows, width - 1), count))
     mid = width // 2 if flat.size >= _SPLIT_WORDS else 0
+    scratch = np.empty((2 if mid else 1, min(rows, width - 1), count))
     step = 1
     while step < width:
         p = a ** step

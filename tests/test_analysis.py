@@ -445,6 +445,20 @@ class TestRunBattery:
         assert check.passed is False
         assert check.value > 0.01
 
+    def test_quadrature_rule_is_gauss_legendre(self):
+        """The battery's own 32-node rule on (0, 1) against numpy's
+        eigensolver rule, and exact for every monomial of degree <= 63."""
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = maxstab.analysis._gauss_legendre()
+        ref_nodes, ref_weights = leggauss(32)
+        ref_nodes, ref_weights = (ref_nodes + 1.0) / 2.0, ref_weights / 2.0
+        assert np.all(np.abs(nodes - ref_nodes) <= 2 * np.spacing(ref_nodes))
+        assert np.abs(weights - ref_weights).max() <= 1e-15
+        assert abs(weights.sum() - 1.0) <= 2 * np.spacing(1.0)
+        for k in range(64):
+            assert abs((weights * nodes**k).sum() - 1.0 / (k + 1)) <= 1e-15, k
+
     def test_continuous_forward(self):
         report = run_battery(ShapeFunction(0.5), RngState(108))
         assert report.all_passed, report.failures

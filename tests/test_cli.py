@@ -186,6 +186,22 @@ class TestKernelCdf:
             "reversed direction with a in {0, 1} equals the forward chain; "
             "canonicalizing to forward"] * len(warns)
 
+    @pytest.mark.parametrize("code", [
+        "import runpy\n"
+        "runpy.run_module('maxstab.cli', run_name='__main__', alter_sys=True)",
+        "import sys\nfrom maxstab.cli import main\nsys.exit(main())"],
+        ids=["python-m", "console-script"])
+    def test_process_prints_warning_as_one_line(self, code):
+        """Started as the CLI, a process prints the warning once, as one
+        line naming no file, line or source text."""
+        result = run_fresh(code, "kernel-cdf", "--a", "0", "--direction",
+                           "reversed", "--x", "1", "--y", "2")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0.606530659712633\n"
+        assert result.stderr == (
+            "UserWarning: reversed direction with a in {0, 1} equals the "
+            "forward chain; canonicalizing to forward\n")
+
 
 class TestSimulateDiscrete:
     def test_csv_output(self, runner, tmp_path):
@@ -829,7 +845,7 @@ class TestFreshProcessLoads:
         (["verify", "--a", "0.5", "--n", "2000"],
          {"maxstab.analysis"},
          {"maxstab.spectral", "maxstab.conditional", "maxstab.continuous",
-          "numpy.ma", "concurrent.futures"}),
+          "numpy.ma", "numpy.polynomial", "concurrent.futures"}),
         (["verify", "--a", "0.5", "--continuous", "--n", "2000"],
          {"maxstab.analysis", "maxstab.continuous"},
          {"maxstab.spectral", "maxstab.conditional", "numpy.ma",

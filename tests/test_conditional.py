@@ -423,6 +423,29 @@ class TestConditionalMc:
         assert est.value == 1.0
         assert est.stderr == 0.0
 
+    @pytest.mark.parametrize("mixing", [
+        None, FiniteMixing(((-3, 1.0), (0, 2.0), (1, 1.0), (4, 0.5)))],
+        ids=["default", "finite"])
+    @pytest.mark.parametrize("query", [
+        ConditionalQuery((0, 1.3), ((1, 0.9), (2, 1.7))),
+        ConditionalQuery((0, 1.2), ((1, 0.9), (-2, 1.5))),
+        ConditionalQuery((3, 0.7), ((5, 1.1), (-1, 2.0), (0, 0.8), (9, 1.4))),
+        ConditionalQuery((0, 1.0), ((1, 1.5),)),
+    ])
+    def test_constant_chain_has_no_sampling_error(self, query, mixing):
+        """At a = 1 both terms are the same for every draw: the estimate
+        is the exact one, with no rounding left in any standard error,
+        and no uniform is read."""
+        rng = RngState(4)
+        est = conditional_cdf_mc(query, 1.0, 100_000, rng, mixing)
+        exact = conditional_factors(query, 1.0)
+        assert (est.stderr, est.indicator_stderr, est.excess_stderr) \
+            == (0.0, 0.0, 0.0)
+        assert est.value == conditional_cdf(query, 1.0)
+        assert (est.indicator_moment, est.excess_moment) \
+            == (exact.indicator_moment, exact.excess_moment)
+        assert rng.uniform() == RngState(4).uniform()
+
     def test_sample_size_floor(self):
         q = ConditionalQuery((0, 1.0), ((1, 1.0),))
         with pytest.raises(ValueError):

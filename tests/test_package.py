@@ -107,3 +107,40 @@ def test_the_size_cap_has_one_home():
              for path in sorted(package.glob("*.py"))}
     assert len(found.pop("distributions.py")) == 1
     assert not any(found.values()), found
+
+
+def numpy_submodules_used(tree) -> list[str]:
+    """numpy.polynomial and numpy.linalg as imported, in any form, or read
+    as an attribute of numpy (np.linalg.solve), with their lines."""
+    lean = {"numpy.polynomial", "numpy.linalg"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            names = [f"numpy.{node.attr}"]
+        else:
+            continue
+        found += [f"{name}:{node.lineno}" for name in names
+                  if any(name == m or name.startswith(m + ".") for m in lean)]
+    return found
+
+
+def test_no_module_uses_numpy_polynomial_or_linalg():
+    """The package needs numpy's core only: the battery's Gauss-Legendre
+    rule is its own, so no process loads numpy.polynomial or runs a
+    LAPACK routine."""
+    package = Path(maxstab.__file__).parent
+    found = {path.name: numpy_submodules_used(
+        ast.parse(path.read_text("utf-8")))
+        for path in sorted(package.glob("*.py"))}
+    assert not any(found.values()), found
+    assert numpy_submodules_used(ast.parse(
+        "import numpy.linalg\nfrom numpy.polynomial.legendre import leggauss\n"
+        "from numpy import polynomial\nnp.linalg.eigvalsh(m)\n")) == [
+        "numpy.linalg:1", "numpy.polynomial.legendre.leggauss:2",
+        "numpy.polynomial:3", "numpy.linalg:4"]
