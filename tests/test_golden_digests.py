@@ -186,7 +186,7 @@ MC_DIGESTS = {
     ("default", 0.9):
         "b3230d001c5fb604443c62f852cc2851bd31a66d690865a0be9602f3c88a216d",
     ("default", 1.0):
-        "3faa4a6ac378bbf96b73e366f3467bb2c7b37d6e574e0f2932a1f5f496d04f6a",
+        "c19a43eea8e62b9ad7cbf3ad1566df73a1d3032794a433136c7ed0c389d926fa",
     ("finite", 0.0):
         "e690b2316af5481e5f5a159639f6baca8d90c917b0173fd95ab2c4e4d21e7edb",
     ("finite", 0.4):
@@ -194,7 +194,7 @@ MC_DIGESTS = {
     ("finite", 0.9):
         "c83c459827b416265964009bbfbac984758469f9cbcce0ce689b1e2a0501c7d4",
     ("finite", 1.0):
-        "7b3388d42dceb5cd73cdd99eeff6ad5e74cecb6bed26f32683219cf2e90408d9",
+        "45ea9fe7778293abf77db273ce5e38b0c931404bd822e6100e27331d0bb85014",
 }
 
 
